@@ -19,6 +19,7 @@ from .plant import (
     disturbance_free,
     real_config,
     run_episode,
+    run_episodes,
     sim_config,
 )
 from .scheduler import GainTable, apply_corrections, load_table, lookup, save_table, upsert

@@ -43,7 +43,7 @@ from .scheduler import load_table
 __all__ = ["CliConfig", "load_cli_config", "main"]
 
 _PIPELINE_KEYS = {f.name for f in dataclasses.fields(PipelineConfig)}
-_CLI_KEYS = {"scale", "output_dir", "jobs", "plant", "verbose"}
+_CLI_KEYS = {"scale", "output_dir", "plant", "verbose"}
 _GAIT_SETS = {"p_sim1", "p_sim2", "p_real"}
 _AXIS_KEYS = {"vx_nodes", "vy_nodes", "h_nodes", "sweep_vx", "sweep_vy", "sweep_h"}
 
@@ -54,13 +54,10 @@ class CliConfig:
 
     pipeline: PipelineConfig
     output_dir: str = "."
-    jobs: int = 1
     plant: str | None = None
     verbose: bool = False
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ConfigurationError(f"jobs must be at least 1, got {self.jobs}")
         if self.plant is not None and self.plant not in ("sim", "real"):
             raise ConfigurationError(
                 f"plant must be 'sim' or 'real', got {self.plant!r}")
@@ -76,8 +73,8 @@ def _gait_list(values, name: str) -> tuple:
     return tuple(gaits)
 
 
-def load_cli_config(path=None, seed=None, output_dir=None, jobs=None,
-                    plant=None, verbose=False) -> CliConfig:
+def load_cli_config(path=None, seed=None, output_dir=None, plant=None,
+                    verbose=False) -> CliConfig:
     """Merge defaults, the config file, and flag overrides, in that order."""
     data = {}
     if path is not None:
@@ -104,9 +101,10 @@ def load_cli_config(path=None, seed=None, output_dir=None, jobs=None,
         raise ConfigurationError(f"scale must be 'desk' or 'full', got {scale!r}")
 
     file_output_dir = data.pop("output_dir", None)
-    file_jobs = data.pop("jobs", None)
     file_plant = data.pop("plant", None)
-    file_verbose = bool(data.pop("verbose", False))
+    file_verbose = data.pop("verbose", False)
+    if not isinstance(file_verbose, bool):
+        raise ConfigurationError(f"verbose must be true or false, got {file_verbose!r}")
 
     merged = {f.name: getattr(base, f.name)
               for f in dataclasses.fields(PipelineConfig)}
@@ -135,7 +133,6 @@ def load_cli_config(path=None, seed=None, output_dir=None, jobs=None,
     return CliConfig(
         pipeline=pipeline,
         output_dir=output_dir if output_dir is not None else (file_output_dir or "."),
-        jobs=jobs if jobs is not None else int(file_jobs or 1),
         plant=plant if plant is not None else file_plant,
         verbose=verbose or file_verbose,
     )
@@ -167,8 +164,7 @@ def _cmd_learn_sim(cli: CliConfig, args) -> int:
 
 def _cmd_extract_safeset(cli: CliConfig, args) -> int:
     table = _load_table_checked(_table_path(cli, args.table, "gaintable_sim.json"))
-    sweep, _ = extract_safe_set(table, cli.pipeline, out_dir=cli.output_dir,
-                                jobs=cli.jobs)
+    sweep, _ = extract_safe_set(table, cli.pipeline, out_dir=cli.output_dir)
     print(f"{len(sweep.feasible_commands)}/{len(sweep.grid)} commands feasible")
     print(f"wrote {os.path.join(cli.output_dir, 'safeset.json')}")
     return 0
@@ -196,7 +192,7 @@ def _cmd_benchmark(cli: CliConfig, args) -> int:
         labels = ("tuned", "baseline")
     plant = _plant_config(cli.plant or "real")
     report = benchmark(table, other, cli.pipeline, plant, out_dir=cli.output_dir,
-                       jobs=cli.jobs, labels=labels)
+                       labels=labels)
     print(f"{labels[0]}: {report.table_a.feasible_count}/{report.grid_size} feasible; "
           f"{labels[1]}: {report.table_b.feasible_count}/{report.grid_size}")
     print(f"wrote {os.path.join(cli.output_dir, 'benchmark.json')}")
@@ -205,7 +201,10 @@ def _cmd_benchmark(cli: CliConfig, args) -> int:
 
 def _cmd_simulate(cli: CliConfig, args) -> int:
     table = _load_table_checked(args.table)
-    command = GaitParameter(*args.command)
+    try:
+        command = GaitParameter(*args.command)
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid --command: {exc}") from exc
     plant = _plant_config(cli.plant or "sim")
     if args.disturbance_free:
         plant = disturbance_free(plant)
@@ -236,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "pipeline configuration")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--output-dir", help="artifact directory (default .)")
-        p.add_argument("--jobs", type=int, help="parallel sweep workers")
         p.add_argument("--verbose", action="store_true", help="log progress")
 
     p = sub.add_parser("learn-sim", help="tune gains per gait in simulation")
@@ -287,7 +285,6 @@ def main(argv=None) -> int:
             path=args.config,
             seed=args.seed,
             output_dir=args.output_dir,
-            jobs=args.jobs,
             plant=getattr(args, "plant", None),
             verbose=args.verbose,
         )

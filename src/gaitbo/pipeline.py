@@ -43,7 +43,7 @@ from .plant import (
     stepping_start,
 )
 from .safeset import SafePolyhedron, SweepResult, constraint_value, convex_hull, save_polyhedron, sweep_commands
-from .scheduler import GainTable, apply_corrections, lookup, save_table
+from .scheduler import GainTable, _axis_nodes, apply_corrections, lookup, save_table
 
 __all__ = [
     "PipelineConfig",
@@ -81,12 +81,10 @@ _EPISODE_KEY = 9
 
 
 def _axis_tuple(values, name: str) -> tuple:
-    nodes = tuple(float(v) for v in values)
-    if not nodes:
-        raise ConfigurationError(f"{name} must not be empty")
-    if any(b <= a for a, b in zip(nodes, nodes[1:])):
-        raise ConfigurationError(f"{name} must be strictly increasing, got {nodes}")
-    return nodes
+    try:
+        return _axis_nodes(values, name)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid {name}: {exc}") from exc
 
 
 def _on_axis(value: float, axis: tuple) -> bool:
@@ -432,12 +430,12 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
     return table
 
 
-def extract_safe_set(table: GainTable, cfg: PipelineConfig, out_dir=None,
-                     jobs: int = 1) -> tuple[SweepResult, SafePolyhedron]:
+def extract_safe_set(table: GainTable, cfg: PipelineConfig,
+                     out_dir=None) -> tuple[SweepResult, SafePolyhedron]:
     """Sweep the command grid through the tuned table and hull the survivors."""
     grid = cfg.sweep_grid()
     sweep = sweep_commands(table, sim_config(), grid, cfg.root_seed().derive(_STREAM_SWEEP),
-                           segment_duration=cfg.objective.segment_duration, jobs=jobs)
+                           segment_duration=cfg.objective.segment_duration)
     if len(sweep.safe_points) < 4:
         raise SafeSetError(
             f"only {len(sweep.safe_points)} safe points; a solid region needs 4")
@@ -614,15 +612,15 @@ def _winner(a: TableBenchmark, b: TableBenchmark, key) -> str:
 
 
 def benchmark(table_a: GainTable, table_b: GainTable, cfg: PipelineConfig,
-              plant: PlantConfig, out_dir=None, jobs: int = 1,
+              plant: PlantConfig, out_dir=None,
               labels: tuple = ("tuned", "baseline")) -> BenchmarkReport:
     """Sweep both tables over the command grid with identical noise streams."""
     grid = cfg.sweep_grid()
     seed = cfg.root_seed().derive(_STREAM_BENCH)
     sweep_a = sweep_commands(table_a, plant, grid, seed,
-                             segment_duration=cfg.objective.segment_duration, jobs=jobs)
+                             segment_duration=cfg.objective.segment_duration)
     sweep_b = sweep_commands(table_b, plant, grid, seed,
-                             segment_duration=cfg.objective.segment_duration, jobs=jobs)
+                             segment_duration=cfg.objective.segment_duration)
     stats_a = _table_stats(labels[0], sweep_a)
     stats_b = _table_stats(labels[1], sweep_b)
 
@@ -673,17 +671,17 @@ def save_benchmark(report: BenchmarkReport, path) -> None:
         fh.write("\n")
 
 
-def run_full_pipeline(cfg: PipelineConfig, out_dir, jobs: int = 1) -> dict:
+def run_full_pipeline(cfg: PipelineConfig, out_dir) -> dict:
     """All four phases in order, artifacts written under out_dir.
 
     Returns the artifact paths keyed by name.
     """
     os.makedirs(out_dir, exist_ok=True)
     table_sim = learn_sim(cfg, out_dir=out_dir)
-    _, poly = extract_safe_set(table_sim, cfg, out_dir=out_dir, jobs=jobs)
+    _, poly = extract_safe_set(table_sim, cfg, out_dir=out_dir)
     table_real, _ = learn_real(table_sim, poly, cfg, out_dir=out_dir)
     benchmark(table_real, baseline_table(cfg), cfg, real_config(),
-              out_dir=out_dir, jobs=jobs)
+              out_dir=out_dir)
     return {
         "gaintable_sim": os.path.join(out_dir, "gaintable_sim.json"),
         "safeset": os.path.join(out_dir, "safeset.json"),

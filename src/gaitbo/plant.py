@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ControlParams, GaitParameter, SeedSpec
+from .domain import GaitParameter, SeedSpec, _readonly_vector
 from .errors import ConfigurationError, SimulationError
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "regulator_output",
     "step",
     "run_episode",
+    "run_episodes",
     "learning_profile",
     "stepping_start",
     "write_csv",
@@ -43,19 +44,6 @@ __all__ = [
 # 8 s, switch to the evaluated command, and run to 20 s total (50 steps).
 EPISODE_DURATION = 20.0
 COMMAND_SWITCH_TIME = 8.0
-
-_ZERO3 = np.zeros(3)
-
-
-def _vector3(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
-
 
 def _matrix3(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -83,10 +71,10 @@ class PlantConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "B", _matrix3(self.B, "B"))
-        object.__setattr__(self, "a", _vector3(self.a, "a"))
+        object.__setattr__(self, "a", _readonly_vector(self.a, 3, "a"))
         object.__setattr__(self, "D", _matrix3(self.D, "D"))
-        object.__setattr__(self, "d0", _vector3(self.d0, "d0"))
-        object.__setattr__(self, "noise_std", _vector3(self.noise_std, "noise_std"))
+        object.__setattr__(self, "d0", _readonly_vector(self.d0, 3, "d0"))
+        object.__setattr__(self, "noise_std", _readonly_vector(self.noise_std, 3, "noise_std"))
         if np.any(np.diag(self.B) <= 0.0):
             raise ValueError("B must have positive diagonal entries")
         if np.any(np.abs(self.a) >= 1.0):
@@ -162,9 +150,9 @@ class PlantState:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p_hat", _vector3(self.p_hat, "p_hat"))
-        object.__setattr__(self, "v_hat", _vector3(self.v_hat, "v_hat"))
-        object.__setattr__(self, "u", _vector3(self.u, "u"))
+        object.__setattr__(self, "p_hat", _readonly_vector(self.p_hat, 3, "p_hat"))
+        object.__setattr__(self, "v_hat", _readonly_vector(self.v_hat, 3, "v_hat"))
+        object.__setattr__(self, "u", _readonly_vector(self.u, 3, "u"))
 
 
 @dataclass(frozen=True)
@@ -252,43 +240,155 @@ class Trajectory:
 
 
 def regulator_output(
-    params: ControlParams,
-    p_desired: GaitParameter,
-    p_dot_desired: np.ndarray,
-    state: PlantState,
+    gains: np.ndarray,
+    p_desired: np.ndarray,
+    p_hat: np.ndarray,
+    v_hat: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Componentwise PD law on the gait-parameter error.
+    """Componentwise PD law on the gait-parameter error, one row per episode.
 
-    dg = kP * (p_desired + deltaP - p_hat) + kD * (p_dot_desired - v_hat / dt)
+    gains packs [kP, kD, deltaP] along its last axis, as
+    ControlParams.as_vector() does; the other arrays hold gait 3-vectors
+    along theirs. Commands are piecewise constant, so the desired rate is 0:
+
+    dg = kP * (p_desired + deltaP - p_hat) + kD * (0 - v_hat / dt)
 
     v_hat is a per-step rate, so it is divided by dt to compare against the
     desired rate in units per second.
     """
-    err = p_desired.as_array() + params.deltaP - state.p_hat
-    rate_err = np.asarray(p_dot_desired, dtype=float) - state.v_hat / dt
-    return params.kP * err + params.kD * rate_err
+    err = p_desired + gains[..., 6:9] - p_hat
+    rate_err = 0.0 - v_hat / dt
+    return gains[..., 0:3] * err + gains[..., 3:6] * rate_err
+
+
+def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # A stacked product over a trailing unit axis rounds exactly like
+    # matrix @ row on each row alone; multiply-adds and rows @ matrix.T do not.
+    return np.matmul(matrix, rows[..., None])[..., 0]
 
 
 def step(
-    state: PlantState,
+    p_hat: np.ndarray,
+    v_hat: np.ndarray,
+    u: np.ndarray,
     delta_g: np.ndarray,
     cfg: PlantConfig,
-    p_desired: GaitParameter,
-    rng: np.random.Generator,
-    step_index: int | None = None,
-) -> PlantState:
-    """Advance the plant one step under the regulator output delta_g."""
-    delta_g = np.asarray(delta_g, dtype=float)
-    u_new = (1.0 - cfg.beta) * state.u + cfg.beta * delta_g
-    w = rng.normal(0.0, cfg.noise_std)
-    v_new = cfg.a * state.v_hat + cfg.B @ u_new + cfg.D @ p_desired.as_array() + cfg.d0 + w
-    p_new = state.p_hat + v_new
-    if not (np.all(np.isfinite(p_new)) and np.all(np.isfinite(v_new)) and np.all(np.isfinite(u_new))):
+    p_desired: np.ndarray,
+    w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance each row of the plant one step; returns (p_hat, v_hat, u).
+
+    delta_g is the regulator output, p_desired the active command and w the
+    step's noise draw, one row per episode.
+    """
+    u_new = (1.0 - cfg.beta) * u + cfg.beta * delta_g
+    v_new = cfg.a * v_hat + _rowwise(cfg.B, u_new) + _rowwise(cfg.D, p_desired) + cfg.d0 + w
+    return p_hat + v_new, v_new, u_new
+
+
+def run_episodes(cfg: PlantConfig, table, profiles, initials, seeds) -> tuple:
+    """Run a batch of closed-loop episodes in one array pass.
+
+    Episode k follows profiles[k] from initials[k] with noise from seeds[k];
+    all profiles must share one duration. Gains are looked up once per
+    command, and each episode draws its whole noise block up front from its
+    own stream, so every Trajectory equals the one its episode gives alone,
+    bit for bit. An episode stops when the fall predicate fires; the rest
+    run on. If any state turns non-finite, SimulationError is raised for the
+    first such episode in input order, with the step it failed at.
+    """
+    from .scheduler import lookup  # local import to avoid a module cycle
+
+    profiles, initials, seeds = tuple(profiles), tuple(initials), tuple(seeds)
+    n = len(profiles)
+    if n == 0 or len(initials) != n or len(seeds) != n:
+        raise ConfigurationError(
+            f"a batch needs one profile, initial state and seed per episode, got "
+            f"{n}, {len(initials)} and {len(seeds)}"
+        )
+    n_float = profiles[0].total_duration / cfg.dt
+    n_steps = int(round(n_float))
+    if abs(n_float - n_steps) > 1e-9 or n_steps < 1:
+        raise ConfigurationError(
+            f"profile duration {profiles[0].total_duration} is not a positive multiple "
+            f"of dt={cfg.dt}"
+        )
+    if any(p.total_duration != profiles[0].total_duration for p in profiles):
+        raise ConfigurationError("episodes in one batch must share a profile duration")
+
+    times = np.arange(n_steps + 1) * cfg.dt
+    # Per episode and sample: the active command and its gains; per step: noise.
+    p_des = np.empty((n, n_steps + 1, 3))
+    gains = np.empty((n, n_steps + 1, 9))
+    noise = np.empty((n, n_steps, 3))
+    resolved = {}
+    for k, (profile, seed) in enumerate(zip(profiles, seeds)):
+        commands = [cmd for _, cmd in profile.entries]
+        for cmd in commands:
+            if cmd not in resolved:
+                resolved[cmd] = lookup(table, cmd).as_vector()
+        segment = np.searchsorted([start for start, _ in profile.entries], times,
+                                  side="right") - 1
+        p_des[k] = np.array([cmd.as_array() for cmd in commands])[segment]
+        gains[k] = np.array([resolved[cmd] for cmd in commands])[segment]
+        noise[k] = seed.generator().normal(0.0, cfg.noise_std, size=(n_steps, 3))
+
+    p_hat = np.array([s.p_hat for s in initials])
+    v_hat = np.array([s.v_hat for s in initials])
+    u = np.array([s.u for s in initials])
+    rec_p_hat = np.empty((n, n_steps + 1, 3))
+    rec_dg = np.empty((n, n_steps + 1, 3))
+    length = np.full(n, n_steps + 1)
+    fell = np.zeros(n, dtype=bool)
+    failed_at = np.full(n, -1)
+    # The episodes still running, and their fall-band counters.
+    live = np.arange(n)
+    consecutive = np.zeros(n, dtype=int)
+
+    for i in range(n_steps + 1):
+        target = p_des[live, i]
+        dg = regulator_output(gains[live, i], target, p_hat, v_hat, cfg.dt)
+        rec_p_hat[live, i] = p_hat
+        rec_dg[live, i] = dg
+        if i > 0:
+            out_of_band = np.any(np.abs(p_hat - target) > cfg.fall_band_width, axis=1)
+            consecutive = np.where(out_of_band, consecutive + 1, 0)
+            down = (p_hat[:, 2] < cfg.min_height) | (consecutive >= 3)
+            if down.any():
+                fell[live[down]] = True
+                length[live[down]] = i + 1
+                keep = ~down
+                live, p_hat, v_hat, u, dg, target, consecutive = (
+                    x[keep] for x in (live, p_hat, v_hat, u, dg, target, consecutive))
+        if i == n_steps or live.size == 0:
+            break
+        p_hat, v_hat, u = step(p_hat, v_hat, u, dg, cfg, target, noise[live, i])
+        finite = (np.isfinite(p_hat).all(axis=1) & np.isfinite(v_hat).all(axis=1)
+                  & np.isfinite(u).all(axis=1))
+        if not finite.all():
+            failed_at[live[~finite]] = i
+            live, p_hat, v_hat, u, consecutive = (
+                x[finite] for x in (live, p_hat, v_hat, u, consecutive))
+
+    failed = np.flatnonzero(failed_at >= 0)
+    if failed.size:
+        step_index = int(failed_at[failed[0]])
         raise SimulationError(
             f"plant state became non-finite at step {step_index}", step_index=step_index
         )
-    return PlantState(p_new, v_new, u_new)
+    return tuple(
+        Trajectory(
+            dt=cfg.dt,
+            times=times[:length[k]],
+            p_desired=p_des[k, :length[k]],
+            p_hat=rec_p_hat[k, :length[k]],
+            delta_g=rec_dg[k, :length[k]],
+            fell=bool(fell[k]),
+            fall_time=float(times[length[k] - 1]) if fell[k] else None,
+        )
+        for k in range(n)
+    )
 
 
 def run_episode(
@@ -300,60 +400,11 @@ def run_episode(
 ) -> Trajectory:
     """Run the closed loop over the profile, recording every sample.
 
-    The gain table is queried at the active command each step. Episodes
-    terminate early with fell=True when the fall predicate fires.
+    The gain table is queried at each command of the profile. Episodes
+    terminate early with fell=True when the fall predicate fires. This is
+    run_episodes on a batch of one.
     """
-    from .scheduler import lookup  # local import to avoid a module cycle
-
-    n_float = profile.total_duration / cfg.dt
-    n_steps = int(round(n_float))
-    if abs(n_float - n_steps) > 1e-9 or n_steps < 1:
-        raise ConfigurationError(
-            f"profile duration {profile.total_duration} is not a positive multiple of dt={cfg.dt}"
-        )
-
-    rng = seed.generator()
-    times = np.empty(n_steps + 1)
-    p_des = np.empty((n_steps + 1, 3))
-    p_hat = np.empty((n_steps + 1, 3))
-    dg_all = np.empty((n_steps + 1, 3))
-    fell = False
-    fall_time: float | None = None
-    consecutive = 0
-    state = initial
-    recorded = 0
-
-    for i in range(n_steps + 1):
-        t = i * cfg.dt
-        cmd = profile.command_at(t)
-        params = lookup(table, cmd)
-        dg = regulator_output(params, cmd, _ZERO3, state, cfg.dt)
-        times[i] = t
-        p_des[i] = cmd.as_array()
-        p_hat[i] = state.p_hat
-        dg_all[i] = dg
-        recorded = i + 1
-        if i > 0:
-            if np.any(np.abs(state.p_hat - cmd.as_array()) > cfg.fall_band_width):
-                consecutive += 1
-            else:
-                consecutive = 0
-            if state.p_hat[2] < cfg.min_height or consecutive >= 3:
-                fell = True
-                fall_time = t
-                break
-        if i < n_steps:
-            state = step(state, dg, cfg, cmd, rng, step_index=i)
-
-    return Trajectory(
-        dt=cfg.dt,
-        times=times[:recorded],
-        p_desired=p_des[:recorded],
-        p_hat=p_hat[:recorded],
-        delta_g=dg_all[:recorded],
-        fell=fell,
-        fall_time=fall_time,
-    )
+    return run_episodes(cfg, table, (profile,), (initial,), (seed,))[0]
 
 
 def stepping_start(command: GaitParameter) -> PlantState:

@@ -53,11 +53,38 @@ class TestConfigLoading:
         assert cli.pipeline.i1 == 6
 
     def test_flags_override_file(self, tmp_path):
-        path = write_config(tmp_path, {"seed": 7, "output_dir": "from_file"})
-        cli = load_cli_config(path, seed=99, output_dir="from_flag", jobs=2)
+        path = write_config(tmp_path, {"seed": 7, "output_dir": "from_file",
+                                       "plant": "real"})
+        cli = load_cli_config(path, seed=99, output_dir="from_flag", plant="sim")
         assert cli.pipeline.seed == 99
         assert cli.output_dir == "from_flag"
-        assert cli.jobs == 2
+        assert cli.plant == "sim"
+
+    def test_jobs_key_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"jobs": 2})
+        with pytest.raises(ConfigurationError, match="unknown config keys"):
+            load_cli_config(path)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_verbose_takes_a_json_boolean(self, tmp_path, value):
+        cli = load_cli_config(write_config(tmp_path, {"verbose": value}))
+        assert cli.verbose is value
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_verbose_rejects_non_booleans(self, tmp_path, value):
+        path = write_config(tmp_path, {"verbose": value})
+        with pytest.raises(ConfigurationError, match="verbose"):
+            load_cli_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("sweep_h", [0.8, float("nan")]),
+        ("sweep_vx", [float("-inf"), 0.0]),
+        ("vx_nodes", [0.0, float("inf")]),
+    ])
+    def test_non_finite_axis_rejected_on_load(self, tmp_path, key, value):
+        path = write_config(tmp_path, {key: value})
+        with pytest.raises(ConfigurationError, match="finite"):
+            load_cli_config(path)
 
     def test_full_scale_selector(self):
         cli = load_cli_config(None)
@@ -198,6 +225,32 @@ class TestExitCodes:
                      "--output-dir", str(tmp_path / "out"), "--table", zero])
         assert code == 1
         assert "error: " in capsys.readouterr().err
+
+    def test_string_verbose_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"verbose": "false"})
+        assert main(["learn-sim", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "verbose" in capsys.readouterr().err
+
+    def test_nan_axis_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"sweep_h": [0.8, float("nan")]})
+        assert main(["learn-sim", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_invalid_simulate_command_exits_2(self, tmp_path, capsys):
+        zero = zero_table_file(tmp_path)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--table", zero, "--command", "0", "0", "-1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "height" in err
+        assert not out.exists()
+
+    def test_jobs_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["extract-safeset", "--jobs", "2"])
+        assert info.value.code == 2
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:

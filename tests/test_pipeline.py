@@ -97,6 +97,17 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError, match="shrink_factor"):
             tiny_config(shrink_factor=0.0)
 
+    @pytest.mark.parametrize("axis,nodes,message", [
+        ("sweep_h", (0.8, float("nan")), "finite"),
+        ("vy_nodes", (float("-inf"), 0.0), "finite"),
+        ("sweep_vx", (0.4, 0.0), "increase strictly"),
+        ("h_nodes", (), "at least one node"),
+        ("sweep_vy", (0.0, None), "invalid sweep_vy"),
+    ])
+    def test_bad_axis_rejected(self, axis, nodes, message):
+        with pytest.raises(ConfigurationError, match=message):
+            tiny_config(**{axis: nodes})
+
     def test_gain_box_layout(self):
         cfg = desk_scale_config()
         box = cfg.gain_box

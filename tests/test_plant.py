@@ -2,22 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitbo.domain import ControlParams, GaitParameter, SeedSpec
-from gaitbo.errors import ConfigurationError
+from gaitbo.errors import ConfigurationError, SimulationError
 from gaitbo.plant import (
     CommandProfile,
     PlantState,
+    Trajectory,
     disturbance_free,
     learning_profile,
     real_config,
     regulator_output,
     run_episode,
+    run_episodes,
     sim_config,
     step,
     stepping_start,
 )
-from gaitbo.scheduler import GainTable
+from gaitbo.scheduler import GainTable, lookup
 
 
 def constant_table(kP, kD, deltaP=(0.0, 0.0, 0.0)):
@@ -62,36 +66,41 @@ class TestCanonicalConfigs:
         np.testing.assert_array_equal(cfg.B, sim_config().B)
 
 
+def gains(kP, kD, deltaP=(0.0, 0.0, 0.0)):
+    return ControlParams(kP, kD, deltaP).as_vector()
+
+
 class TestRegulator:
     def test_proportional_term(self):
-        params = ControlParams([0.5, 0.5, 0.5], np.zeros(3), np.zeros(3))
-        state = rest_state([0.0, 0.0, 1.0])
-        dg = regulator_output(params, GaitParameter(0.4, 0.0, 1.0), np.zeros(3), state, 0.4)
+        dg = regulator_output(gains([0.5] * 3, np.zeros(3)), np.array([0.4, 0.0, 1.0]),
+                              np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.4)
         np.testing.assert_allclose(dg, [0.2, 0.0, 0.0])
 
     def test_offset_shifts_the_target(self):
-        params = ControlParams([1.0, 1.0, 1.0], np.zeros(3), [0.1, 0.0, 0.0])
-        state = rest_state([0.4, 0.0, 1.0])
-        dg = regulator_output(params, GaitParameter(0.4, 0.0, 1.0), np.zeros(3), state, 0.4)
+        dg = regulator_output(gains([1.0] * 3, np.zeros(3), [0.1, 0.0, 0.0]),
+                              np.array([0.4, 0.0, 1.0]), np.array([0.4, 0.0, 1.0]),
+                              np.zeros(3), 0.4)
         np.testing.assert_allclose(dg, [0.1, 0.0, 0.0])
 
     def test_derivative_term_uses_per_second_rate(self):
-        params = ControlParams(np.zeros(3), [1.0, 0.0, 0.0], np.zeros(3))
-        state = PlantState(np.array([0.0, 0.0, 1.0]), np.array([0.2, 0.0, 0.0]), np.zeros(3))
-        dg = regulator_output(params, GaitParameter(0.0, 0.0, 1.0), np.zeros(3), state, 0.4)
+        dg = regulator_output(gains(np.zeros(3), [1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+                              np.array([0.0, 0.0, 1.0]), np.array([0.2, 0.0, 0.0]), 0.4)
         # v_hat = 0.2 per step of 0.4 s -> 0.5 per second
         np.testing.assert_allclose(dg, [-0.5, 0.0, 0.0])
+
+
+def step_from_rest(cfg, p_hat, dg, p_desired, w=np.zeros(3)):
+    return step(np.asarray(p_hat, dtype=float), np.zeros(3), np.zeros(3),
+                np.asarray(dg, dtype=float), cfg, np.asarray(p_desired, dtype=float), w)
 
 
 class TestStep:
     def test_hand_computed_example(self):
         cfg = disturbance_free(sim_config())
-        state = rest_state([0.0, 0.0, 1.0])
-        nxt = step(state, np.array([0.2, 0.0, 0.0]), cfg, GaitParameter(0, 0, 1.0),
-                   np.random.default_rng(0))
-        np.testing.assert_allclose(nxt.u, [0.2, 0.0, 0.0])
-        np.testing.assert_allclose(nxt.v_hat, [0.06, 0.006, 0.0], atol=1e-15)
-        np.testing.assert_allclose(nxt.p_hat, [0.06, 0.006, 1.0], atol=1e-15)
+        p_hat, v_hat, u = step_from_rest(cfg, [0.0, 0.0, 1.0], [0.2, 0.0, 0.0], [0, 0, 1.0])
+        np.testing.assert_allclose(u, [0.2, 0.0, 0.0])
+        np.testing.assert_allclose(v_hat, [0.06, 0.006, 0.0], atol=1e-15)
+        np.testing.assert_allclose(p_hat, [0.06, 0.006, 1.0], atol=1e-15)
 
     def test_command_lag_two_steps(self):
         cfg = sim_config()
@@ -100,21 +109,40 @@ class TestStep:
                              noise_std=cfg.noise_std, dt=cfg.dt,
                              fall_band_width=cfg.fall_band_width, min_height=cfg.min_height)
         dg = np.array([0.3, -0.2, 0.1])
-        state = rest_state([0.0, 0.0, 1.0])
-        rng = np.random.default_rng(0)
-        state = step(state, dg, cfg_half, GaitParameter(0, 0, 1.0), rng)
-        np.testing.assert_allclose(state.u, 0.5 * dg)
-        state = step(state, dg, cfg_half, GaitParameter(0, 0, 1.0), rng)
-        np.testing.assert_allclose(state.u, 0.75 * dg)
+        target = np.array([0.0, 0.0, 1.0])
+        state = (target, np.zeros(3), np.zeros(3))
+        state = step(*state, dg, cfg_half, target, np.zeros(3))
+        np.testing.assert_allclose(state[2], 0.5 * dg)
+        state = step(*state, dg, cfg_half, target, np.zeros(3))
+        np.testing.assert_allclose(state[2], 0.75 * dg)
 
     def test_noise_comes_from_the_generator(self):
         cfg = sim_config()
-        state = rest_state([0.0, 0.0, 1.0])
-        a = step(state, np.zeros(3), cfg, GaitParameter(0, 0, 1.0), np.random.default_rng(5))
-        b = step(state, np.zeros(3), cfg, GaitParameter(0, 0, 1.0), np.random.default_rng(5))
-        c = step(state, np.zeros(3), cfg, GaitParameter(0, 0, 1.0), np.random.default_rng(6))
-        np.testing.assert_array_equal(a.p_hat, b.p_hat)
-        assert not np.array_equal(a.p_hat, c.p_hat)
+
+        def draw(stream):
+            return np.random.default_rng(stream).normal(0.0, cfg.noise_std)
+
+        a = step_from_rest(cfg, [0.0, 0.0, 1.0], np.zeros(3), [0, 0, 1.0], draw(5))[0]
+        b = step_from_rest(cfg, [0.0, 0.0, 1.0], np.zeros(3), [0, 0, 1.0], draw(5))[0]
+        c = step_from_rest(cfg, [0.0, 0.0, 1.0], np.zeros(3), [0, 0, 1.0], draw(6))[0]
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_matrix_products_round_like_one_row_at_a_time(self):
+        # Each row must round exactly as B @ u alone does, or batched
+        # episodes would drift from single ones in the last digits.
+        rng = np.random.default_rng(11)
+        for cfg in (sim_config(), real_config()):
+            p_hat, v_hat, u, dg, target, w = (
+                rng.normal(size=(200, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(200, 1))
+                for _ in range(6))
+            rows = step(p_hat, v_hat, u, dg, cfg, target, w)
+            for k in range(200):
+                u_new = (1.0 - cfg.beta) * u[k] + cfg.beta * dg[k]
+                v_new = cfg.a * v_hat[k] + cfg.B @ u_new + cfg.D @ target[k] + cfg.d0 + w[k]
+                assert rows[2][k].tobytes() == u_new.tobytes()
+                assert rows[1][k].tobytes() == v_new.tobytes()
+                assert rows[0][k].tobytes() == (p_hat[k] + v_new).tobytes()
 
 
 class TestCommandProfile:
@@ -280,3 +308,151 @@ class TestFallPredicate:
         assert traj.fell
         assert traj.p_hat[-1, 2] < 0.3
         assert abs(traj.p_hat[-1, 2] - 1.0) < 2.0  # the band never fired
+
+
+def reference_episode(cfg, table, profile, initial, seed):
+    """The per-step loop the batched rollout replaced, kept as its reference.
+
+    One episode, one step at a time: the command and its gains looked up at
+    each sample, noise drawn step by step, B @ u on the single row.
+    """
+    n_steps = int(round(profile.total_duration / cfg.dt))
+    rng = seed.generator()
+    p, v, u = initial.p_hat, initial.v_hat, initial.u
+    times, p_des, p_hat, dg_all = [], [], [], []
+    consecutive = 0
+    for i in range(n_steps + 1):
+        t = i * cfg.dt
+        cmd = profile.command_at(t)
+        params = lookup(table, cmd)
+        target = cmd.as_array()
+        dg = params.kP * (target + params.deltaP - p) + params.kD * (np.zeros(3) - v / cfg.dt)
+        times.append(t)
+        p_des.append(target)
+        p_hat.append(p)
+        dg_all.append(dg)
+        if i > 0:
+            consecutive = consecutive + 1 if np.any(np.abs(p - target) > cfg.fall_band_width) else 0
+            if p[2] < cfg.min_height or consecutive >= 3:
+                return Trajectory(cfg.dt, times, p_des, p_hat, dg_all, True, t)
+        if i < n_steps:
+            u = (1.0 - cfg.beta) * u + cfg.beta * dg
+            v = cfg.a * v + cfg.B @ u + cfg.D @ target + cfg.d0 + rng.normal(0.0, cfg.noise_std)
+            p = p + v
+            if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v)) and np.all(np.isfinite(u))):
+                raise SimulationError(f"non-finite at step {i}", step_index=i)
+    return Trajectory(cfg.dt, times, p_des, p_hat, dg_all, False, None)
+
+
+def assert_same_trajectory(a, b):
+    """Equal bit for bit, signs of zero included."""
+    assert (a.fell, a.fall_time, a.dt) == (b.fell, b.fall_time, b.dt)
+    for name in ("times", "p_desired", "p_hat", "delta_g"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def mixed_table():
+    """Gains varying across the grid, too stiff to stay up near vx = 0.8."""
+    values = np.concatenate([
+        np.random.default_rng(3).uniform(0.0, [3.0] * 3 + [1.5] * 3, size=(3, 2, 2, 6)),
+        np.random.default_rng(4).uniform(-0.05, 0.05, size=(3, 2, 2, 3)),
+    ], axis=-1)
+    values[2, :, :, :6] = [20.0] * 3 + [0.0] * 3
+    return GainTable((-0.8, 0.0, 0.8), (-0.3, 0.3), (0.8, 1.0), values)
+
+
+# Some pool commands converge under it, some fall, at various times.
+MIXED_TABLE = mixed_table()
+POOL = tuple(GaitParameter(vx, vy, h) for vx in (-0.8, -0.3, 0.0, 0.5, 0.8)
+             for vy in (-0.3, 0.0, 0.2) for h in (0.8, 0.95))
+SEED = SeedSpec(17, 2)
+
+
+def pool_episode(cmd, cfg):
+    return (learning_profile(cmd), stepping_start(cmd), SEED.derive(POOL.index(cmd)))
+
+
+class TestBatchedRollout:
+    @pytest.mark.parametrize("plant", [sim_config, real_config])
+    def test_batch_matches_reference_loop_and_batches_of_one(self, plant):
+        cfg = plant()
+        episodes = [pool_episode(cmd, cfg) for cmd in POOL]
+        batch = run_episodes(cfg, MIXED_TABLE, *zip(*episodes))
+        fell = [traj.fell for traj in batch]
+        assert any(fell) and not all(fell), "the pool must mix converged and fallen runs"
+        for traj, episode in zip(batch, episodes):
+            assert_same_trajectory(traj, reference_episode(cfg, MIXED_TABLE, *episode))
+            assert_same_trajectory(traj, run_episode(cfg, MIXED_TABLE, *episode))
+
+    @pytest.mark.parametrize("plant", [sim_config, real_config])
+    def test_zero_speed_single_segment_profile(self, plant):
+        cfg = plant()
+        cmd = GaitParameter(0.0, 0.0, 0.95)
+        profile = learning_profile(cmd)
+        assert len(profile.entries) == 1
+        other = GaitParameter(0.5, 0.2, 0.8)
+        batch = run_episodes(cfg, MIXED_TABLE, (profile, learning_profile(other)),
+                             (stepping_start(cmd), stepping_start(other)),
+                             (SeedSpec(5), SeedSpec(6)))
+        assert_same_trajectory(batch[0], reference_episode(
+            cfg, MIXED_TABLE, profile, stepping_start(cmd), SeedSpec(5)))
+        assert_same_trajectory(batch[1], reference_episode(
+            cfg, MIXED_TABLE, learning_profile(other), stepping_start(other), SeedSpec(6)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([sim_config, real_config]),
+           st.lists(st.sampled_from(POOL), min_size=1, max_size=12))
+    def test_any_subset_and_order_equals_single_episodes(self, plant, commands):
+        cfg = plant()
+        batch = run_episodes(cfg, MIXED_TABLE,
+                             *zip(*(pool_episode(cmd, cfg) for cmd in commands)))
+        for traj, cmd in zip(batch, commands):
+            assert_same_trajectory(traj, single_pool_episode(plant, cmd))
+
+    def test_non_finite_state_raises_for_first_episode_in_input_order(self):
+        cfg = disturbance_free(sim_config())
+        table = constant_table([1e200] * 3, np.zeros(3))
+        # Starts on its stepping command and blows up after the switch at 8 s.
+        late_cmd = GaitParameter(0.4, 0.0, 1.0)
+        late = (learning_profile(late_cmd), stepping_start(late_cmd), SeedSpec(0))
+        # Starts off its command and blows up at once.
+        early_cmd = GaitParameter(0.0, 0.0, 1.0)
+        early = (learning_profile(early_cmd), rest_state([0.3, 0.0, 1.0]), SeedSpec(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = {}
+            for name, episode in (("late", late), ("early", early)):
+                with pytest.raises(SimulationError) as info:
+                    reference_episode(cfg, table, *episode)
+                steps[name] = info.value.step_index
+            assert steps["early"] < steps["late"]
+            for order in (("late", "early"), ("early", "late")):
+                batch = [dict(late=late, early=early)[name] for name in order]
+                with pytest.raises(SimulationError, match=f"at step {steps[order[0]]}$") as info:
+                    run_episodes(cfg, table, *zip(*batch))
+                assert info.value.step_index == steps[order[0]]
+
+    def test_rejects_mismatched_batches(self):
+        cfg = sim_config()
+        cmd = GaitParameter(0.0, 0.0, 1.0)
+        table = constant_table([1.0] * 3, np.zeros(3))
+        with pytest.raises(ConfigurationError):
+            run_episodes(cfg, table, (), (), ())
+        with pytest.raises(ConfigurationError):
+            run_episodes(cfg, table, (learning_profile(cmd),), (), (SeedSpec(0),))
+        with pytest.raises(ConfigurationError, match="share a profile duration"):
+            run_episodes(cfg, table,
+                         (learning_profile(cmd), CommandProfile(((0.0, cmd),), 8.0)),
+                         (stepping_start(cmd),) * 2, (SeedSpec(0), SeedSpec(1)))
+
+
+_SINGLE = {}
+
+
+def single_pool_episode(plant, cmd):
+    """One pool command run alone, computed once per plant and command."""
+    key = (plant.__name__, cmd)
+    if key not in _SINGLE:
+        _SINGLE[key] = run_episode(plant(), MIXED_TABLE, *pool_episode(cmd, plant()))
+    return _SINGLE[key]

@@ -8,7 +8,9 @@ from scipy.optimize import linprog
 
 from gaitbo.domain import ControlParams, GaitParameter, SeedSpec
 from gaitbo.errors import ConfigurationError, DegenerateGeometryError
-from gaitbo.plant import sim_config
+from gaitbo import safeset
+from gaitbo.objective import converged_stats
+from gaitbo.plant import learning_profile, real_config, run_episode, sim_config, stepping_start
 from gaitbo.safeset import (
     SafePolyhedron,
     constraint_value,
@@ -219,6 +221,20 @@ def firm_table():
         ControlParams([2.0, 2.0, 2.0], [0.5, 0.5, 0.5], np.zeros(3)))
 
 
+def varied_table():
+    """Random gains per node, too stiff to stay up near vx = 0.8."""
+    values = np.zeros((3, 2, 2, 9))
+    values[..., :6] = np.random.default_rng(3).uniform(0.0, [3.0] * 3 + [1.5] * 3,
+                                                       size=(3, 2, 2, 6))
+    values[2, :, :, :6] = [20.0] * 3 + [0.0] * 3
+    return GainTable((-0.8, 0.0, 0.8), (-0.3, 0.3), (0.8, 1.0), values)
+
+
+def stats_bytes(result):
+    return [tuple(p.as_array().tobytes() for p in (s.p_c, s.p_c_min, s.p_c_max))
+            for s in result.stats]
+
+
 class TestSweep:
     GRID = (
         GaitParameter(0.0, 0.0, 1.0),
@@ -251,13 +267,36 @@ class TestSweep:
         for pa, pb in zip(a.safe_points, b.safe_points):
             np.testing.assert_array_equal(pa.as_array(), pb.as_array())
 
-    def test_jobs_do_not_change_results(self):
-        serial = sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(1))
-        parallel = sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(1),
-                                  jobs=2)
-        assert serial.feasible_commands == parallel.feasible_commands
-        for ps, pp in zip(serial.safe_points, parallel.safe_points):
-            np.testing.assert_array_equal(ps.as_array(), pp.as_array())
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        whole = sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(1))
+        monkeypatch.setattr(safeset, "_SWEEP_CHUNK", 2)
+        chunked = sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(1))
+        assert whole.feasible_commands == chunked.feasible_commands
+        assert stats_bytes(whole) == stats_bytes(chunked)
+
+    @pytest.mark.parametrize("plant", [sim_config, real_config])
+    def test_grid_across_a_chunk_boundary_matches_single_episodes(self, plant):
+        # More commands than one chunk holds, some converging and some falling;
+        # each verdict and converged statistic must equal its episode run alone.
+        cfg = plant()
+        grid = tuple(GaitParameter(vx, vy, h)
+                     for vx in np.linspace(-0.8, 0.8, 9)
+                     for vy in (-0.3, 0.0, 0.3) for h in np.linspace(0.8, 1.0, 5))
+        assert len(grid) > safeset._SWEEP_CHUNK
+        seed = SeedSpec(8)
+        result = sweep_commands(varied_table(), cfg, grid, seed)
+        expected = []
+        for k, cmd in enumerate(grid):
+            traj = run_episode(cfg, varied_table(), learning_profile(cmd),
+                               stepping_start(cmd), seed.derive(k))
+            if not traj.fell:
+                expected.append((cmd, converged_stats(traj)))
+        assert 0 < len(expected) < len(grid)
+        assert result.feasible_commands == tuple(cmd for cmd, _ in expected)
+        assert result.grid == grid
+        assert stats_bytes(result) == [
+            tuple(p.as_array().tobytes() for p in (s.p_c, s.p_c_min, s.p_c_max))
+            for _, s in expected]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
