@@ -2,7 +2,9 @@
 
 All internal search happens on the unit cube; callers supply a Box and the
 black box is evaluated in original units. Proposals come from a seeded
-candidate sweep followed by coordinate-descent refinement.
+candidate sweep followed by coordinate-descent refinement. Each proposal
+computes the candidates' posterior once, and every posterior it needs goes
+through the GP module's single moments kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from scipy.special import ndtr
 
 from .domain import Box, SeedSpec, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError
-from .gp import GPModel, adaptive_std_scale, default_hyper_grid, fit, fit_hyper, posterior_batch
+from .gp import (GPModel, _posterior_moments, _std_ratio, default_hyper_grid, fit, fit_hyper,
+                 posterior_batch)
 
 __all__ = [
     "Evaluation",
@@ -107,6 +110,12 @@ def _phi(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
 
 
+def _ei_positive(improve, std):
+    """Expected improvement for a positive std, given improve = best - mean."""
+    z = improve / std
+    return improve * ndtr(z) + std * _phi(z)
+
+
 def _ei_values(means: np.ndarray, stds: np.ndarray, best: float) -> np.ndarray:
     """Vectorized expected improvement below best, minimization convention."""
     means = np.asarray(means, dtype=float)
@@ -115,9 +124,16 @@ def _ei_values(means: np.ndarray, stds: np.ndarray, best: float) -> np.ndarray:
     out = np.maximum(improve, 0.0)
     positive = stds > 0.0
     if np.any(positive):
-        z = improve[positive] / stds[positive]
-        out[positive] = improve[positive] * ndtr(z) + stds[positive] * _phi(z)
+        out[positive] = _ei_positive(improve[positive], stds[positive])
     return out
+
+
+def _ei_value(mean: float, std: float, best: float) -> float:
+    """_ei_values for one point, without the array set-up."""
+    improve = best - mean
+    if std > 0.0:
+        return float(_ei_positive(improve, std))
+    return max(float(improve), 0.0)
 
 
 def expected_improvement(mean: float, std: float, best: float) -> float:
@@ -127,7 +143,7 @@ def expected_improvement(mean: float, std: float, best: float) -> float:
     """
     if std < 0.0:
         raise ValueError(f"std must be nonnegative, got {std}")
-    return float(_ei_values(np.array([mean]), np.array([std]), best)[0])
+    return _ei_value(mean, std, best)
 
 
 def feasibility_from_moments(mean: float, std: float) -> float:
@@ -146,11 +162,17 @@ def feasibility_probability(h_model: GPModel, x) -> float:
 
 
 def _feasibility_values(h_model: GPModel, X: np.ndarray) -> np.ndarray:
-    means, stds = posterior_batch(h_model, X)
+    means, stds = _posterior_moments(h_model, X)
     out = np.where(means <= 0.0, 1.0, 0.0)
     positive = stds > 0.0
     out[positive] = ndtr((0.0 - means[positive]) / stds[positive])
     return out
+
+
+def _scaled_ei_at(model: GPModel, x: np.ndarray, ratio: float, best: float) -> float:
+    """EI at one unit-cube point, its posterior std scaled by ratio: the refinement score."""
+    m, s = _posterior_moments(model, x[None, :])
+    return _ei_value(m[0], s[0] * ratio, best)
 
 
 def _coordinate_refine(x0: np.ndarray, score_fn, n_steps: int = REFINE_STEPS,
@@ -167,10 +189,11 @@ def _coordinate_refine(x0: np.ndarray, score_fn, n_steps: int = REFINE_STEPS,
         improved = False
         for d in range(n):
             for direction in (step, -step):
-                cand = np.array(x)
-                cand[d] = min(max(cand[d] + direction, 0.0), 1.0)
-                if cand[d] == x[d]:
+                moved = min(max(x[d] + direction, 0.0), 1.0)
+                if moved == x[d]:
                     continue
+                cand = x.copy()
+                cand[d] = moved
                 val = float(score_fn(cand))
                 if val > best:
                     x, best = cand, val
@@ -184,26 +207,22 @@ def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | 
             best: float, rng: np.random.Generator) -> np.ndarray:
     """Pick the next unit-cube query point.
 
-    Unconstrained: maximize expected improvement over a seeded candidate set,
-    then refine by coordinate descent. Constrained: among candidates whose
-    feasibility probability clears 1 - tolerance, maximize EI times that
-    probability; if none clears it, fall back to the most likely feasible
-    candidate.
+    The candidates' posterior is computed once; it gives both their EI and
+    the adaptive std scale. Unconstrained: maximize expected improvement over
+    a seeded candidate set, then refine by coordinate descent, scoring one
+    point at a time. Constrained: among candidates whose feasibility
+    probability clears 1 - tolerance, maximize EI times that probability; if
+    none clears it, fall back to the most likely feasible candidate.
     """
     n = obj_model.X.shape[1]
     cand = rng.random((N_CANDIDATES, n))
-    ratio = adaptive_std_scale(obj_model, cand)
-    means, stds = posterior_batch(obj_model, cand)
+    means, stds = _posterior_moments(obj_model, cand)
+    ratio = _std_ratio(obj_model, stds)
     ei = _ei_values(means, stds * ratio, best)
 
     if h_model is None or spec is None:
         x0 = cand[int(np.argmax(ei))]
-
-        def score(x):
-            m, s = posterior_batch(obj_model, x[None, :])
-            return _ei_values(m, s * ratio, best)[0]
-
-        return _coordinate_refine(x0, score)
+        return _coordinate_refine(x0, lambda x: _scaled_ei_at(obj_model, x, ratio, best))
 
     pf = _feasibility_values(h_model, cand)
     qualifies = pf >= 1.0 - spec.tolerance

@@ -2,15 +2,17 @@
 
 Targets are standardized before fitting; posteriors are mapped back to the
 original scale. Factorization goes through a jittered Cholesky that retries
-with doubled jitter before giving up.
+with doubled jitter before giving up. A fitted model keeps its scaled training
+inputs, so a posterior at new points costs one cross-kernel, one product and
+one LAPACK triangular solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, cholesky, get_lapack_funcs
 
 from .errors import NumericalError
 
@@ -34,6 +36,10 @@ _STD_FLOOR = 1e-12
 
 DEFAULT_LENGTHSCALES = (0.1, 0.2, 0.3, 0.5, 1.0)
 DEFAULT_NOISE_STDS = (1e-3, 1e-2, 1e-1)
+
+# The LAPACK routine scipy.linalg.solve_triangular ends in for a float64,
+# F-contiguous factor, without that wrapper's per-call checks.
+_trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -77,17 +83,26 @@ def kernel(x1, x2, hyper: Hyperparams) -> float:
     return float(hyper.signal_std**2 * np.exp(-0.5 * np.dot(z, z)))
 
 
-def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hyper: Hyperparams) -> np.ndarray:
-    """Covariance matrix between two point sets, shape (len(X1), len(X2))."""
-    A = np.asarray(X1, dtype=float) / hyper.lengthscales
-    B = np.asarray(X2, dtype=float) / hyper.lengthscales
-    sq = (
-        np.sum(A**2, axis=1)[:, None]
-        + np.sum(B**2, axis=1)[None, :]
-        - 2.0 * A @ B.T
-    )
+def _scaled_factors(X: np.ndarray, hyper: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
+    """The left-hand kernel factors of X: 2 X / ls and the squared row norms of X / ls."""
+    A = X / hyper.lengthscales
+    return 2.0 * A, np.sum(A**2, axis=1)[:, None]
+
+
+def _cross_kernel(twice_scaled: np.ndarray, sq_norms: np.ndarray, X2: np.ndarray,
+                  hyper: Hyperparams) -> np.ndarray:
+    """Covariance between the points behind _scaled_factors and the rows of X2."""
+    B = X2 / hyper.lengthscales
+    # np.add.reduce is what np.sum calls, minus its per-call dispatch
+    sq = sq_norms + np.add.reduce(B**2, axis=1) - twice_scaled @ B.T
     np.maximum(sq, 0.0, out=sq)
     return hyper.signal_std**2 * np.exp(-0.5 * sq)
+
+
+def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hyper: Hyperparams) -> np.ndarray:
+    """Covariance matrix between two point sets, shape (len(X1), len(X2))."""
+    twice_scaled, sq_norms = _scaled_factors(np.asarray(X1, dtype=float), hyper)
+    return _cross_kernel(twice_scaled, sq_norms, np.asarray(X2, dtype=float), hyper)
 
 
 @dataclass(frozen=True)
@@ -102,6 +117,9 @@ class GPModel:
     y_mean: float
     y_scale: float
     jitter: float
+    # _scaled_factors(X, hyper), kept for posterior queries
+    twice_scaled_X: np.ndarray = field(repr=False)
+    scaled_sq_norms: np.ndarray = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -150,7 +168,8 @@ def fit(X, y, hyper: Hyperparams, standardize: bool = True) -> GPModel:
         y_mean, y_scale = 0.0, 1.0
     ys = (y - y_mean) / y_scale
 
-    K = kernel_matrix(X, X, hyper)
+    twice_scaled, sq_norms = _scaled_factors(X, hyper)
+    K = _cross_kernel(twice_scaled, sq_norms, X, hyper)
     sig2 = hyper.signal_std**2
     jitter = _JITTER_START * sig2
     cap = _JITTER_CAP * sig2
@@ -168,10 +187,30 @@ def fit(X, y, hyper: Hyperparams, standardize: bool = True) -> GPModel:
     alpha = cho_solve((L, True), ys)
     X = np.array(X)
     X.setflags(write=False)
-    for arr in (ys, L, alpha):
+    L = np.asfortranarray(L)  # already Fortran-ordered, as _trtrs needs
+    for arr in (ys, L, alpha, twice_scaled, sq_norms):
         arr.setflags(write=False)
     return GPModel(X=X, y=ys, hyper=hyper, L=L, alpha=alpha,
-                   y_mean=y_mean, y_scale=y_scale, jitter=jitter)
+                   y_mean=y_mean, y_scale=y_scale, jitter=jitter,
+                   twice_scaled_X=twice_scaled, scaled_sq_norms=sq_norms)
+
+
+def _posterior_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and stds at the rows of a finite 2-D float array, unvalidated.
+
+    The one posterior implementation: posterior_batch validates its input and
+    calls this; the proposal step calls it directly.
+    """
+    Ks = _cross_kernel(model.twice_scaled_X, model.scaled_sq_norms, Xq, model.hyper)
+    mean_s = Ks.T @ model.alpha
+    V, info = _trtrs(model.L, Ks, lower=True)
+    if info != 0:
+        raise NumericalError(f"triangular solve failed (LAPACK info {info})")
+    var = model.hyper.signal_std**2 - np.add.reduce(V**2, axis=0)
+    np.maximum(var, 0.0, out=var)
+    mean = mean_s * model.y_scale + model.y_mean
+    std = np.sqrt(var) * model.y_scale
+    return mean, std
 
 
 def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
@@ -183,13 +222,10 @@ def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"query points have {Xq.shape[1]} dims, model has {model.hyper.n_dims}"
         )
-    Ks = kernel_matrix(model.X, Xq, model.hyper)
-    mean_s = Ks.T @ model.alpha
-    V = solve_triangular(model.L, Ks, lower=True)
-    var = model.hyper.signal_std**2 - np.sum(V**2, axis=0)
-    np.maximum(var, 0.0, out=var)
-    mean = mean_s * model.y_scale + model.y_mean
-    std = np.sqrt(var) * model.y_scale
+    mean, std = _posterior_moments(model, Xq)
+    # a NaN or +inf coordinate makes its cross-kernel column NaN
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("query points must be finite")
     return mean, std
 
 
@@ -257,14 +293,8 @@ def fit_hyper(X, y, grid) -> Hyperparams:
     return best
 
 
-def adaptive_std_scale(model: GPModel, candidates) -> float:
-    """Inflation factor keeping the acquisition exploratory late in a run.
-
-    When the largest posterior std over the candidate set has collapsed below
-    a tenth of the prior std, rescale it back up to that floor; otherwise
-    leave the stds untouched.
-    """
-    _, stds = posterior_batch(model, candidates)
+def _std_ratio(model: GPModel, stds: np.ndarray) -> float:
+    """adaptive_std_scale from the candidates' posterior stds, already computed."""
     if stds.size == 0:
         raise ValueError("candidate set must be nonempty")
     s_max = float(stds.max())
@@ -273,3 +303,14 @@ def adaptive_std_scale(model: GPModel, candidates) -> float:
     if s_max < floor:
         return floor / s_max
     return 1.0
+
+
+def adaptive_std_scale(model: GPModel, candidates) -> float:
+    """Inflation factor keeping the acquisition exploratory late in a run.
+
+    When the largest posterior std over the candidate set has collapsed below
+    a tenth of the prior std, rescale it back up to that floor; otherwise
+    leave the stds untouched.
+    """
+    _, stds = posterior_batch(model, candidates)
+    return _std_ratio(model, stds)

@@ -31,7 +31,7 @@ from .domain import (
     correction_from_vector,
     from_unit,
 )
-from .errors import BlackBoxError, ConfigurationError, SafeSetError
+from .errors import BlackBoxError, ConfigurationError, GridNodeError, SafeSetError
 from .errors import DegenerateGeometryError
 from .objective import ObjectiveConfig, converged_stats, evaluate_cost
 from .plant import (
@@ -43,7 +43,7 @@ from .plant import (
     stepping_start,
 )
 from .safeset import SafePolyhedron, SweepResult, constraint_value, convex_hull, save_polyhedron, sweep_commands
-from .scheduler import GainTable, _axis_nodes, apply_corrections, lookup, save_table
+from .scheduler import GainTable, _axis_nodes, _node_indices, apply_corrections, lookup, save_table
 
 __all__ = [
     "PipelineConfig",
@@ -66,8 +66,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_NODE_TOL = 1e-9
-
 # seed substreams of the pipeline root
 _STREAM_SIM1 = 1
 _STREAM_SIM2 = 2
@@ -85,10 +83,6 @@ def _axis_tuple(values, name: str) -> tuple:
         return _axis_nodes(values, name)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid {name}: {exc}") from exc
-
-
-def _on_axis(value: float, axis: tuple) -> bool:
-    return any(abs(value - a) <= _NODE_TOL for a in axis)
 
 
 @dataclass(frozen=True)
@@ -143,10 +137,11 @@ class PipelineConfig:
                 if not isinstance(g, GaitParameter):
                     raise ConfigurationError(
                         f"{name} entries must be GaitParameter, got {g!r}")
-                if not (_on_axis(g.vx, self.vx_nodes) and _on_axis(g.vy, self.vy_nodes)
-                        and _on_axis(g.h, self.h_nodes)):
+                try:
+                    _node_indices(self.node_axes, (g.vx, g.vy, g.h))
+                except GridNodeError as exc:
                     raise ConfigurationError(
-                        f"{name} gait ({g.vx}, {g.vy}, {g.h}) is not a grid node")
+                        f"{name} gait ({g.vx}, {g.vy}, {g.h}) is not a grid node") from exc
         if not self.p_sim1:
             raise ConfigurationError("p_sim1 must contain at least one gait")
         seen = set()
@@ -184,6 +179,11 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"shrink_factor must lie in (0, 1], got {self.shrink_factor}")
         object.__setattr__(self, "seed", int(self.seed))
+
+    @property
+    def node_axes(self) -> tuple[tuple, tuple, tuple]:
+        """The gain-table grid axes (vx, vy, h)."""
+        return (self.vx_nodes, self.vy_nodes, self.h_nodes)
 
     @property
     def gain_box(self) -> Box:
@@ -361,14 +361,14 @@ def _fill_table(cfg: PipelineConfig, visited: dict) -> GainTable:
         aux = GainTable(tuple(sub_vx), tuple(sub_vy), tuple(sub_h), values)
 
     keys = list(visited)
+    at_node: dict = {}
+    for k in keys:
+        at_node.setdefault(_node_indices(cfg.node_axes, k), k)
     values = np.zeros((len(cfg.vx_nodes), len(cfg.vy_nodes), len(cfg.h_nodes), 9))
     for a, vx in enumerate(cfg.vx_nodes):
         for b, vy in enumerate(cfg.vy_nodes):
             for c, h in enumerate(cfg.h_nodes):
-                hit = next((k for k in keys
-                            if abs(k[0] - vx) <= _NODE_TOL
-                            and abs(k[1] - vy) <= _NODE_TOL
-                            and abs(k[2] - h) <= _NODE_TOL), None)
+                hit = at_node.get((a, b, c))
                 if hit is not None:
                     params = visited[hit]
                 elif aux is not None:

@@ -272,9 +272,9 @@ def polyhedron_from_json_dict(data: dict) -> SafePolyhedron:
             Face(tuple(f["v"]), np.asarray(f["n"], dtype=float), int(f["anchor"]))
             for f in data["faces"]
         )
+        return SafePolyhedron(vertices, faces, gamma)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed safe-set document: {exc}") from exc
-    return SafePolyhedron(vertices, faces, gamma)
 
 
 def save_polyhedron(poly: SafePolyhedron, path) -> None:

@@ -152,11 +152,19 @@ def _node_index(nodes: tuple, q: float, axis: str) -> int:
     return idx
 
 
+def _node_indices(axes: tuple, point) -> tuple[int, int, int]:
+    """Grid indices (i, j, k) of a (vx, vy, h) point lying on the nodes of axes.
+
+    Raises GridNodeError when any coordinate is farther than the node
+    tolerance from every node of its axis.
+    """
+    return tuple(_node_index(nodes, float(q), name)
+                 for nodes, q, name in zip(axes, point, _AXIS_NAMES))
+
+
 def upsert(table: GainTable, p: GaitParameter, params: ControlParams) -> GainTable:
     """A new table with the node at p replaced. p must sit on the grid."""
-    i = _node_index(table.vx_nodes, p.vx, "vx")
-    j = _node_index(table.vy_nodes, p.vy, "vy")
-    k = _node_index(table.h_nodes, p.h, "h")
+    i, j, k = _node_indices(table.axes, (p.vx, p.vy, p.h))
     values = np.array(table.values)
     values[i, j, k] = params.as_vector()
     return GainTable(table.vx_nodes, table.vy_nodes, table.h_nodes, values)
@@ -170,9 +178,7 @@ def apply_corrections(table: GainTable, corrections) -> GainTable:
     """
     out = table
     for p, corr in corrections:
-        i = _node_index(out.vx_nodes, p.vx, "vx")
-        j = _node_index(out.vy_nodes, p.vy, "vy")
-        k = _node_index(out.h_nodes, p.h, "h")
+        i, j, k = _node_indices(out.axes, (p.vx, p.vy, p.h))
         params = apply_correction(out.node_params(i, j, k), corr)
         out = upsert(out, p, params)
     return out
@@ -212,7 +218,7 @@ def table_from_json_dict(data: dict) -> GainTable:
     values = np.full((len(vx), len(vy), len(h), 9), np.nan)
     for entry in entries:
         try:
-            p = entry["p"]
+            p = [float(c) for c in entry["p"]]
             vec = np.concatenate([
                 np.asarray(entry["kP"], dtype=float),
                 np.asarray(entry["kD"], dtype=float),
@@ -220,18 +226,19 @@ def table_from_json_dict(data: dict) -> GainTable:
             ])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed gain table entry: {entry!r}") from exc
-        if vec.shape != (9,):
+        if len(p) != 3 or vec.shape != (9,):
             raise ConfigurationError(f"gain table entry has wrong arity: {entry!r}")
-        i = _node_index(vx, float(p[0]), "vx")
-        j = _node_index(vy, float(p[1]), "vy")
-        k = _node_index(h, float(p[2]), "h")
+        i, j, k = _node_indices((vx, vy, h), p)
         if not np.any(np.isnan(values[i, j, k])):
             raise ConfigurationError(f"duplicate gain table entry at p={p}")
         values[i, j, k] = vec
     if np.any(np.isnan(values)):
         missing = int(np.isnan(values[..., 0]).sum())
         raise ConfigurationError(f"gain table document is incomplete: {missing} nodes missing")
-    return GainTable(vx, vy, h, values)
+    try:
+        return GainTable(vx, vy, h, values)
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid gain table document: {exc}") from exc
 
 
 def save_table(table: GainTable, path) -> None:

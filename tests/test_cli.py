@@ -247,6 +247,32 @@ class TestExitCodes:
         assert err.startswith("error: ") and "height" in err
         assert not out.exists()
 
+    def test_negative_gain_table_exits_2(self, tmp_path, capsys):
+        data = json.loads(Path(zero_table_file(tmp_path)).read_text())
+        data["entries"][0]["kP"][0] = -1.0
+        bad = tmp_path / "negative.json"
+        bad.write_text(json.dumps(data))
+        assert main(["simulate", "--table", str(bad),
+                     "--command", "0", "0", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nonnegative" in err
+        assert "\n" not in err.strip()
+
+    def test_safe_set_without_faces_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        bad = tmp_path / "safeset.json"
+        bad.write_text(json.dumps({
+            "gamma": 0.9,
+            "vertices": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [0, 0, 2]],
+            "faces": [],
+        }))
+        assert main(["learn-real", "--config", cfg, "--output-dir", str(tmp_path / "out"),
+                     "--table", zero_table_file(tmp_path),
+                     "--safeset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "faces" in err
+        assert "\n" not in err.strip()
+
     def test_jobs_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["extract-safeset", "--jobs", "2"])

@@ -1,8 +1,12 @@
 """GP regression against direct dense-solve oracles and textbook limits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from gaitbo.errors import NumericalError
 from gaitbo.gp import (
     GPModel,
     Hyperparams,
@@ -43,6 +47,21 @@ def dense_posterior(X, y, hyper, xq, jitter):
     mean_s = ks @ np.linalg.solve(Kn, ys)
     var = hyper.signal_std**2 - ks @ np.linalg.solve(Kn, ks)
     return mean_s * scale + y_mean, np.sqrt(max(var, 0.0)) * scale
+
+
+def reference_posterior_batch(model, Xq):
+    """The posterior as first written: the cross-kernel rebuilt from the raw
+    training inputs, then scipy's checked solve_triangular."""
+    A = model.X / model.hyper.lengthscales
+    B = Xq / model.hyper.lengthscales
+    sq = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * A @ B.T
+    np.maximum(sq, 0.0, out=sq)
+    Ks = model.hyper.signal_std**2 * np.exp(-0.5 * sq)
+    mean_s = Ks.T @ model.alpha
+    V = solve_triangular(model.L, Ks, lower=True)
+    var = model.hyper.signal_std**2 - np.sum(V**2, axis=0)
+    np.maximum(var, 0.0, out=var)
+    return mean_s * model.y_scale + model.y_mean, np.sqrt(var) * model.y_scale
 
 
 class TestKernel:
@@ -180,6 +199,62 @@ class TestPosterior:
         mean_b, std_b = posterior_batch(b, probes)
         np.testing.assert_allclose(mean_b, 5.0 * mean_a + 3.0, atol=1e-8)
         np.testing.assert_allclose(std_b, 5.0 * std_a, atol=1e-8)
+
+
+class TestPosteriorBitIdentity:
+    """posterior_batch reproduces the reference computation bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_query", [1, 1024])
+    def test_matches_reference(self, seed, n_query):
+        rng = np.random.default_rng(100 + seed)
+        d = int(rng.integers(1, 10))
+        m = int(rng.integers(1, 101))
+        grid = default_hyper_grid(d)
+        hyper = grid[seed * 7 % len(grid)]
+        model = fit(rng.random((m, d)), rng.normal(0.0, 2.0, m), hyper)
+        Xq = rng.random((n_query, d))
+        got_mean, got_std = posterior_batch(model, Xq)
+        want_mean, want_std = reference_posterior_batch(model, Xq)
+        np.testing.assert_array_equal(got_mean, want_mean)
+        np.testing.assert_array_equal(got_std, want_std)
+
+    def test_single_points_match_reference_one_at_a_time(self):
+        rng = np.random.default_rng(7)
+        model = fit(rng.random((60, 6)), rng.normal(0.0, 1.0, 60),
+                    Hyperparams(1.0, np.full(6, 0.3), 1e-2))
+        for xq in rng.random((50, 6)):
+            got = posterior_batch(model, xq[None, :])
+            want = reference_posterior_batch(model, xq[None, :])
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_cached_factors_are_the_kernel_factors(self):
+        rng = np.random.default_rng(8)
+        hyper = Hyperparams(1.0, np.array([0.2, 0.5, 0.9]), 1e-2)
+        model = fit(rng.random((12, 3)), rng.normal(0.0, 1.0, 12), hyper)
+        scaled = model.X / hyper.lengthscales
+        np.testing.assert_array_equal(model.twice_scaled_X, 2.0 * scaled)
+        np.testing.assert_array_equal(model.scaled_sq_norms,
+                                      np.sum(scaled**2, axis=1)[:, None])
+        assert not model.twice_scaled_X.flags.writeable
+        assert model.L.flags.f_contiguous
+
+    def test_non_finite_query_raises(self):
+        model = fit(np.array([[0.2], [0.7]]), np.array([0.0, 1.0]),
+                    Hyperparams(1.0, np.array([0.3]), 1e-2))
+        for bad in (np.nan, np.inf):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                posterior_batch(model, np.array([[0.5], [bad]]))
+
+    def test_failed_triangular_solve_raises(self):
+        model = fit(np.array([[0.2], [0.7]]), np.array([0.0, 1.0]),
+                    Hyperparams(1.0, np.array([0.3]), 1e-2))
+        L = np.array(model.L, order="F")
+        L[1, 1] = 0.0
+        singular = dataclasses.replace(model, L=L)
+        with pytest.raises(NumericalError, match="triangular solve"):
+            posterior_batch(singular, np.array([[0.5]]))
 
 
 class TestLogMarginalLikelihood:

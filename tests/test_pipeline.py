@@ -197,6 +197,41 @@ class TestLearnSim:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+class TestBudgetConsumption:
+    """The episodes a phase actually runs, counted at the plant, match its budget."""
+
+    @staticmethod
+    def count_episodes(monkeypatch):
+        import gaitbo.pipeline as pipeline
+
+        plants = []
+        original = pipeline.run_episode
+
+        def counting(plant, *args, **kwargs):
+            plants.append(plant)
+            return original(plant, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_episode", counting)
+        return plants
+
+    def test_desk_learn_sim_runs_sim_budget_episodes(self, desk_cfg, monkeypatch):
+        plant = sim_config()
+        plants = self.count_episodes(monkeypatch)
+        learn_sim(desk_cfg, plant=plant)
+        assert len(plants) == sim_budget(desk_cfg) == 140
+        assert all(p is plant for p in plants)
+
+    def test_desk_learn_real_runs_real_budget_episodes(self, desk_cfg, desk_run,
+                                                       monkeypatch):
+        table = load_table(desk_run["paths"]["gaintable_sim"])
+        poly = load_polyhedron(desk_run["paths"]["safeset"])
+        plant = real_config()
+        plants = self.count_episodes(monkeypatch)
+        learn_real(table, poly, desk_cfg, plant=plant)
+        assert len(plants) == real_budget(desk_cfg) == 20
+        assert all(p is plant for p in plants)
+
+
 class TestExtractSafeSet:
     def test_desk_safe_set_contains_stepping_commands(self, desk_cfg, desk_run):
         table = load_table(desk_run["paths"]["gaintable_sim"])

@@ -208,6 +208,17 @@ class TestJsonRoundTrip:
         with pytest.raises(ConfigurationError):
             polyhedron_from_json_dict({"vertices": [[0, 0, 0]]})
 
+    @pytest.mark.parametrize("edit", [
+        {"faces": []},
+        {"gamma": 1.5},
+        {"vertices": [[0.0, 0.0, float("nan")]] * 4},
+    ])
+    def test_rejects_invalid_polyhedron_as_configuration_error(self, edit):
+        doc = polyhedron_to_json_dict(convex_hull(TETRA))
+        doc.update(edit)
+        with pytest.raises(ConfigurationError, match="malformed safe-set document"):
+            polyhedron_from_json_dict(doc)
+
     def test_dict_shape(self):
         poly = convex_hull(TETRA)
         doc = polyhedron_to_json_dict(poly)

@@ -196,6 +196,19 @@ class TestPersistence:
         with pytest.raises(GridNodeError):
             table_from_json_dict(doc)
 
+    @pytest.mark.parametrize("bad_p", [5, [0.0, 0.0], [0.0, 0.0, 1.0, 2.0], ["x", 0.0, 1.0]])
+    def test_malformed_node_coordinates_rejected(self, bad_p):
+        doc = table_to_json_dict(random_table(np.random.default_rng(15)))
+        doc["entries"][0]["p"] = bad_p
+        with pytest.raises(ConfigurationError, match="gain table entry"):
+            table_from_json_dict(doc)
+
+    def test_negative_gain_document_rejected(self):
+        doc = table_to_json_dict(random_table(np.random.default_rng(16)))
+        doc["entries"][0]["kD"][1] = -0.5
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            table_from_json_dict(doc)
+
     def test_full_scale_grid_arity(self):
         vx = tuple(round(-1.0 + 0.2 * k, 10) for k in range(11))
         vy = tuple(round(-0.3 + 0.1 * k, 10) for k in range(7))
