@@ -3,8 +3,8 @@
 All internal search happens on the unit cube; callers supply a Box and the
 black box is evaluated in original units. Proposals come from a seeded
 candidate sweep followed by coordinate-descent refinement. Each proposal
-computes the candidates' posterior once, and every posterior it needs goes
-through the GP module's single moments kernel.
+computes the candidates' posterior once; refinement scores the moves a sweep
+has left in one posterior call, each row rounded as if scored on its own.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from scipy.special import ndtr
 
 from .domain import Box, SeedSpec, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError
-from .gp import (GPModel, _posterior_moments, _std_ratio, default_hyper_grid, fit, fit_hyper,
-                 posterior_batch)
+from .gp import (GPModel, _pointwise_moments, _posterior_moments, _std_ratio,
+                 default_hyper_grid, fit, fit_hyper, posterior_batch)
 
 __all__ = [
     "Evaluation",
@@ -121,19 +121,13 @@ def _ei_values(means: np.ndarray, stds: np.ndarray, best: float) -> np.ndarray:
     means = np.asarray(means, dtype=float)
     stds = np.asarray(stds, dtype=float)
     improve = best - means
+    if stds.min() > 0.0:
+        return _ei_positive(improve, stds)
     out = np.maximum(improve, 0.0)
     positive = stds > 0.0
     if np.any(positive):
         out[positive] = _ei_positive(improve[positive], stds[positive])
     return out
-
-
-def _ei_value(mean: float, std: float, best: float) -> float:
-    """_ei_values for one point, without the array set-up."""
-    improve = best - mean
-    if std > 0.0:
-        return float(_ei_positive(improve, std))
-    return max(float(improve), 0.0)
 
 
 def expected_improvement(mean: float, std: float, best: float) -> float:
@@ -143,7 +137,10 @@ def expected_improvement(mean: float, std: float, best: float) -> float:
     """
     if std < 0.0:
         raise ValueError(f"std must be nonnegative, got {std}")
-    return _ei_value(mean, std, best)
+    improve = best - mean
+    if std > 0.0:
+        return float(_ei_positive(improve, std))
+    return max(float(improve), 0.0)
 
 
 def feasibility_from_moments(mean: float, std: float) -> float:
@@ -169,38 +166,59 @@ def _feasibility_values(h_model: GPModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scaled_ei_at(model: GPModel, x: np.ndarray, ratio: float, best: float) -> float:
-    """EI at one unit-cube point, its posterior std scaled by ratio: the refinement score."""
-    m, s = _posterior_moments(model, x[None, :])
-    return _ei_value(m[0], s[0] * ratio, best)
+def _refinement_scores(model: GPModel, X: np.ndarray, ratio: float,
+                       best: float) -> np.ndarray:
+    """EI at unit-cube rows, posterior stds scaled by ratio: the refinement score.
 
-
-def _coordinate_refine(x0: np.ndarray, score_fn, n_steps: int = REFINE_STEPS,
-                       step: float = REFINE_STEP_SIZE) -> np.ndarray:
-    """Greedy coordinate-descent ascent of score_fn inside the unit cube.
-
-    Each step sweeps every coordinate in both directions, keeping improving
-    moves; a sweep without improvement halves the step size.
+    Each row scores bit for bit as it would on its own.
     """
-    x = np.array(x0, dtype=float)
-    best = float(score_fn(x))
-    n = x.shape[0]
+    means, stds = _pointwise_moments(model, X)
+    return _ei_values(means, stds * ratio, best)
+
+
+def _coordinate_refine(x0: np.ndarray, score_rows, n_steps: int = REFINE_STEPS,
+                       step: float = REFINE_STEP_SIZE) -> np.ndarray:
+    """Greedy coordinate-descent ascent of a score inside the unit cube.
+
+    Each step sweeps every coordinate in both directions, keeping each move
+    that beats the best score so far; a sweep without improvement halves the
+    step size. score_rows scores the rows of a 2-D array. The moves a sweep
+    has left are scored in one call from the current point; after an
+    accepted move the rest are scored again from the new point, so the
+    search is the one-move-at-a-time search, with a call per accepted move.
+    """
+    point = np.array(x0, dtype=float).tolist()
+    n_moves = 2 * len(point)  # move m shifts coordinate m // 2, up for even m
+    best = None
     for _ in range(n_steps):
         improved = False
-        for d in range(n):
-            for direction in (step, -step):
-                moved = min(max(x[d] + direction, 0.0), 1.0)
-                if moved == x[d]:
-                    continue
-                cand = x.copy()
-                cand[d] = moved
-                val = float(score_fn(cand))
+        first = 0
+        while first < n_moves:
+            moves, rows = [], []
+            for m in range(first, n_moves):
+                d = m >> 1
+                moved = min(max(point[d] + (-step if m & 1 else step), 0.0), 1.0)
+                if moved != point[d]:
+                    row = point.copy()
+                    row[d] = moved
+                    moves.append(m)
+                    rows.append(row)
+            if best is None:  # the start point is scored with the first sweep
+                best, *scores = score_rows(np.array([point] + rows)).tolist()
+            elif rows:
+                scores = score_rows(np.array(rows)).tolist()
+            else:
+                break
+            first = n_moves
+            for m, row, val in zip(moves, rows, scores):
                 if val > best:
-                    x, best = cand, val
+                    point, best = row, val
                     improved = True
+                    first = m + 1
+                    break
         if not improved:
             step *= 0.5
-    return x
+    return np.array(point)
 
 
 def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | None,
@@ -209,10 +227,11 @@ def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | 
 
     The candidates' posterior is computed once; it gives both their EI and
     the adaptive std scale. Unconstrained: maximize expected improvement over
-    a seeded candidate set, then refine by coordinate descent, scoring one
-    point at a time. Constrained: among candidates whose feasibility
-    probability clears 1 - tolerance, maximize EI times that probability; if
-    none clears it, fall back to the most likely feasible candidate.
+    a seeded candidate set, then refine by coordinate descent, scoring the
+    moves a sweep has left in one posterior call. Constrained: among
+    candidates whose feasibility probability clears 1 - tolerance, maximize
+    EI times that probability; if none clears it, fall back to the most
+    likely feasible candidate.
     """
     n = obj_model.X.shape[1]
     cand = rng.random((N_CANDIDATES, n))
@@ -222,7 +241,8 @@ def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | 
 
     if h_model is None or spec is None:
         x0 = cand[int(np.argmax(ei))]
-        return _coordinate_refine(x0, lambda x: _scaled_ei_at(obj_model, x, ratio, best))
+        return _coordinate_refine(
+            x0, lambda X: _refinement_scores(obj_model, X, ratio, best))
 
     pf = _feasibility_values(h_model, cand)
     qualifies = pf >= 1.0 - spec.tolerance

@@ -105,6 +105,8 @@ def load_cli_config(path=None, seed=None, output_dir=None, plant=None,
     file_verbose = data.pop("verbose", False)
     if not isinstance(file_verbose, bool):
         raise ConfigurationError(f"verbose must be true or false, got {file_verbose!r}")
+    if file_output_dir is not None and not isinstance(file_output_dir, str):
+        raise ConfigurationError(f"output_dir must be a string, got {file_output_dir!r}")
 
     merged = {f.name: getattr(base, f.name)
               for f in dataclasses.fields(PipelineConfig)}
@@ -119,7 +121,7 @@ def load_cli_config(path=None, seed=None, output_dir=None, plant=None,
             elif key == "constraint":
                 merged[key] = ConstraintSpec(**value)
             elif key == "init_counts":
-                merged[key] = tuple(int(v) for v in value)
+                merged[key] = tuple(value)
             elif key in ("kp_bounds", "kd_bounds"):
                 merged[key] = tuple(float(v) for v in value)
             else:
@@ -127,7 +129,7 @@ def load_cli_config(path=None, seed=None, output_dir=None, plant=None,
         if seed is not None:
             merged["seed"] = seed
         pipeline = PipelineConfig(**merged)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"invalid config: {exc}") from exc
 
     return CliConfig(
@@ -292,7 +294,6 @@ def main(argv=None) -> int:
             level=logging.INFO if cli.verbose else logging.WARNING,
             format="%(message)s",
         )
-        os.makedirs(cli.output_dir, exist_ok=True)
         return _HANDLERS[args.subcommand](cli, args)
     except (ConfigurationError, RangeError, GridNodeError) as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)

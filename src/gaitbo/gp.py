@@ -4,7 +4,8 @@ Targets are standardized before fitting; posteriors are mapped back to the
 original scale. Factorization goes through a jittered Cholesky that retries
 with doubled jitter before giving up. A fitted model keeps its scaled training
 inputs, so a posterior at new points costs one cross-kernel, one product and
-one LAPACK triangular solve.
+one LAPACK triangular solve. A batch can also be scored row by row in one call,
+rounding each row as a one-point posterior does.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ def fit(X, y, hyper: Hyperparams, standardize: bool = True) -> GPModel:
 def _posterior_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and stds at the rows of a finite 2-D float array, unvalidated.
 
-    The one posterior implementation: posterior_batch validates its input and
-    calls this; the proposal step calls it directly.
+    posterior_batch validates its input and calls this; the proposal step
+    calls it directly. _pointwise_moments gives the bits of one call per row.
     """
     Ks = _cross_kernel(model.twice_scaled_X, model.scaled_sq_norms, Xq, model.hyper)
     mean_s = Ks.T @ model.alpha
@@ -207,6 +208,38 @@ def _posterior_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.n
     if info != 0:
         raise NumericalError(f"triangular solve failed (LAPACK info {info})")
     var = model.hyper.signal_std**2 - np.add.reduce(V**2, axis=0)
+    np.maximum(var, 0.0, out=var)
+    mean = mean_s * model.y_scale + model.y_mean
+    std = np.sqrt(var) * model.y_scale
+    return mean, std
+
+
+def _pointwise_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_posterior_moments at each row of Xq on its own, bit for bit, in one call.
+
+    The cross-kernel and mean products are stacked, one (n, d) @ (d, 1) and
+    one (1, n) @ (n,) per row, which round like the one-row products; plain
+    2-D products do not. The triangular solve takes one LAPACK call per row,
+    because a multi-column solve rounds differently.
+    """
+    hyper = model.hyper
+    B = Xq / hyper.lengthscales
+    sq = np.add(model.scaled_sq_norms, np.add.reduce(B**2, axis=1)[:, None, None])
+    np.subtract(sq, np.matmul(model.twice_scaled_X, B[:, :, None]), out=sq)
+    np.maximum(sq, 0.0, out=sq)
+    np.multiply(sq, -0.5, out=sq)
+    np.exp(sq, out=sq)
+    Ks = np.multiply(sq, hyper.signal_std**2, out=sq)  # (rows, n, 1)
+    mean_s = np.matmul(Ks.transpose(0, 2, 1), model.alpha)[:, 0]
+    columns = []
+    for k in Ks:
+        v, info = _trtrs(model.L, k, 1)  # lower
+        if info != 0:
+            raise NumericalError(f"triangular solve failed (LAPACK info {info})")
+        columns.append(v)
+    # each row's solution contiguous, so its squared sum pairs up as in the one-row call
+    V = np.concatenate(columns).reshape(len(columns), -1)
+    var = hyper.signal_std**2 - np.add.reduce(V**2, axis=1)
     np.maximum(var, 0.0, out=var)
     mean = mean_s * model.y_scale + model.y_mean
     std = np.sqrt(var) * model.y_scale

@@ -7,7 +7,7 @@ for transients to settle: the last floor(segment_duration / dt) samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor
+from math import floor, inf
 
 import numpy as np
 
@@ -46,10 +46,10 @@ class ObjectiveConfig:
     def __post_init__(self):
         object.__setattr__(self, "w1", _diagonal_weight(self.w1, "w1"))
         object.__setattr__(self, "w2", _diagonal_weight(self.w2, "w2"))
-        if self.segment_duration <= 0.0:
-            raise ValueError("segment_duration must be positive")
-        if self.fall_penalty <= 0.0:
-            raise ValueError("fall_penalty must be positive")
+        if not 0.0 < self.segment_duration < inf:
+            raise ValueError("segment_duration must be positive and finite")
+        if not 0.0 < self.fall_penalty < inf:
+            raise ValueError("fall_penalty must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -85,6 +86,14 @@ def _axis_tuple(values, name: str) -> tuple:
         raise ConfigurationError(f"invalid {name}: {exc}") from exc
 
 
+def _whole_number(value, name: str) -> int:
+    """value as an int, if it is a finite whole number and not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value) or value != int(value)):
+        raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a full run needs: gait sets, budgets, boxes, and seeds.
@@ -116,7 +125,6 @@ class PipelineConfig:
     sweep_h: tuple = ()
     shrink_factor: float = 0.9
     seed: int = 0
-    desk_scale: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "vx_nodes", _axis_tuple(self.vx_nodes, "vx_nodes"))
@@ -151,7 +159,7 @@ class PipelineConfig:
                 raise ConfigurationError(f"gait {key} appears twice across p_sim1/p_sim2")
             seen.add(key)
 
-        counts = tuple(int(c) for c in self.init_counts)
+        counts = tuple(_whole_number(c, "init_counts") for c in self.init_counts)
         if len(counts) != 3 or any(c < 1 for c in counts):
             raise ConfigurationError(
                 f"init_counts must be three positive integers, got {self.init_counts}")
@@ -159,26 +167,28 @@ class PipelineConfig:
         for budget, count, name in ((self.i1, counts[0], "i1"),
                                     (self.i2, counts[1], "i2"),
                                     (self.i3, counts[2], "i3")):
-            if int(budget) < count:
+            budget = _whole_number(budget, name)
+            if budget < count:
                 raise ConfigurationError(
                     f"{name}={budget} cannot cover its initial design of {count}")
-        object.__setattr__(self, "i1", int(self.i1))
-        object.__setattr__(self, "i2", int(self.i2))
-        object.__setattr__(self, "i3", int(self.i3))
+            object.__setattr__(self, name, budget)
 
         for name in ("kp_bounds", "kd_bounds"):
             lo, hi = (float(v) for v in getattr(self, name))
-            if not (0.0 <= lo < hi):
-                raise ConfigurationError(f"{name} must satisfy 0 <= low < high")
+            if not (0.0 <= lo < hi < math.inf):
+                raise ConfigurationError(f"{name} must satisfy 0 <= low < high < inf")
             object.__setattr__(self, name, (lo, hi))
-        if self.delta_k_fraction < 0.0:
-            raise ConfigurationError("delta_k_fraction must be nonnegative")
-        if self.delta_k_floor <= 0.0 or self.delta_p_bound <= 0.0:
-            raise ConfigurationError("correction bounds must be positive")
+        if not 0.0 <= self.delta_k_fraction < math.inf:
+            raise ConfigurationError("delta_k_fraction must be nonnegative and finite")
+        if not (0.0 < self.delta_k_floor < math.inf and 0.0 < self.delta_p_bound < math.inf):
+            raise ConfigurationError("correction bounds must be positive and finite")
         if not (0.0 < self.shrink_factor <= 1.0):
             raise ConfigurationError(
                 f"shrink_factor must lie in (0, 1], got {self.shrink_factor}")
-        object.__setattr__(self, "seed", int(self.seed))
+        seed = _whole_number(self.seed, "seed")
+        if seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
     @property
     def node_axes(self) -> tuple[tuple, tuple, tuple]:
@@ -234,7 +244,6 @@ def desk_scale_config(seed: int = 0) -> PipelineConfig:
         sweep_vy=tuple(np.round(np.arange(-0.4, 0.4 + 1e-9, 0.2), 10)),
         sweep_h=(0.7, 0.8, 0.9, 1.0),
         seed=seed,
-        desk_scale=True,
     )
 
 
@@ -261,7 +270,6 @@ def full_scale_config(seed: int = 0) -> PipelineConfig:
         sweep_vy=tuple(np.round(np.arange(-0.4, 0.4 + 1e-9, 0.1), 10)),
         sweep_h=tuple(np.round(np.arange(0.65, 1.05 + 1e-9, 0.05), 10)),
         seed=seed,
-        desk_scale=False,
     )
 
 

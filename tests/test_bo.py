@@ -23,7 +23,8 @@ from gaitbo.bo import (
     propose,
     result_to_log_entries,
     write_run_log,
-    _scaled_ei_at,
+    _coordinate_refine,
+    _refinement_scores,
 )
 from gaitbo.domain import Box, SeedSpec, from_unit
 from gaitbo.errors import BlackBoxError, ConfigurationError
@@ -51,6 +52,36 @@ def reference_ei_values(means, stds, best):
     return out
 
 
+def reference_refine(x, score):
+    """Coordinate refinement as first written: one score call per move."""
+    top = float(score(x))
+    step = REFINE_STEP_SIZE
+    for _ in range(REFINE_STEPS):
+        improved = False
+        for d in range(x.shape[0]):
+            for direction in (step, -step):
+                c = np.array(x)
+                c[d] = min(max(c[d] + direction, 0.0), 1.0)
+                if c[d] == x[d]:
+                    continue
+                val = float(score(c))
+                if val > top:
+                    x, top = c, val
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return x
+
+
+def one_point_score(model, ratio, best):
+    """The refinement score through its own one-point posterior_batch call."""
+    def score(x):
+        m, s = posterior_batch(model, x[None, :])
+        return reference_ei_values(m, s * ratio, best)[0]
+
+    return score
+
+
 def reference_propose(obj_model, h_model, spec, best, rng):
     """The proposal step as first written: the candidate posterior computed
     twice (once inside adaptive_std_scale), and refinement scoring each point
@@ -60,28 +91,8 @@ def reference_propose(obj_model, h_model, spec, best, rng):
     means, stds = posterior_batch(obj_model, cand)
     ei = reference_ei_values(means, stds * ratio, best)
     if h_model is None or spec is None:
-        def score(x):
-            m, s = posterior_batch(obj_model, x[None, :])
-            return reference_ei_values(m, s * ratio, best)[0]
-
         x = np.array(cand[int(np.argmax(ei))], dtype=float)
-        top = float(score(x))
-        step = REFINE_STEP_SIZE
-        for _ in range(REFINE_STEPS):
-            improved = False
-            for d in range(x.shape[0]):
-                for direction in (step, -step):
-                    c = np.array(x)
-                    c[d] = min(max(c[d] + direction, 0.0), 1.0)
-                    if c[d] == x[d]:
-                        continue
-                    val = float(score(c))
-                    if val > top:
-                        x, top = c, val
-                        improved = True
-            if not improved:
-                step *= 0.5
-        return x
+        return reference_refine(x, one_point_score(obj_model, ratio, best))
     h_means, h_stds = posterior_batch(h_model, cand)
     pf = np.where(h_means <= 0.0, 1.0, 0.0)
     positive = h_stds > 0.0
@@ -213,10 +224,31 @@ class TestProposeBitIdentity:
                     grid[int(rng.integers(len(grid)))])
         best = float(model.y_mean - model.y_scale)
         for ratio in (1.0, float(rng.uniform(1.0, 50.0))):
-            for x in rng.random((100, n_dims)):
-                m, s = posterior_batch(model, x[None, :])
-                want = reference_ei_values(m, s * ratio, best)[0]
-                assert _scaled_ei_at(model, x, ratio, best) == want
+            score = one_point_score(model, ratio, best)
+            for _ in range(10):
+                X = rng.random((int(rng.integers(1, 14)), n_dims))
+                for x, got in zip(X, _refinement_scores(model, X, ratio, best)):
+                    assert got == score(x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_points=st.integers(1, 60), n_dims=st.integers(1, 6),
+           data_seed=st.integers(0, 2**32 - 1),
+           start=st.lists(st.sampled_from([0.0, 1.0, 0.01, 0.97, 0.5]),
+                          min_size=6, max_size=6))
+    def test_refinement_from_a_face_or_corner_matches_reference(
+            self, n_points, n_dims, data_seed, start):
+        # Starts on or near the cube's faces make moves clamp to a face or
+        # fall away as no-ops, and both must match the one-move-at-a-time loop.
+        rng = np.random.default_rng(data_seed)
+        grid = default_hyper_grid(n_dims)
+        model = fit(rng.random((n_points, n_dims)), rng.normal(0.0, 1.0, n_points),
+                    grid[int(rng.integers(len(grid)))])
+        best = float(model.y_mean - rng.uniform(0.0, 2.0) * model.y_scale)
+        ratio = float(rng.uniform(1.0, 5.0))
+        x0 = np.array(start[:n_dims])
+        got = _coordinate_refine(x0, lambda X: _refinement_scores(model, X, ratio, best))
+        want = reference_refine(np.array(x0), one_point_score(model, ratio, best))
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("constrained", [False, True])
     @pytest.mark.parametrize("grid_index", range(len(default_hyper_grid(1))))

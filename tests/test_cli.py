@@ -9,6 +9,7 @@ import pytest
 from gaitbo.cli import load_cli_config, main
 from gaitbo.domain import ControlParams
 from gaitbo.errors import ConfigurationError
+from gaitbo.pipeline import desk_scale_config, full_scale_config
 from gaitbo.scheduler import GainTable, load_table, save_table
 
 TINY = {
@@ -43,7 +44,9 @@ def zero_table_file(tmp_path):
 class TestConfigLoading:
     def test_empty_config_is_desk_scale(self):
         cli = load_cli_config(None)
-        assert cli.pipeline.desk_scale
+        desk = desk_scale_config()
+        assert cli.pipeline.node_axes == desk.node_axes
+        assert cli.pipeline.p_sim2 == desk.p_sim2
         assert cli.pipeline.i1 == 40
         assert cli.output_dir == "."
 
@@ -88,7 +91,7 @@ class TestConfigLoading:
 
     def test_full_scale_selector(self):
         cli = load_cli_config(None)
-        assert cli.pipeline.desk_scale
+        assert cli.pipeline.p_sim2 == desk_scale_config().p_sim2
         # switching scale pulls in the full-size gait sets
         import json as _json
         import tempfile
@@ -96,8 +99,15 @@ class TestConfigLoading:
             _json.dump({"scale": "full"}, fh)
             name = fh.name
         full = load_cli_config(name)
-        assert not full.pipeline.desk_scale
+        want = full_scale_config()
+        assert full.pipeline.node_axes == want.node_axes
+        assert (full.pipeline.i1, full.pipeline.i2) == (want.i1, want.i2)
         assert len(full.pipeline.p_sim2) == 304
+
+    def test_desk_scale_key_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"desk_scale": "no"})
+        with pytest.raises(ConfigurationError, match="unknown config keys"):
+            load_cli_config(path)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_config(tmp_path, {"iterations": 5})
@@ -272,6 +282,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "faces" in err
         assert "\n" not in err.strip()
+
+    def test_rejected_learn_real_leaves_no_output_dir(self, tmp_path, capsys):
+        bad = tmp_path / "safeset.json"
+        bad.write_text(json.dumps({
+            "gamma": 0.9,
+            "vertices": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [0, 0, 2]],
+            "faces": [],
+        }))
+        out = tmp_path / "out"
+        assert main(["learn-real", "--config", write_config(tmp_path),
+                     "--output-dir", str(out), "--table", zero_table_file(tmp_path),
+                     "--safeset", str(bad)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ('"i1": 1e400', "i1"),
+        ('"kp_bounds": [0, "inf"]', "kp_bounds"),
+        ('"seed": -1', "seed"),
+        ('"seed": 1.5', "seed"),
+        ('"init_counts": [1e400, 2, 2]', "init_counts"),
+        ('"delta_p_bound": 1e400', "correction bounds"),
+        ('"objective": {"fall_penalty": 1e400}', "fall_penalty"),
+        ('"output_dir": 5', "output_dir"),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, text, message):
+        # raw JSON text: 1e400 parses as inf, which json.dumps cannot write
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY)[:-1] + ", " + text + "}")
+        out = tmp_path / "out"
+        assert main(["learn-sim", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "\n" not in err.strip()
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert main(["learn-sim", "--config", write_config(tmp_path), "--seed", "-1",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_jobs_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -4,10 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from gaitbo.errors import NumericalError
 from gaitbo.gp import (
+    _pointwise_moments,
+    _posterior_moments,
     GPModel,
     Hyperparams,
     adaptive_std_scale,
@@ -255,6 +259,36 @@ class TestPosteriorBitIdentity:
         singular = dataclasses.replace(model, L=L)
         with pytest.raises(NumericalError, match="triangular solve"):
             posterior_batch(singular, np.array([[0.5]]))
+
+
+class TestPointwiseMoments:
+    """_pointwise_moments gives each row the bits of a one-row posterior."""
+
+    @pytest.mark.parametrize("grid_index", range(len(default_hyper_grid(1))))
+    @settings(max_examples=8, deadline=None)
+    @given(n_points=st.integers(1, 100), n_dims=st.integers(1, 6),
+           n_rows=st.integers(1, 13), data_seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_one_row_calls(self, grid_index, n_points, n_dims, n_rows,
+                                      data_seed):
+        rng = np.random.default_rng(data_seed)
+        model = fit(rng.random((n_points, n_dims)), rng.normal(0.0, 1.0, n_points),
+                    default_hyper_grid(n_dims)[grid_index])
+        Xq = rng.random((n_rows, n_dims))
+        means, stds = _pointwise_moments(model, Xq)
+        assert means.shape == stds.shape == (n_rows,)
+        for x, mean, std in zip(Xq, means, stds):
+            want_mean, want_std = _posterior_moments(model, x[None, :])
+            assert mean == want_mean[0]
+            assert std == want_std[0]
+
+    def test_failed_triangular_solve_raises(self):
+        model = fit(np.array([[0.2], [0.7]]), np.array([0.0, 1.0]),
+                    Hyperparams(1.0, np.array([0.3]), 1e-2))
+        L = np.array(model.L, order="F")
+        L[1, 1] = 0.0
+        singular = dataclasses.replace(model, L=L)
+        with pytest.raises(NumericalError, match="triangular solve"):
+            _pointwise_moments(singular, np.array([[0.4], [0.5]]))
 
 
 class TestLogMarginalLikelihood:

@@ -146,3 +146,9 @@ class TestEvaluateCost:
     def test_rejects_non_diagonal_weights(self):
         with pytest.raises(ValueError):
             ObjectiveConfig(w1=np.full((3, 3), 1.0))
+
+    @pytest.mark.parametrize("field", ["segment_duration", "fall_penalty"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_non_positive_or_non_finite_scalars(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ObjectiveConfig(**{field: value})

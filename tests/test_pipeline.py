@@ -56,7 +56,6 @@ class TestPipelineConfig:
         assert len(cfg.p_sim1) == 2 and len(cfg.p_sim2) == 4 and len(cfg.p_real) == 2
         assert (cfg.i1, cfg.i2, cfg.i3) == (40, 15, 10)
         assert cfg.init_counts == (8, 5, 3)
-        assert cfg.desk_scale
         # sweep covers the stepping commands the safe set must contain
         assert 0.8 in cfg.sweep_h and 1.0 in cfg.sweep_h
 
@@ -67,7 +66,6 @@ class TestPipelineConfig:
         assert len(cfg.p_sim1) == 4
         assert len(cfg.p_sim2) == 304
         assert len(cfg.p_real) == 3
-        assert not cfg.desk_scale
 
     def test_budget_arithmetic(self):
         full = full_scale_config()
@@ -107,6 +105,28 @@ class TestPipelineConfig:
     def test_bad_axis_rejected(self, axis, nodes, message):
         with pytest.raises(ConfigurationError, match=message):
             tiny_config(**{axis: nodes})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("i1", float("inf"), "i1"),
+        ("i2", 4.5, "i2"),
+        ("i3", "3", "i3"),
+        ("init_counts", (2, 1, float("nan")), "init_counts"),
+        ("kp_bounds", (0.0, float("inf")), "kp_bounds"),
+        ("seed", -1, "seed"),
+        ("seed", 1.5, "seed"),
+        ("seed", True, "seed"),
+        ("delta_p_bound", float("inf"), "correction bounds"),
+        ("delta_k_floor", float("nan"), "correction bounds"),
+        ("delta_k_fraction", float("inf"), "delta_k_fraction"),
+    ])
+    def test_bad_number_rejected(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            tiny_config(**{field: value})
+
+    def test_whole_float_budget_and_seed_accepted(self):
+        cfg = tiny_config(i1=3.0, seed=7.0)
+        assert (cfg.i1, cfg.seed) == (3, 7)
+        assert isinstance(cfg.i1, int) and isinstance(cfg.seed, int)
 
     def test_gain_box_layout(self):
         cfg = desk_scale_config()

@@ -1,9 +1,13 @@
 """Convex safe-region geometry and the feasibility sweep."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gaitbo.domain import ControlParams, GaitParameter, SeedSpec
@@ -203,6 +207,27 @@ class TestJsonRoundTrip:
             x = rng.random(3)
             assert constraint_value(loaded, x) == pytest.approx(
                 constraint_value(poly, x), abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=4, max_size=12,
+                           unique=True),
+           scale=st.floats(0.01, 100.0), gamma=st.floats(0.05, 1.0))
+    def test_any_hull_round_trips(self, points, scale, gamma):
+        try:
+            poly = convex_hull(np.array(points, dtype=float) * scale, gamma=gamma)
+        except DegenerateGeometryError:
+            assume(False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "safeset.json")
+            save_polyhedron(poly, path)
+            loaded = load_polyhedron(path)
+        np.testing.assert_array_equal(loaded.vertices, poly.vertices)
+        assert loaded.gamma == poly.gamma
+        assert len(loaded.faces) == len(poly.faces)
+        for got, want in zip(loaded.faces, poly.faces):
+            assert got.vertex_indices == want.vertex_indices
+            assert got.anchor_index == want.anchor_index
+            np.testing.assert_array_equal(got.inward_normal, want.inward_normal)
 
     def test_rejects_malformed_document(self):
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,14 @@
 """Gain table interpolation, node updates, corrections, and persistence."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaitbo.domain import ControlParams, GaitParameter, correction_from_vector
 from gaitbo.errors import ConfigurationError, GridNodeError
@@ -164,6 +169,26 @@ class TestPersistence:
         path = tmp_path / "table.json"
         save_table(table, path)
         again = load_table(path)
+        assert again.axes == table.axes
+        np.testing.assert_array_equal(again.values, table.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_valid_table_round_trips(self, data):
+        def axis():
+            return st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
+                            max_size=4, unique=True).map(sorted)
+
+        vx, vy, h = data.draw(axis()), data.draw(axis()), data.draw(axis())
+        shape = (len(vx), len(vy), len(h))
+        gains = data.draw(arrays(float, shape + (6,), elements=st.floats(0.0, 1e6)))
+        offsets = data.draw(arrays(float, shape + (3,),
+                                   elements=st.floats(-1e6, 1e6, allow_nan=False)))
+        table = GainTable(vx, vy, h, np.concatenate([gains, offsets], axis=-1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.json")
+            save_table(table, path)
+            again = load_table(path)
         assert again.axes == table.axes
         np.testing.assert_array_equal(again.values, table.values)
 
