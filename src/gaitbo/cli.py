@@ -37,8 +37,8 @@ from .plant import (
     stepping_start,
     write_csv,
 )
-from .safeset import load_polyhedron
-from .scheduler import load_table
+from .safeset import polyhedron_from_json_dict
+from .scheduler import table_from_json_dict
 
 __all__ = ["CliConfig", "load_cli_config", "main"]
 
@@ -73,18 +73,25 @@ def _gait_list(values, name: str) -> tuple:
     return tuple(gaits)
 
 
+def _read_json(path, what: str):
+    """The JSON document at path; any failure to read or parse it is a ConfigurationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigurationError(f"{what} not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{what} {path} cannot be read: {exc}") from exc
+
+
 def load_cli_config(path=None, seed=None, output_dir=None, plant=None,
                     verbose=False) -> CliConfig:
     """Merge defaults, the config file, and flag overrides, in that order."""
     data = {}
     if path is not None:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        data = _read_json(path, "config file")
         if not isinstance(data, dict):
             raise ConfigurationError("config file must hold a JSON object")
 
@@ -148,13 +155,8 @@ def _table_path(cli: CliConfig, override, default_name: str) -> str:
     return override if override else os.path.join(cli.output_dir, default_name)
 
 
-def _load_table_checked(path: str):
-    if not os.path.exists(path):
-        raise ConfigurationError(f"gain table not found: {path}")
-    try:
-        return load_table(path)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"gain table {path} is not valid JSON: {exc}") from exc
+def _load_table(path: str):
+    return table_from_json_dict(_read_json(path, "gain table"))
 
 
 def _cmd_learn_sim(cli: CliConfig, args) -> int:
@@ -165,7 +167,7 @@ def _cmd_learn_sim(cli: CliConfig, args) -> int:
 
 
 def _cmd_extract_safeset(cli: CliConfig, args) -> int:
-    table = _load_table_checked(_table_path(cli, args.table, "gaintable_sim.json"))
+    table = _load_table(_table_path(cli, args.table, "gaintable_sim.json"))
     sweep, _ = extract_safe_set(table, cli.pipeline, out_dir=cli.output_dir)
     print(f"{len(sweep.feasible_commands)}/{len(sweep.grid)} commands feasible")
     print(f"wrote {os.path.join(cli.output_dir, 'safeset.json')}")
@@ -173,11 +175,9 @@ def _cmd_extract_safeset(cli: CliConfig, args) -> int:
 
 
 def _cmd_learn_real(cli: CliConfig, args) -> int:
-    table = _load_table_checked(_table_path(cli, args.table, "gaintable_sim.json"))
+    table = _load_table(_table_path(cli, args.table, "gaintable_sim.json"))
     safeset_path = args.safeset or os.path.join(cli.output_dir, "safeset.json")
-    if not os.path.exists(safeset_path):
-        raise ConfigurationError(f"safe set not found: {safeset_path}")
-    poly = load_polyhedron(safeset_path)
+    poly = polyhedron_from_json_dict(_read_json(safeset_path, "safe set"))
     plant = _plant_config(cli.plant or "real")
     learn_real(table, poly, cli.pipeline, out_dir=cli.output_dir, plant=plant)
     print(f"wrote {os.path.join(cli.output_dir, 'gaintable_real.json')}")
@@ -185,9 +185,9 @@ def _cmd_learn_real(cli: CliConfig, args) -> int:
 
 
 def _cmd_benchmark(cli: CliConfig, args) -> int:
-    table = _load_table_checked(_table_path(cli, args.table, "gaintable_real.json"))
+    table = _load_table(_table_path(cli, args.table, "gaintable_real.json"))
     if args.against:
-        other = _load_table_checked(args.against)
+        other = _load_table(args.against)
         labels = ("tuned", os.path.basename(args.against))
     else:
         other = baseline_table(cli.pipeline)
@@ -202,7 +202,7 @@ def _cmd_benchmark(cli: CliConfig, args) -> int:
 
 
 def _cmd_simulate(cli: CliConfig, args) -> int:
-    table = _load_table_checked(args.table)
+    table = _load_table(args.table)
     try:
         command = GaitParameter(*args.command)
     except ValueError as exc:

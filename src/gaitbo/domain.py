@@ -34,6 +34,16 @@ def _readonly_vector(values, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def _matrix3(values, name: str) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    if arr.shape != (3, 3):
+        raise ValueError(f"{name} must have shape (3, 3), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class GaitParameter:
     """A commanded or observed gait point: forward speed, lateral speed, height."""

@@ -11,7 +11,7 @@ from math import floor, inf
 
 import numpy as np
 
-from .domain import GaitParameter
+from .domain import GaitParameter, _matrix3
 from .errors import ConfigurationError
 from .plant import Trajectory
 
@@ -20,17 +20,11 @@ __all__ = ["ObjectiveConfig", "ConvergedStats", "converged_stats", "evaluate_cos
 
 def _diagonal_weight(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if arr.shape == (3,):
-        arr = np.diag(arr)
-    if arr.shape != (3, 3):
-        raise ValueError(f"{name} must be a 3-vector of diagonal weights or a 3x3 matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    arr = _matrix3(np.diag(arr) if arr.shape == (3,) else arr, name)
     if np.any(arr != np.diag(np.diag(arr))):
         raise ValueError(f"{name} must be diagonal")
     if np.any(np.diag(arr) < 0.0):
         raise ValueError(f"{name} must have nonnegative diagonal entries")
-    arr.setflags(write=False)
     return arr
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GaitParameter, SeedSpec, _readonly_vector
+from .domain import GaitParameter, SeedSpec, _matrix3, _readonly_vector
 from .errors import ConfigurationError, SimulationError
 
 __all__ = [
@@ -44,15 +44,6 @@ __all__ = [
 # 8 s, switch to the evaluated command, and run to 20 s total (50 steps).
 EPISODE_DURATION = 20.0
 COMMAND_SWITCH_TIME = 8.0
-
-def _matrix3(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.shape != (3, 3):
-        raise ValueError(f"{name} must have shape (3, 3), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -294,9 +285,11 @@ def run_episodes(cfg: PlantConfig, table, profiles, initials, seeds) -> tuple:
     all profiles must share one duration. Gains are looked up once per
     command, and each episode draws its whole noise block up front from its
     own stream, so every Trajectory equals the one its episode gives alone,
-    bit for bit. An episode stops when the fall predicate fires; the rest
-    run on. If any state turns non-finite, SimulationError is raised for the
-    first such episode in input order, with the step it failed at.
+    bit for bit. Every episode is stepped to the end; falls and non-finite
+    states are then found from the recorded samples, and each trajectory is
+    cut at its fall. If a state turned non-finite before its episode fell,
+    SimulationError is raised for the first such episode in input order,
+    with the step it failed at.
     """
     from .scheduler import lookup  # local import to avoid a module cycle
 
@@ -318,10 +311,10 @@ def run_episodes(cfg: PlantConfig, table, profiles, initials, seeds) -> tuple:
         raise ConfigurationError("episodes in one batch must share a profile duration")
 
     times = np.arange(n_steps + 1) * cfg.dt
-    # Per episode and sample: the active command and its gains; per step: noise.
-    p_des = np.empty((n, n_steps + 1, 3))
-    gains = np.empty((n, n_steps + 1, 9))
-    noise = np.empty((n, n_steps, 3))
+    # Per sample and episode: the active command and its gains; per step: noise.
+    p_des = np.empty((n_steps + 1, n, 3))
+    gains = np.empty((n_steps + 1, n, 9))
+    noise = np.empty((n_steps, n, 3))
     resolved = {}
     for k, (profile, seed) in enumerate(zip(profiles, seeds)):
         commands = [cmd for _, cmd in profile.entries]
@@ -330,50 +323,43 @@ def run_episodes(cfg: PlantConfig, table, profiles, initials, seeds) -> tuple:
                 resolved[cmd] = lookup(table, cmd).as_vector()
         segment = np.searchsorted([start for start, _ in profile.entries], times,
                                   side="right") - 1
-        p_des[k] = np.array([cmd.as_array() for cmd in commands])[segment]
-        gains[k] = np.array([resolved[cmd] for cmd in commands])[segment]
-        noise[k] = seed.generator().normal(0.0, cfg.noise_std, size=(n_steps, 3))
+        p_des[:, k] = np.array([cmd.as_array() for cmd in commands])[segment]
+        gains[:, k] = np.array([resolved[cmd] for cmd in commands])[segment]
+        noise[:, k] = seed.generator().normal(0.0, cfg.noise_std, size=(n_steps, 3))
 
     p_hat = np.array([s.p_hat for s in initials])
     v_hat = np.array([s.v_hat for s in initials])
     u = np.array([s.u for s in initials])
-    rec_p_hat = np.empty((n, n_steps + 1, 3))
-    rec_dg = np.empty((n, n_steps + 1, 3))
-    length = np.full(n, n_steps + 1)
-    fell = np.zeros(n, dtype=bool)
-    failed_at = np.full(n, -1)
-    # The episodes still running, and their fall-band counters.
-    live = np.arange(n)
-    consecutive = np.zeros(n, dtype=int)
+    rec_p_hat = np.empty((n_steps + 1, n, 3))
+    rec_dg = np.empty((n_steps + 1, n, 3))
+    # A fallen episode steps on and may overflow; its samples past the fall
+    # are thrown away below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps + 1):
+            dg = regulator_output(gains[i], p_des[i], p_hat, v_hat, cfg.dt)
+            rec_p_hat[i] = p_hat
+            rec_dg[i] = dg
+            if i == n_steps:
+                break
+            p_hat, v_hat, u = step(p_hat, v_hat, u, dg, cfg, p_des[i], noise[i])
 
-    for i in range(n_steps + 1):
-        target = p_des[live, i]
-        dg = regulator_output(gains[live, i], target, p_hat, v_hat, cfg.dt)
-        rec_p_hat[live, i] = p_hat
-        rec_dg[live, i] = dg
-        if i > 0:
-            out_of_band = np.any(np.abs(p_hat - target) > cfg.fall_band_width, axis=1)
-            consecutive = np.where(out_of_band, consecutive + 1, 0)
-            down = (p_hat[:, 2] < cfg.min_height) | (consecutive >= 3)
-            if down.any():
-                fell[live[down]] = True
-                length[live[down]] = i + 1
-                keep = ~down
-                live, p_hat, v_hat, u, dg, target, consecutive = (
-                    x[keep] for x in (live, p_hat, v_hat, u, dg, target, consecutive))
-        if i == n_steps or live.size == 0:
-            break
-        p_hat, v_hat, u = step(p_hat, v_hat, u, dg, cfg, target, noise[live, i])
-        finite = (np.isfinite(p_hat).all(axis=1) & np.isfinite(v_hat).all(axis=1)
-                  & np.isfinite(u).all(axis=1))
-        if not finite.all():
-            failed_at[live[~finite]] = i
-            live, p_hat, v_hat, u, consecutive = (
-                x[finite] for x in (live, p_hat, v_hat, u, consecutive))
+        # Falls are judged from sample 1 on: out of band for three samples in
+        # a row, or below the minimum height.
+        oob = np.any(np.abs(rec_p_hat - p_des) > cfg.fall_band_width, axis=2)
+        oob[0] = False
+        down = rec_p_hat[:, :, 2] < cfg.min_height
+        down[2:] |= oob[2:] & oob[1:-1] & oob[:-2]
+        down[0] = False
+    fell = down.any(axis=0)
+    length = np.where(fell, down.argmax(axis=0) + 1, n_steps + 1)
 
-    failed = np.flatnonzero(failed_at >= 0)
+    # A step leaves (p_hat, v_hat, u) non-finite exactly when the p_hat it
+    # records is: p_hat' = p_hat + v_hat', and B's positive diagonal carries
+    # a non-finite u' into v_hat'.
+    broken = ~np.isfinite(rec_p_hat).all(axis=2) & (np.arange(n_steps + 1)[:, None] < length)
+    failed = np.flatnonzero(broken.any(axis=0))
     if failed.size:
-        step_index = int(failed_at[failed[0]])
+        step_index = int(broken[:, failed[0]].argmax()) - 1
         raise SimulationError(
             f"plant state became non-finite at step {step_index}", step_index=step_index
         )
@@ -381,9 +367,9 @@ def run_episodes(cfg: PlantConfig, table, profiles, initials, seeds) -> tuple:
         Trajectory(
             dt=cfg.dt,
             times=times[:length[k]],
-            p_desired=p_des[k, :length[k]],
-            p_hat=rec_p_hat[k, :length[k]],
-            delta_g=rec_dg[k, :length[k]],
+            p_desired=p_des[:length[k], k],
+            p_hat=rec_p_hat[:length[k], k],
+            delta_g=rec_dg[:length[k], k],
             fell=bool(fell[k]),
             fall_time=float(times[length[k] - 1]) if fell[k] else None,
         )

@@ -1,12 +1,16 @@
 """Command-line behavior: config merging, exit codes, artifacts."""
 
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaitbo.cli import load_cli_config, main
+from gaitbo.cli import CliConfig, load_cli_config, main
 from gaitbo.domain import ControlParams
 from gaitbo.errors import ConfigurationError
 from gaitbo.pipeline import desk_scale_config, full_scale_config
@@ -142,6 +146,45 @@ class TestConfigLoading:
         path = write_config(tmp_path, {"plant": "moon"})
         with pytest.raises(ConfigurationError, match="plant"):
             load_cli_config(path)
+
+
+KNOWN_KEYS = sorted(set(TINY) | {
+    "scale", "output_dir", "plant", "verbose", "objective", "constraint",
+    "vx_nodes", "vy_nodes", "h_nodes", "kp_bounds", "kd_bounds", "delta_p_bound",
+    "w1", "w2", "tolerance", "fall_penalty", "segment_duration",
+})
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.integers(), st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(-2.0, 2.0),
+    st.sampled_from(["desk", "full", "sim", "real", "", "inf", "nan"]), st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KNOWN_KEYS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.dictionaries(st.sampled_from(KNOWN_KEYS) | st.text(max_size=6),
+                                 JSON_VALUES, max_size=4),
+           on_tiny=st.booleans())
+    def test_loads_or_raises_configuration_error(self, edits, on_tiny):
+        # Known and unknown keys, wrong types, NaN, huge and negative numbers,
+        # written over a valid config or alone: loading either succeeds or
+        # raises ConfigurationError, never anything else.
+        data = {**TINY, **edits} if on_tiny else edits
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+            try:
+                cli = load_cli_config(path)
+            except ConfigurationError:
+                return
+        assert isinstance(cli, CliConfig)
 
 
 class TestCommands:
@@ -282,6 +325,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "faces" in err
         assert "\n" not in err.strip()
+
+    def test_truncated_safe_set_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "safeset.json"
+        bad.write_text("{")
+        out = tmp_path / "out"
+        assert main(["learn-real", "--config", write_config(tmp_path), "--output-dir", str(out),
+                     "--table", zero_table_file(tmp_path), "--safeset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid JSON" in err
+        assert "\n" not in err.strip()
+        assert not out.exists()
+
+    @staticmethod
+    def run_reading(tmp_path, flag, path):
+        args = {
+            "--config": ["learn-sim", "--config", path],
+            "--table": ["simulate", "--table", path, "--command", "0", "0", "1"],
+            "--safeset": ["learn-real", "--table", zero_table_file(tmp_path), "--safeset", path],
+        }[flag]
+        return main(args + ["--output-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("flag", ["--config", "--table", "--safeset"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, flag):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert self.run_reading(tmp_path, flag, str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot be read" in err
+        assert "\n" not in err.strip()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--table", "--safeset"])
+    def test_directory_input_exits_2(self, tmp_path, capsys, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert self.run_reading(tmp_path, flag, str(folder)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot be read" in err
+        assert "\n" not in err.strip()
+        assert not (tmp_path / "out").exists()
 
     def test_rejected_learn_real_leaves_no_output_dir(self, tmp_path, capsys):
         bad = tmp_path / "safeset.json"

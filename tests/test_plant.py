@@ -1,5 +1,7 @@
 """Plant dynamics, regulator law, fall detection, and episode determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -445,6 +447,98 @@ class TestBatchedRollout:
             run_episodes(cfg, table,
                          (learning_profile(cmd), CommandProfile(((0.0, cmd),), 8.0)),
                          (stepping_start(cmd),) * 2, (SeedSpec(0), SeedSpec(1)))
+
+
+# With zero gains on the disturbance-free plant a resting state never moves,
+# so the command alone decides which samples are out of the fall band.
+HOLD = GaitParameter(0.0, 0.0, 1.0)
+OFF = GaitParameter(3.0, 0.0, 1.0)  # 3 units from HOLD: outside the band of 2
+STILL = disturbance_free(sim_config())
+ZERO_GAINS = constant_table(np.zeros(3), np.zeros(3))
+
+
+# Firm gains at vx = 0; at vx = 1, gains that grow the state some 1e19-fold a step.
+RUNAWAY = GaitParameter(1.0, 0.0, 1.0)
+RUNAWAY_TABLE = GainTable((0.0, 1.0), (0.0,), (1.0,), np.array(
+    [[[[3.0] * 3 + [0.5] * 3 + [0.0] * 3]], [[[1e20] * 3 + [0.0] * 6]]]))
+
+
+def switching_profile(*entries):
+    """A 20 s profile from (sample index, command) pairs."""
+    return CommandProfile(tuple((i * STILL.dt, cmd) for i, cmd in entries), 20.0)
+
+
+def stepped_to_end(cfg, table, cmd, initial, n_steps):
+    """The state after n_steps steps of one noise-free episode, falls ignored."""
+    gains, target = lookup(table, cmd).as_vector()[None], cmd.as_array()[None]
+    p, v, u = (x[None] for x in (initial.p_hat, initial.v_hat, initial.u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            dg = regulator_output(gains, target, p, v, cfg.dt)
+            p, v, u = step(p, v, u, dg, cfg, target, np.zeros((1, 3)))
+    return p[0], v[0], u[0]
+
+
+class TestFallDetection:
+    """Falls are found from the recorded samples, as the per-step loop found them."""
+
+    def run_alone_and_batched(self, cfg, table, episode):
+        reference = reference_episode(cfg, table, *episode)
+        normal = (learning_profile(HOLD), stepping_start(HOLD), SeedSpec(9))
+        alone, = run_episodes(cfg, table, *zip(episode))
+        first, batched = run_episodes(cfg, table, *zip(normal, episode))
+        for traj in (alone, batched):
+            assert_same_trajectory(traj, reference)
+        assert_same_trajectory(first, reference_episode(cfg, table, *normal))
+        return alone
+
+    def test_band_counter_resets_when_back_in_band(self):
+        # Out of band at samples 1-2, in at 3, out at 4-6: the fall is at 6.
+        profile = switching_profile((0, HOLD), (1, OFF), (3, HOLD), (4, OFF), (7, HOLD))
+        traj = self.run_alone_and_batched(
+            STILL, ZERO_GAINS, (profile, rest_state([0.0, 0.0, 1.0]), SeedSpec(0)))
+        assert traj.fell and len(traj) == 7
+        assert traj.fall_time == traj.times[6]
+
+    def test_fall_below_min_height_at_sample_1(self):
+        start = PlantState([0.0, 0.0, 0.35], [0.0, 0.0, -0.2], np.zeros(3))
+        traj = self.run_alone_and_batched(
+            STILL, ZERO_GAINS, (switching_profile((0, HOLD)), start, SeedSpec(0)))
+        assert traj.fell and len(traj) == 2
+        assert traj.p_hat[1, 2] < STILL.min_height
+
+    def test_fall_on_the_final_sample(self):
+        profile = switching_profile((0, HOLD), (48, OFF))
+        traj = self.run_alone_and_batched(
+            STILL, ZERO_GAINS, (profile, rest_state([0.0, 0.0, 1.0]), SeedSpec(0)))
+        assert traj.fell and len(traj) == 51
+        assert traj.fall_time == traj.times[50]
+
+    def test_sample_0_is_not_judged(self):
+        # Off its command at samples 0-2 and below the minimum height at 0:
+        # counting sample 0 would make either a fall.
+        start = PlantState([0.0, 0.0, 0.2], [0.0, 0.0, 0.4], np.zeros(3))
+        profile = switching_profile((0, OFF), (3, HOLD))
+        traj = self.run_alone_and_batched(STILL, ZERO_GAINS, (profile, start, SeedSpec(0)))
+        assert not traj.fell and len(traj) == 51
+
+    @pytest.mark.parametrize("cfg,table,cmd,start,overflow_at", [
+        # Runaway gains: out of band from sample 1, a fall at sample 3, and
+        # an overflow about a dozen steps later.
+        (sim_config(), RUNAWAY_TABLE, RUNAWAY, rest_state([1.3, 0.0, 1.0]), 50),
+        # Coasting near the largest float: below the minimum height at
+        # sample 1, with every recorded value finite, and an overflow at 2.
+        (STILL, ZERO_GAINS, HOLD,
+         PlantState([1.71e308, 0.0, 0.35], [1e307, 0.0, -0.2], np.zeros(3)), 2),
+    ])
+    def test_overflow_after_a_fall_is_silent(self, cfg, table, cmd, start, overflow_at):
+        end = stepped_to_end(cfg, table, cmd, start, overflow_at)
+        assert not all(np.isfinite(x).all() for x in end)
+        episode = (CommandProfile(((0.0, cmd),), 20.0), start, SeedSpec(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = self.run_alone_and_batched(cfg, table, episode)
+        assert traj.fell and len(traj) <= overflow_at
 
 
 _SINGLE = {}

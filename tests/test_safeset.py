@@ -145,6 +145,49 @@ class TestConstraintValue:
             assert gap <= np.linalg.norm(a - b) + 1e-12
 
 
+# Hulls of random integer lattice points. Membership queries lie on a
+# quarter lattice of the same span, or on the ray from the centroid through a
+# vertex, just inside or just outside it. The LP runs in lattice units, so its
+# feasibility tolerance does not shrink with the hull.
+LATTICE_POINTS = st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=4, max_size=12,
+                          unique=True)
+COORDS = st.tuples(*[st.floats(-12.0, 12.0)] * 3)
+
+
+def lattice_hull(points, scale):
+    try:
+        return convex_hull(np.array(points, dtype=float) * scale)
+    except DegenerateGeometryError:
+        assume(False)
+
+
+class TestConstraintValueProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(points=LATTICE_POINTS, scale=st.floats(0.01, 4.0), x=COORDS, step=COORDS,
+           reach=st.sampled_from([1e-6, 1e-2, 1.0]))
+    def test_one_lipschitz_on_any_hull(self, points, scale, x, step, reach):
+        poly = lattice_hull(points, scale)
+        a = np.array(x) * scale
+        b = a + np.array(step) * scale * reach
+        gap = abs(constraint_value(poly, a) - constraint_value(poly, b))
+        assert gap <= np.linalg.norm(a - b) + 1e-12
+
+    @settings(max_examples=120, deadline=None)
+    @given(points=LATTICE_POINTS, scale=st.floats(0.01, 100.0),
+           x=st.tuples(*[st.integers(-40, 40)] * 3), vertex=st.integers(0, 11),
+           stretch=st.sampled_from([None, 0.9, 0.999, 0.9999, 1.0001, 1.001, 1.1]))
+    def test_contains_agrees_with_linear_program_off_the_boundary(
+            self, points, scale, x, vertex, stretch):
+        poly = lattice_hull(points, scale)
+        if stretch is None:
+            query = np.array(x, dtype=float) / 4.0 * scale
+        else:
+            corner = poly.vertices[vertex % len(poly.vertices)]
+            query = poly.centroid + stretch * (corner - poly.centroid)
+        assume(abs(constraint_value(poly, query)) > 1e-9)
+        assert contains(poly, query) == in_hull_oracle(poly.vertices / scale, query / scale)
+
+
 class TestShrink:
     def test_gamma_scales_vertices_about_centroid(self):
         poly = convex_hull(CUBE, gamma=0.9)
