@@ -24,7 +24,7 @@ from .plant import (
 )
 from .scheduler import GainTable, apply_corrections, load_table, lookup, save_table, upsert
 from .objective import ConvergedStats, ObjectiveConfig, converged_stats, evaluate_cost
-from .gp import GPModel, Hyperparams, fit, fit_hyper, posterior
+from .gp import GPModel, Hyperparams, fit, fit_hyper, posterior_batch
 from .bo import BOResult, ConstraintSpec, Evaluation, expected_improvement, optimize, propose
 from .safeset import (
     SafePolyhedron,
@@ -48,7 +48,6 @@ from .pipeline import (
     learn_sim,
     full_scale_config,
     real_budget,
-    run_full_pipeline,
     sim_budget,
 )
 

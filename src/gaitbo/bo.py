@@ -19,7 +19,7 @@ from scipy.special import ndtr
 from .domain import Box, SeedSpec, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError
 from .gp import (GPModel, _pointwise_moments, _posterior_moments, _std_ratio,
-                 default_hyper_grid, fit, fit_hyper, posterior_batch)
+                 default_hyper_grid, fit, fit_hyper)
 
 __all__ = [
     "Evaluation",
@@ -27,7 +27,6 @@ __all__ = [
     "BOResult",
     "expected_improvement",
     "feasibility_from_moments",
-    "feasibility_probability",
     "propose",
     "optimize",
     "result_to_log_entries",
@@ -76,7 +75,6 @@ class ConstraintSpec:
     """How to treat the latent constraint: tolerance on infeasibility risk."""
 
     tolerance: float = 0.05
-    h_observations: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.tolerance < 1.0):
@@ -152,12 +150,6 @@ def feasibility_from_moments(mean: float, std: float) -> float:
     return float(ndtr((0.0 - mean) / std))
 
 
-def feasibility_probability(h_model: GPModel, x) -> float:
-    """Posterior probability that the latent constraint is satisfied at x."""
-    mean, std = posterior_batch(h_model, np.atleast_2d(np.asarray(x, dtype=float)))
-    return feasibility_from_moments(float(mean[0]), float(std[0]))
-
-
 def _feasibility_values(h_model: GPModel, X: np.ndarray) -> np.ndarray:
     means, stds = _posterior_moments(h_model, X)
     out = np.where(means <= 0.0, 1.0, 0.0)
@@ -176,8 +168,7 @@ def _refinement_scores(model: GPModel, X: np.ndarray, ratio: float,
     return _ei_values(means, stds * ratio, best)
 
 
-def _coordinate_refine(x0: np.ndarray, score_rows, n_steps: int = REFINE_STEPS,
-                       step: float = REFINE_STEP_SIZE) -> np.ndarray:
+def _coordinate_refine(x0: np.ndarray, score_rows) -> np.ndarray:
     """Greedy coordinate-descent ascent of a score inside the unit cube.
 
     Each step sweeps every coordinate in both directions, keeping each move
@@ -189,8 +180,9 @@ def _coordinate_refine(x0: np.ndarray, score_rows, n_steps: int = REFINE_STEPS,
     """
     point = np.array(x0, dtype=float).tolist()
     n_moves = 2 * len(point)  # move m shifts coordinate m // 2, up for even m
+    step = REFINE_STEP_SIZE
     best = None
-    for _ in range(n_steps):
+    for _ in range(REFINE_STEPS):
         improved = False
         first = 0
         while first < n_moves:
@@ -331,7 +323,7 @@ def optimize(black_box, box: Box, iterations: int, init_count: int,
         obj_model = fit(U, costs, obj_hyper)
 
         h_model = None
-        if spec is not None and spec.h_observations:
+        if spec is not None:
             observed = [(ev.x, ev.h_value) for ev in history if ev.h_value is not None]
             if observed:
                 Uh = np.array([x for x, _ in observed])

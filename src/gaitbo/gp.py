@@ -20,15 +20,12 @@ from .errors import NumericalError
 __all__ = [
     "Hyperparams",
     "GPModel",
-    "kernel",
     "kernel_matrix",
     "fit",
-    "posterior",
     "posterior_batch",
     "log_marginal_likelihood",
     "fit_hyper",
     "default_hyper_grid",
-    "adaptive_std_scale",
 ]
 
 _JITTER_START = 1e-10
@@ -69,19 +66,6 @@ class Hyperparams:
     @property
     def n_dims(self) -> int:
         return self.lengthscales.shape[0]
-
-
-def kernel(x1, x2, hyper: Hyperparams) -> float:
-    """Squared-exponential covariance between two points."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != (hyper.n_dims,) or x2.shape != (hyper.n_dims,):
-        raise ValueError(
-            f"kernel inputs must have shape ({hyper.n_dims},), "
-            f"got {x1.shape} and {x2.shape}"
-        )
-    z = (x1 - x2) / hyper.lengthscales
-    return float(hyper.signal_std**2 * np.exp(-0.5 * np.dot(z, z)))
 
 
 def _scaled_factors(X: np.ndarray, hyper: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
@@ -262,15 +246,6 @@ def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def posterior(model: GPModel, x) -> tuple[float, float]:
-    """Posterior mean and standard deviation at one point, original scale."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
-    mean, std = posterior_batch(model, x[None, :])
-    return float(mean[0]), float(std[0])
-
-
 def log_marginal_likelihood(model: GPModel) -> float:
     """Log evidence of the standardized targets under the fitted model."""
     m = model.n_points
@@ -281,19 +256,16 @@ def log_marginal_likelihood(model: GPModel) -> float:
     )
 
 
-def default_hyper_grid(n_dims: int,
-                       lengthscales=DEFAULT_LENGTHSCALES,
-                       noise_stds=DEFAULT_NOISE_STDS,
-                       signal_std: float = 1.0) -> list[Hyperparams]:
+def default_hyper_grid(n_dims: int) -> list[Hyperparams]:
     """The search grid: one shared lengthscale per candidate, fixed amplitude.
 
     Targets are standardized at fit time, so a unit signal_std matches their
     scale and only the lengthscale and noise level need searching.
     """
     grid = []
-    for ls in lengthscales:
-        for ns in noise_stds:
-            grid.append(Hyperparams(signal_std, np.full(n_dims, float(ls)), float(ns)))
+    for ls in DEFAULT_LENGTHSCALES:
+        for ns in DEFAULT_NOISE_STDS:
+            grid.append(Hyperparams(1.0, np.full(n_dims, float(ls)), float(ns)))
     return grid
 
 
@@ -327,7 +299,12 @@ def fit_hyper(X, y, grid) -> Hyperparams:
 
 
 def _std_ratio(model: GPModel, stds: np.ndarray) -> float:
-    """adaptive_std_scale from the candidates' posterior stds, already computed."""
+    """Inflation factor keeping the acquisition exploratory late in a run.
+
+    stds are the posterior stds over the candidate set. When their largest
+    has collapsed below a tenth of the prior std, rescale it back up to that
+    floor; otherwise leave the stds untouched.
+    """
     if stds.size == 0:
         raise ValueError("candidate set must be nonempty")
     s_max = float(stds.max())
@@ -336,14 +313,3 @@ def _std_ratio(model: GPModel, stds: np.ndarray) -> float:
     if s_max < floor:
         return floor / s_max
     return 1.0
-
-
-def adaptive_std_scale(model: GPModel, candidates) -> float:
-    """Inflation factor keeping the acquisition exploratory late in a run.
-
-    When the largest posterior std over the candidate set has collapsed below
-    a tenth of the prior std, rescale it back up to that floor; otherwise
-    leave the stds untouched.
-    """
-    _, stds = posterior_batch(model, candidates)
-    return _std_ratio(model, stds)

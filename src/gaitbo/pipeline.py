@@ -62,7 +62,6 @@ __all__ = [
     "benchmark",
     "benchmark_to_json_dict",
     "save_benchmark",
-    "run_full_pipeline",
 ]
 
 logger = logging.getLogger(__name__)
@@ -313,22 +312,25 @@ def _gain_black_box(gait: GaitParameter, cfg: PipelineConfig, plant: PlantConfig
     return black_box
 
 
-def _run_gain_bo(gait: GaitParameter, cfg: PipelineConfig, plant: PlantConfig,
-                 run_seed: SeedSpec, iterations: int, init_count: int,
-                 incumbent: ControlParams | None) -> BOResult:
-    box = cfg.gain_box
-    black_box = _gain_black_box(gait, cfg, plant, run_seed)
+def _run_bo(what: str, gait: GaitParameter, black_box, box: Box, run_seed: SeedSpec,
+            iterations: int, init_count: int, first=None,
+            spec: ConstraintSpec | None = None) -> BOResult:
+    """One gait's BO run; a failure names the phase's quantity and the gait.
+
+    Given a first design point, the rest of the initial design is drawn from
+    the run seed's stream 0; without one, optimize draws the whole design.
+    """
     design = None
-    if incumbent is not None:
+    if first is not None:
         rng = run_seed.generator(0)
-        design = [np.concatenate([incumbent.kP, incumbent.kD])]
-        design += [from_unit(rng.random(6), box) for _ in range(init_count - 1)]
+        design = [first] + [from_unit(rng.random(box.n_dims), box)
+                            for _ in range(init_count - 1)]
     try:
-        return optimize(black_box, box, iterations, init_count,
+        return optimize(black_box, box, iterations, init_count, spec=spec,
                         initial_design=design, seed=run_seed)
     except BlackBoxError as exc:
         raise BlackBoxError(
-            f"gain learning failed at gait ({gait.vx}, {gait.vy}, {gait.h}): {exc}",
+            f"{what} learning failed at gait ({gait.vx}, {gait.vy}, {gait.h}): {exc}",
             exc.history) from exc
 
 
@@ -337,14 +339,32 @@ def _best_params(result: BOResult, box: Box) -> ControlParams:
     return ControlParams(x[:3], x[3:6], np.zeros(3))
 
 
-def _nearest(gait: GaitParameter, completed: list) -> tuple:
-    """Closest finished gait and its optimum; earliest finish breaks ties."""
-    best = None
-    for other, params in completed:
-        d = float(np.linalg.norm(gait.as_array() - other.as_array()))
-        if best is None or d < best[0]:
-            best = (d, other, params)
-    return best
+def _sim_schedule(cfg: PipelineConfig) -> list:
+    """Every learn-sim run in run order, as (phase, index, gait, parent, dist).
+
+    The p_sim1 gaits come first, with no parent. Each p_sim2 gait then runs
+    once it is the one nearest the finished set, the lowest index winning
+    ties. Its parent is the schedule position of its nearest finished gait,
+    the earliest finisher winning ties, at distance dist. The order depends
+    only on gait positions, so it is fixed before any episode runs.
+    """
+    schedule = [("sim1", i, gait, None, None) for i, gait in enumerate(cfg.p_sim1)]
+    waiting = {i: (math.inf, None) for i in range(len(cfg.p_sim2))}  # (dist, parent)
+
+    def finish(position: int, gait: GaitParameter) -> None:
+        for i, (best, _) in waiting.items():
+            d = float(np.linalg.norm(cfg.p_sim2[i].as_array() - gait.as_array()))
+            if d < best:
+                waiting[i] = (d, position)
+
+    for position, run in enumerate(schedule):
+        finish(position, run[2])
+    while waiting:
+        i = min(waiting, key=lambda k: (waiting[k][0], k))
+        dist, parent = waiting.pop(i)
+        schedule.append(("sim2", i, cfg.p_sim2[i], parent, dist))
+        finish(len(schedule) - 1, cfg.p_sim2[i])
+    return schedule
 
 
 def _fill_table(cfg: PipelineConfig, visited: dict) -> GainTable:
@@ -396,40 +416,32 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
 
     Nominal gaits run first with full budgets and random starts; the rest
     run in order of distance to the nearest finished gait, reusing its
-    optimum as the first design point.
+    optimum as the first design point. That order and each gait's parent
+    depend only on gait positions, so _sim_schedule fixes them up front.
     """
     plant = sim_config() if plant is None else plant
     root = cfg.root_seed()
     box = cfg.gain_box
-    completed: list = []
+    budgets = {"sim1": (_STREAM_SIM1, cfg.i1, cfg.init_counts[0]),
+               "sim2": (_STREAM_SIM2, cfg.i2, cfg.init_counts[1])}
+    found: list = []  # each run's optimum, in schedule order
     visited: dict = {}
 
-    for i, gait in enumerate(cfg.p_sim1):
-        result = _run_gain_bo(gait, cfg, plant, root.derive(_STREAM_SIM1, i),
-                              cfg.i1, cfg.init_counts[0], incumbent=None)
+    for phase, index, gait, parent, dist in _sim_schedule(cfg):
+        stream, iterations, init_count = budgets[phase]
+        run_seed = root.derive(stream, index)
+        first = None
+        if parent is not None:
+            first = np.concatenate([found[parent].kP, found[parent].kD])
+        result = _run_bo("gain", gait, _gain_black_box(gait, cfg, plant, run_seed), box,
+                         run_seed, iterations, init_count, first=first)
         params = _best_params(result, box)
-        completed.append((gait, params))
+        found.append(params)
         visited[(gait.vx, gait.vy, gait.h)] = params
-        _write_log(result, out_dir, "sim1", gait)
-        logger.info("sim1 %s: best cost %.6g", gait_run_name(gait), result.best_cost)
-
-    remaining = list(enumerate(cfg.p_sim2))
-    while remaining:
-        ranked = []
-        for orig_idx, gait in remaining:
-            d, _, params = _nearest(gait, completed)
-            ranked.append((d, orig_idx, gait, params))
-        d, orig_idx, gait, incumbent = min(ranked, key=lambda r: (r[0], r[1]))
-        remaining = [(i, g) for i, g in remaining if i != orig_idx]
-
-        result = _run_gain_bo(gait, cfg, plant, root.derive(_STREAM_SIM2, orig_idx),
-                              cfg.i2, cfg.init_counts[1], incumbent=incumbent)
-        params = _best_params(result, box)
-        completed.append((gait, params))
-        visited[(gait.vx, gait.vy, gait.h)] = params
-        _write_log(result, out_dir, "sim2", gait)
-        logger.info("sim2 %s (dist %.3g): best cost %.6g",
-                    gait_run_name(gait), d, result.best_cost)
+        _write_log(result, out_dir, phase, gait)
+        where = "" if dist is None else f" (dist {dist:.3g})"
+        logger.info("%s %s%s: best cost %.6g", phase, gait_run_name(gait), where,
+                    result.best_cost)
 
     table = _fill_table(cfg, visited)
     if out_dir is not None:
@@ -502,21 +514,10 @@ def learn_real(table: GainTable, poly: SafePolyhedron, cfg: PipelineConfig,
 
     for i, gait in enumerate(cfg.p_real):
         run_seed = root.derive(_STREAM_REAL, i)
-        incumbent = lookup(table, gait)
-        box = cfg.correction_box(incumbent)
+        box = cfg.correction_box(lookup(table, gait))
         black_box = _correction_black_box(gait, table, poly, cfg, plant, run_seed)
-        rng = run_seed.generator(0)
-        design = [np.zeros(6)]
-        design += [from_unit(rng.random(6), box)
-                   for _ in range(cfg.init_counts[2] - 1)]
-        try:
-            result = optimize(black_box, box, cfg.i3, cfg.init_counts[2],
-                              spec=cfg.constraint, initial_design=design,
-                              seed=run_seed)
-        except BlackBoxError as exc:
-            raise BlackBoxError(
-                f"correction learning failed at gait ({gait.vx}, {gait.vy}, "
-                f"{gait.h}): {exc}", exc.history) from exc
+        result = _run_bo("correction", gait, black_box, box, run_seed, cfg.i3,
+                         cfg.init_counts[2], first=np.zeros(6), spec=cfg.constraint)
         corr = correction_from_vector(from_unit(result.best_x, box))
         corrections.append((gait, corr))
         h_positive += sum(1 for ev in result.history
@@ -677,22 +678,3 @@ def save_benchmark(report: BenchmarkReport, path) -> None:
     with open(path, "w") as fh:
         json.dump(benchmark_to_json_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def run_full_pipeline(cfg: PipelineConfig, out_dir) -> dict:
-    """All four phases in order, artifacts written under out_dir.
-
-    Returns the artifact paths keyed by name.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    table_sim = learn_sim(cfg, out_dir=out_dir)
-    _, poly = extract_safe_set(table_sim, cfg, out_dir=out_dir)
-    table_real, _ = learn_real(table_sim, poly, cfg, out_dir=out_dir)
-    benchmark(table_real, baseline_table(cfg), cfg, real_config(),
-              out_dir=out_dir)
-    return {
-        "gaintable_sim": os.path.join(out_dir, "gaintable_sim.json"),
-        "safeset": os.path.join(out_dir, "safeset.json"),
-        "gaintable_real": os.path.join(out_dir, "gaintable_real.json"),
-        "benchmark": os.path.join(out_dir, "benchmark.json"),
-    }

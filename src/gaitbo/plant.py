@@ -181,16 +181,6 @@ class CommandProfile:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "total_duration", duration)
 
-    def command_at(self, t: float) -> GaitParameter:
-        """The command active at time t (the latest entry not after t)."""
-        current = self.entries[0][1]
-        for start, cmd in self.entries:
-            if start <= t:
-                current = cmd
-            else:
-                break
-        return current
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -84,13 +84,6 @@ class GainTable:
     def node_params(self, i: int, j: int, k: int) -> ControlParams:
         return ControlParams.from_vector(self.values[i, j, k])
 
-    def node_points(self):
-        """All grid nodes as GaitParameter, vx-major then vy then h."""
-        for vx in self.vx_nodes:
-            for vy in self.vy_nodes:
-                for h in self.h_nodes:
-                    yield GaitParameter(vx, vy, h)
-
     @classmethod
     def filled(cls, vx_nodes, vy_nodes, h_nodes, params: ControlParams) -> "GainTable":
         """A table holding the same parameters at every node."""

@@ -25,7 +25,6 @@ from gaitbo.pipeline import (
     gait_run_name,
     full_scale_config,
     real_budget,
-    run_full_pipeline,
     sim_budget,
 )
 from gaitbo.plant import Trajectory, learning_profile, real_config, run_episode, sim_config, stepping_start
@@ -369,11 +368,11 @@ def test_criterion_7_budget_accounting():
 
 # ---------------------------------------------------------------- criterion 8
 
-def test_criterion_8_determinism(desk_cfg, desk_run, tmp_path):
+def test_criterion_8_determinism(desk_cfg, desk_run, pipeline_run, tmp_path):
     with criterion(8, "byte-identical reruns"):
         start = time.monotonic()
         second = tmp_path / "second_run"
-        run_full_pipeline(desk_cfg, str(second))
+        pipeline_run(desk_cfg, str(second))
         elapsed = time.monotonic() - start
         assert elapsed < 600.0, f"pipeline took {elapsed:.0f}s, budget 10 min"
 

@@ -285,6 +285,17 @@ class TestExitCodes:
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "verbose" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["false", False])
+    def test_constraint_h_observations_key_exits_2(self, tmp_path, capsys, value):
+        # constraint observations are always used; the key is not a field
+        cfg = write_config(tmp_path, {"constraint": {"h_observations": value}})
+        out = tmp_path / "out"
+        assert main(["learn-sim", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config") and "'h_observations'" in err
+        assert "\n" not in err.strip()
+        assert not out.exists()
+
     def test_nan_axis_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sweep_h": [0.8, float("nan")]})
         assert main(["learn-sim", "--config", cfg,

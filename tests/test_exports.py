@@ -1,0 +1,31 @@
+"""The public names: every exported name resolves to a definition."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import gaitbo
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(gaitbo.__path__, "gaitbo."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    # a stale entry would otherwise only fail on `from module import *`
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_every_package_import_resolves():
+    imported = [(node.module, alias.name)
+                for node in ast.parse(inspect.getsource(gaitbo)).body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(f"gaitbo.{module}"), name), (module, name)
+        assert hasattr(gaitbo, name), name

@@ -12,18 +12,33 @@ from gaitbo.errors import NumericalError
 from gaitbo.gp import (
     _pointwise_moments,
     _posterior_moments,
+    _std_ratio,
     GPModel,
     Hyperparams,
-    adaptive_std_scale,
     default_hyper_grid,
     fit,
     fit_hyper,
-    kernel,
     kernel_matrix,
     log_marginal_likelihood,
-    posterior,
     posterior_batch,
 )
+
+
+def reference_kernel(x1, x2, hyper):
+    """Squared-exponential covariance between two points, one pair at a time."""
+    z = (np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)) / hyper.lengthscales
+    return float(hyper.signal_std**2 * np.exp(-0.5 * np.dot(z, z)))
+
+
+def kernel_at(x1, x2, hyper):
+    """kernel_matrix's entry for one pair of points."""
+    return float(kernel_matrix(np.atleast_2d(x1), np.atleast_2d(x2), hyper)[0, 0])
+
+
+def posterior_at(model, x):
+    """posterior_batch's mean and std at one point, as floats."""
+    mean, std = posterior_batch(model, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
+    return float(mean[0]), float(std[0])
 
 
 def dense_posterior(X, y, hyper, xq, jitter):
@@ -71,22 +86,23 @@ def reference_posterior_batch(model, Xq):
 class TestKernel:
     def test_unit_distance_value(self):
         hyper = Hyperparams(1.0, np.array([1.0]), 0.0)
-        assert kernel([0.0], [1.0], hyper) == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert kernel_at([0.0], [1.0], hyper) == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_amplitude_at_zero_distance(self):
         hyper = Hyperparams(2.0, np.array([0.3, 0.7]), 0.0)
-        assert kernel([0.4, 0.1], [0.4, 0.1], hyper) == pytest.approx(4.0, abs=1e-12)
+        assert kernel_at([0.4, 0.1], [0.4, 0.1], hyper) == pytest.approx(4.0, abs=1e-12)
 
     def test_ard_weights_each_dimension(self):
         hyper = Hyperparams(1.0, np.array([0.5, 2.0]), 0.0)
-        got = kernel([0.0, 0.0], [0.5, 1.0], hyper)
+        got = kernel_at([0.0, 0.0], [0.5, 1.0], hyper)
         want = np.exp(-0.5 * ((0.5 / 0.5) ** 2 + (1.0 / 2.0) ** 2))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_dimension_mismatch_raises(self):
         hyper = Hyperparams(1.0, np.array([1.0, 1.0]), 0.0)
-        with pytest.raises(ValueError):
-            kernel([0.0], [1.0], hyper)
+        model = fit(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.0, 1.0]), hyper)
+        with pytest.raises(ValueError, match="dims"):
+            posterior_batch(model, np.array([[0.0]]))
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -96,7 +112,8 @@ class TestKernel:
         M = kernel_matrix(A, B, hyper)
         for i in range(5):
             for j in range(4):
-                assert M[i, j] == pytest.approx(kernel(A[i], B[j], hyper), abs=1e-12)
+                assert M[i, j] == pytest.approx(reference_kernel(A[i], B[j], hyper),
+                                                abs=1e-12)
 
 
 class TestFit:
@@ -131,7 +148,7 @@ class TestFit:
         y = np.array([1.0, 1.0, -1.0])
         model = fit(X, y, Hyperparams(1.0, np.array([0.5]), 0.0))
         assert model.jitter >= 1e-10
-        mean, std = posterior(model, [0.5])
+        mean, std = posterior_at(model, [0.5])
         assert np.isfinite(mean) and np.isfinite(std)
 
 
@@ -143,7 +160,7 @@ class TestPosterior:
         model = fit(X, y, hyper)
         for xq in (0.05, 0.3, 0.5, 0.77, 1.2):
             want_mean, want_std = dense_posterior(X, y, hyper, np.array([xq]), model.jitter)
-            got_mean, got_std = posterior(model, [xq])
+            got_mean, got_std = posterior_at(model, [xq])
             assert got_mean == pytest.approx(want_mean, abs=1e-10)
             assert got_std == pytest.approx(want_std, abs=1e-10)
 
@@ -154,7 +171,7 @@ class TestPosterior:
         hyper = Hyperparams(1.0, np.array([0.4, 0.4]), 0.0)
         model = fit(X, y, hyper)
         for i in range(4):
-            mean, std = posterior(model, X[i])
+            mean, std = posterior_at(model, X[i])
             assert mean == pytest.approx(y[i], abs=1e-6)
             assert std <= 1e-4 * model.prior_std
 
@@ -164,7 +181,7 @@ class TestPosterior:
         y = rng.normal(3.0, 0.8, 6)
         hyper = Hyperparams(1.0, np.array([0.1]), 1e-2)
         model = fit(X, y, hyper)
-        mean, std = posterior(model, [50.0])
+        mean, std = posterior_at(model, [50.0])
         assert mean == pytest.approx(y.mean(), abs=1e-3 * max(1.0, abs(y.mean())))
         assert std == pytest.approx(model.prior_std, rel=1e-3)
 
@@ -346,7 +363,8 @@ class TestAdaptiveStdScale:
         y = rng.normal(0, 1, 5)
         model = fit(X, y, Hyperparams(1.0, np.array([0.2, 0.2]), 1e-2))
         # candidates far from data keep posterior std near the prior
-        ratio = adaptive_std_scale(model, np.array([[5.0, 5.0], [6.0, 6.0]]))
+        _, stds = posterior_batch(model, np.array([[5.0, 5.0], [6.0, 6.0]]))
+        ratio = _std_ratio(model, stds)
         assert ratio == 1.0
 
     def test_scales_up_collapsed_uncertainty(self):
@@ -360,7 +378,7 @@ class TestAdaptiveStdScale:
         _, stds = posterior_batch(model, cand)
         s_max = stds.max()
         assert s_max < 0.1 * model.prior_std
-        ratio = adaptive_std_scale(model, cand)
+        ratio = _std_ratio(model, stds)
         assert ratio == pytest.approx(0.1 * model.prior_std / s_max, rel=1e-12)
         assert ratio * s_max >= 0.1 * model.prior_std - 1e-12
 
@@ -373,7 +391,7 @@ class TestAdaptiveStdScale:
         cand = rng.random((32, 1))
         _, stds = posterior_batch(model, cand)
         s_max = float(stds.max())
-        ratio = adaptive_std_scale(model, cand)
+        ratio = _std_ratio(model, stds)
         assert ratio * s_max == pytest.approx(0.1 * model.prior_std, rel=1e-9)
 
 
@@ -394,6 +412,6 @@ class TestOracleEquivalence:
             for _ in range(3):
                 xq = rng.random(d)
                 want_mean, want_std = dense_posterior(X, y, hyper, xq, model.jitter)
-                got_mean, got_std = posterior(model, xq)
+                got_mean, got_std = posterior_at(model, xq)
                 assert got_mean == pytest.approx(want_mean, abs=1e-8)
                 assert got_std == pytest.approx(want_std, abs=1e-8)

@@ -1,10 +1,13 @@
 """Phase orchestration: configs, budgets, table assembly, and benchmarks."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitbo.domain import ControlParams, GaitParameter, SeedSpec, from_unit
 from gaitbo.errors import ConfigurationError, SafeSetError
@@ -12,6 +15,7 @@ from gaitbo.pipeline import (
     BenchmarkReport,
     PipelineConfig,
     TableBenchmark,
+    _sim_schedule,
     baseline_table,
     benchmark,
     benchmark_to_json_dict,
@@ -22,7 +26,6 @@ from gaitbo.pipeline import (
     learn_sim,
     full_scale_config,
     real_budget,
-    run_full_pipeline,
     sim_budget,
 )
 from gaitbo.plant import real_config, sim_config
@@ -48,6 +51,53 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def _nearest(gait: GaitParameter, completed: list) -> tuple:
+    """Closest finished gait and its optimum; earliest finish breaks ties."""
+    best = None
+    for other, params in completed:
+        d = float(np.linalg.norm(gait.as_array() - other.as_array()))
+        if best is None or d < best[0]:
+            best = (d, other, params)
+    return best
+
+
+def reference_sim_order(cfg):
+    """learn_sim's run order as first written: before every sim-2 run, each
+    remaining gait is ranked again by its distance to the finished ones.
+
+    Each finished gait's schedule position stands in for its optimum, so the
+    result reads as _sim_schedule's (phase, index, gait, parent, dist).
+    """
+    completed: list = []
+    order = []
+    for i, gait in enumerate(cfg.p_sim1):
+        order.append(("sim1", i, gait, None, None))
+        completed.append((gait, len(order) - 1))
+
+    remaining = list(enumerate(cfg.p_sim2))
+    while remaining:
+        ranked = []
+        for orig_idx, gait in remaining:
+            d, _, params = _nearest(gait, completed)
+            ranked.append((d, orig_idx, gait, params))
+        d, orig_idx, gait, incumbent = min(ranked, key=lambda r: (r[0], r[1]))
+        remaining = [(i, g) for i, g in remaining if i != orig_idx]
+        order.append(("sim2", orig_idx, gait, incumbent, d))
+        completed.append((gait, len(order) - 1))
+    return order
+
+
+def full_learn_sim_slice():
+    """One full-scale nominal gait and its 8 nearest sim-2 gaits."""
+    full = full_scale_config()
+    start = full.p_sim1[0]
+    nearest = sorted(range(len(full.p_sim2)), key=lambda i: (
+        float(np.linalg.norm(full.p_sim2[i].as_array() - start.as_array())), i))
+    return dataclasses.replace(
+        full, p_sim1=(start,),
+        p_sim2=tuple(full.p_sim2[i] for i in nearest[:8]))
 
 
 class TestPipelineConfig:
@@ -217,6 +267,51 @@ class TestLearnSim:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+class TestSimSchedule:
+    """_sim_schedule fixes the order the sequential ranking gave, bit for bit."""
+
+    def test_desk_matches_reference(self, desk_cfg):
+        schedule = _sim_schedule(desk_cfg)
+        assert schedule == reference_sim_order(desk_cfg)
+        assert [run[0] for run in schedule] == ["sim1"] * 2 + ["sim2"] * 4
+
+    def test_full_learn_sim_slice_matches_reference(self):
+        cfg = full_learn_sim_slice()
+        schedule = _sim_schedule(cfg)
+        assert schedule == reference_sim_order(cfg)
+        assert len(schedule) == 9 and all(run[3] is not None for run in schedule[1:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(nodes=st.lists(st.integers(0, 307), min_size=1, max_size=60, unique=True),
+           n_sim1=st.integers(1, 60))
+    def test_random_splits_of_full_grid_match_reference(self, nodes, n_sim1):
+        full = full_scale_config()
+        grid = [GaitParameter(a, b, c) for a in full.vx_nodes
+                for b in full.vy_nodes for c in full.h_nodes]
+        picked = [grid[i] for i in nodes]
+        n_sim1 = min(n_sim1, len(picked))
+        cfg = dataclasses.replace(full, p_sim1=tuple(picked[:n_sim1]),
+                                  p_sim2=tuple(picked[n_sim1:]))
+        assert _sim_schedule(cfg) == reference_sim_order(cfg)
+
+    def test_learn_sim_runs_the_schedule(self, tmp_path):
+        # each sim-2 run starts from its scheduled parent's optimum
+        cfg = tiny_config(
+            p_sim1=(GaitParameter(0.0, 0.0, 1.0), GaitParameter(0.0, 0.0, 0.8)),
+            p_sim2=(GaitParameter(0.4, 0.0, 1.0), GaitParameter(-0.4, 0.0, 0.8)),
+        )
+        learn_sim(cfg, out_dir=str(tmp_path))
+        schedule = _sim_schedule(cfg)
+        for phase, _, gait, parent, _ in schedule[2:]:
+            _, _, source, _, _ = schedule[parent]
+            parent_log = json.loads((tmp_path / "runs" / schedule[parent][0]
+                                     / gait_run_name(source) / "log.json").read_text())
+            log = json.loads((tmp_path / "runs" / phase / gait_run_name(gait)
+                              / "log.json").read_text())
+            best = min(parent_log, key=lambda e: e["cost"])["x"]
+            np.testing.assert_allclose(log[0]["x"], best, atol=1e-12)
+
+
 class TestBudgetConsumption:
     """The episodes a phase actually runs, counted at the plant, match its budget."""
 
@@ -364,8 +459,8 @@ class TestFullPipeline:
         assert sim.axes == real.axes
         load_polyhedron(desk_run["paths"]["safeset"])
 
-    def test_tiny_pipeline_end_to_end(self, tmp_path):
+    def test_tiny_pipeline_end_to_end(self, tmp_path, pipeline_run):
         cfg = tiny_config(i1=6, i2=4, i3=3, init_counts=(3, 2, 2))
-        paths = run_full_pipeline(cfg, str(tmp_path / "out"))
+        paths = pipeline_run(cfg, str(tmp_path / "out"))
         report = json.loads(open(paths["benchmark"]).read())
         assert report["grid_size"] == len(cfg.sweep_grid())

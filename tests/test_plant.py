@@ -34,6 +34,15 @@ def rest_state(p_hat):
     return PlantState(np.asarray(p_hat, dtype=float), np.zeros(3), np.zeros(3))
 
 
+def recorded_commands(profile):
+    """The commanded gait run_episode records at each sample, keyed by time."""
+    table = constant_table([1.0, 1.0, 1.0], [0.3, 0.3, 0.3])
+    start = rest_state(profile.entries[0][1].as_array())
+    traj = run_episode(disturbance_free(sim_config()), table, profile, start, SeedSpec(0))
+    assert not traj.fell
+    return {round(float(t), 9): GaitParameter(*p) for t, p in zip(traj.times, traj.p_desired)}
+
+
 class TestCanonicalConfigs:
     def test_sim_constants(self):
         cfg = sim_config()
@@ -151,11 +160,11 @@ class TestCommandProfile:
     def test_command_switching(self):
         p0 = GaitParameter(0, 0, 1.0)
         p1 = GaitParameter(0.4, 0, 1.0)
-        profile = CommandProfile(((0.0, p0), (8.0, p1)), 20.0)
-        assert profile.command_at(0.0) == p0
-        assert profile.command_at(7.999) == p0
-        assert profile.command_at(8.0) == p1
-        assert profile.command_at(20.0) == p1
+        commands = recorded_commands(CommandProfile(((0.0, p0), (8.0, p1)), 20.0))
+        assert commands[0.0] == p0
+        assert commands[7.6] == p0  # the last sample before the switch
+        assert commands[8.0] == p1
+        assert commands[20.0] == p1
 
     def test_rejects_bad_profiles(self):
         p = GaitParameter(0, 0, 1.0)
@@ -172,10 +181,11 @@ class TestCommandProfile:
         cmd = GaitParameter(0.4, -0.1, 0.9)
         profile = learning_profile(cmd)
         assert profile.total_duration == 20.0
-        assert profile.command_at(0.0) == GaitParameter(0.0, 0.0, 0.9)
-        assert profile.command_at(8.0) == cmd
+        commands = recorded_commands(profile)
+        assert commands[0.0] == GaitParameter(0.0, 0.0, 0.9)
+        assert commands[8.0] == cmd
         stepping = learning_profile(GaitParameter(0.0, 0.0, 1.0))
-        assert stepping.command_at(0.0) == GaitParameter(0.0, 0.0, 1.0)
+        assert stepping.entries == ((0.0, GaitParameter(0.0, 0.0, 1.0)),)
 
 
 class TestRunEpisode:
@@ -312,6 +322,17 @@ class TestFallPredicate:
         assert abs(traj.p_hat[-1, 2] - 1.0) < 2.0  # the band never fired
 
 
+def reference_command_at(profile, t):
+    """The command active at time t (the latest entry not after t)."""
+    current = profile.entries[0][1]
+    for start, cmd in profile.entries:
+        if start <= t:
+            current = cmd
+        else:
+            break
+    return current
+
+
 def reference_episode(cfg, table, profile, initial, seed):
     """The per-step loop the batched rollout replaced, kept as its reference.
 
@@ -325,7 +346,7 @@ def reference_episode(cfg, table, profile, initial, seed):
     consecutive = 0
     for i in range(n_steps + 1):
         t = i * cfg.dt
-        cmd = profile.command_at(t)
+        cmd = reference_command_at(profile, t)
         params = lookup(table, cmd)
         target = cmd.as_array()
         dg = params.kP * (target + params.deltaP - p) + params.kD * (np.zeros(3) - v / cfg.dt)

@@ -93,6 +93,34 @@ class TestLookup:
             assert np.all(out >= corners.min(axis=0) - 1e-12)
             assert np.all(out <= corners.max(axis=0) + 1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_query_stays_within_its_cell_corners(self, data):
+        def axis():
+            return st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4,
+                            unique=True).map(sorted)
+
+        axes = (data.draw(axis()), data.draw(axis()), data.draw(axis()))
+        shape = tuple(len(a) for a in axes)
+        gains = data.draw(arrays(float, shape + (6,), elements=st.floats(0.0, 100.0)))
+        offsets = data.draw(arrays(float, shape + (3,), elements=st.floats(-1.0, 1.0)))
+        table = GainTable(*axes, np.concatenate([gains, offsets], axis=-1))
+        # heights must be positive; every axis reaches past its nodes
+        query = GaitParameter(data.draw(st.floats(-20.0, 20.0)),
+                              data.draw(st.floats(-20.0, 20.0)),
+                              data.draw(st.floats(1e-3, 20.0)))
+        out = lookup(table, query)
+        cell = []
+        for nodes, q in zip(table.axes, query.as_array()):
+            q = min(max(q, nodes[0]), nodes[-1])
+            lo = int(np.searchsorted(nodes, q, side="right")) - 1
+            lo = min(lo, max(len(nodes) - 2, 0))
+            cell.append(slice(lo, lo + 2))
+        corners = table.values[tuple(cell)].reshape(-1, 9)
+        tol = 1e-12 * max(1.0, float(np.abs(corners).max()))
+        assert np.all(out.as_vector() >= corners.min(axis=0) - tol)
+        assert np.all(out.as_vector() <= corners.max(axis=0) + tol)
+
     def test_clamps_to_boundary_projection(self):
         rng = np.random.default_rng(3)
         table = random_table(rng)
