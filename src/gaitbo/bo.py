@@ -5,6 +5,8 @@ black box is evaluated in original units. Proposals come from a seeded
 candidate sweep followed by coordinate-descent refinement. Each proposal
 computes the candidates' posterior once; refinement scores the moves a sweep
 has left in one posterior call, each row rounded as if scored on its own.
+Runs that advance together can pool those calls: one stacked call scores the
+rows of every run still refining.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from scipy.special import ndtr
 
 from .domain import Box, SeedSpec, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError
-from .gp import (GPModel, _pointwise_moments, _posterior_moments, _std_ratio,
-                 default_hyper_grid, fit, fit_hyper)
+from .gp import (GPModel, _ModelStack, _posterior_moments, _stack_models,
+                 _stacked_moments, _std_ratio, default_hyper_grid, fit, fit_hyper)
 
 __all__ = [
     "Evaluation",
@@ -158,25 +160,33 @@ def _feasibility_values(h_model: GPModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stacked_scores(stack: _ModelStack, owner: np.ndarray | None, X: np.ndarray,
+                    ratio, best) -> np.ndarray:
+    """The refinement score at each row of X under its own model of the stack,
+    with ratio and best given per row; each row scores as it would alone."""
+    means, stds = _stacked_moments(stack, owner, X)
+    return _ei_values(means, stds * ratio, best)
+
+
 def _refinement_scores(model: GPModel, X: np.ndarray, ratio: float,
                        best: float) -> np.ndarray:
     """EI at unit-cube rows, posterior stds scaled by ratio: the refinement score.
 
     Each row scores bit for bit as it would on its own.
     """
-    means, stds = _pointwise_moments(model, X)
-    return _ei_values(means, stds * ratio, best)
+    return _stacked_scores(_stack_models((model,)), None, X, ratio, best)
 
 
-def _coordinate_refine(x0: np.ndarray, score_rows) -> np.ndarray:
+def _refinement_search(x0: np.ndarray):
     """Greedy coordinate-descent ascent of a score inside the unit cube.
 
-    Each step sweeps every coordinate in both directions, keeping each move
-    that beats the best score so far; a sweep without improvement halves the
-    step size. score_rows scores the rows of a 2-D array. The moves a sweep
-    has left are scored in one call from the current point; after an
-    accepted move the rest are scored again from the new point, so the
-    search is the one-move-at-a-time search, with a call per accepted move.
+    A generator: it yields 2-D blocks of rows, is sent back their scores, and
+    returns the final point. Each step sweeps every coordinate in both
+    directions, keeping each move that beats the best score so far; a sweep
+    without improvement halves the step size. The moves a sweep has left are
+    yielded as one block from the current point; after an accepted move the
+    rest are yielded again from the new point, so the search is the
+    one-move-at-a-time search, with a block per accepted move.
     """
     point = np.array(x0, dtype=float).tolist()
     n_moves = 2 * len(point)  # move m shifts coordinate m // 2, up for even m
@@ -196,9 +206,9 @@ def _coordinate_refine(x0: np.ndarray, score_rows) -> np.ndarray:
                     moves.append(m)
                     rows.append(row)
             if best is None:  # the start point is scored with the first sweep
-                best, *scores = score_rows(np.array([point] + rows)).tolist()
+                best, *scores = (yield np.array([point] + rows)).tolist()
             elif rows:
-                scores = score_rows(np.array(rows)).tolist()
+                scores = (yield np.array(rows)).tolist()
             else:
                 break
             first = n_moves
@@ -213,6 +223,41 @@ def _coordinate_refine(x0: np.ndarray, score_rows) -> np.ndarray:
     return np.array(point)
 
 
+def _coordinate_refine(x0: np.ndarray, score_rows) -> np.ndarray:
+    """_refinement_search from x0, each block scored by score_rows."""
+    search = _refinement_search(x0)
+    rows = next(search)
+    while True:
+        try:
+            rows = search.send(score_rows(rows))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _candidate_step(obj_model: GPModel, h_model: GPModel | None,
+                    spec: ConstraintSpec | None, best: float,
+                    rng: np.random.Generator) -> tuple[np.ndarray, float | None]:
+    """propose up to refinement: the point, and the std ratio to refine it
+    with, or None when the point is final (the constrained branch)."""
+    n = obj_model.X.shape[1]
+    cand = rng.random((N_CANDIDATES, n))
+    means, stds = _posterior_moments(obj_model, cand)
+    ratio = _std_ratio(obj_model, stds)
+    ei = _ei_values(means, stds * ratio, best)
+
+    if h_model is None or spec is None:
+        return cand[int(np.argmax(ei))], ratio
+
+    pf = _feasibility_values(h_model, cand)
+    qualifies = pf >= 1.0 - spec.tolerance
+    if not np.any(qualifies):
+        logger.warning("no candidate clears the feasibility threshold; "
+                       "falling back to the most plausibly feasible point")
+        return np.array(cand[int(np.argmax(pf))]), None
+    score = np.where(qualifies, ei * pf, -np.inf)
+    return np.array(cand[int(np.argmax(score))]), None
+
+
 def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | None,
             best: float, rng: np.random.Generator) -> np.ndarray:
     """Pick the next unit-cube query point.
@@ -225,25 +270,47 @@ def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | 
     EI times that probability; if none clears it, fall back to the most
     likely feasible candidate.
     """
-    n = obj_model.X.shape[1]
-    cand = rng.random((N_CANDIDATES, n))
-    means, stds = _posterior_moments(obj_model, cand)
-    ratio = _std_ratio(obj_model, stds)
-    ei = _ei_values(means, stds * ratio, best)
+    x, ratio = _candidate_step(obj_model, h_model, spec, best, rng)
+    if ratio is None:
+        return x
+    stack = _stack_models((obj_model,))
+    return _coordinate_refine(x, lambda X: _stacked_scores(stack, None, X, ratio, best))
 
-    if h_model is None or spec is None:
-        x0 = cand[int(np.argmax(ei))]
-        return _coordinate_refine(
-            x0, lambda X: _refinement_scores(obj_model, X, ratio, best))
 
-    pf = _feasibility_values(h_model, cand)
-    qualifies = pf >= 1.0 - spec.tolerance
-    if not np.any(qualifies):
-        logger.warning("no candidate clears the feasibility threshold; "
-                       "falling back to the most plausibly feasible point")
-        return np.array(cand[int(np.argmax(pf))])
-    score = np.where(qualifies, ei * pf, -np.inf)
-    return np.array(cand[int(np.argmax(score))])
+def _propose_level(problems) -> list:
+    """propose on each tuple of its arguments, the runs refining together.
+
+    Each run takes its own candidate step. Then every round, the blocks of
+    all runs still refining are scored in one stacked posterior call, each
+    row against its own run's model, so each point equals propose's bit for
+    bit.
+    """
+    points, refining = [], []
+    for obj_model, h_model, spec, best, rng in problems:
+        x, ratio = _candidate_step(obj_model, h_model, spec, best, rng)
+        if ratio is not None:
+            refining.append((len(points), obj_model, ratio, best))
+        points.append(x)
+    if not refining:
+        return points
+    stack = _stack_models(model for _, model, _, _ in refining)
+    ratios = np.array([ratio for _, _, ratio, _ in refining])
+    bests = np.array([best for _, _, _, best in refining])
+    searches = [_refinement_search(points[i]) for i, _, _, _ in refining]
+    blocks = {slot: next(search) for slot, search in enumerate(searches)}  # by stack slot
+    while blocks:
+        owner = np.repeat(list(blocks), [len(rows) for rows in blocks.values()])
+        scores = _stacked_scores(stack, owner, np.concatenate(list(blocks.values())),
+                                 ratios[owner], bests[owner])
+        start = 0
+        for slot, rows in list(blocks.items()):
+            block, start = scores[start:start + len(rows)], start + len(rows)
+            try:
+                blocks[slot] = searches[slot].send(block)
+            except StopIteration as stop:
+                points[refining[slot][0]] = stop.value
+                del blocks[slot]
+    return points
 
 
 def _parse_observation(raw) -> tuple[float, float | None, bool]:
@@ -260,6 +327,110 @@ def _parse_observation(raw) -> tuple[float, float | None, bool]:
     return float(raw), None, False
 
 
+class _BORun:
+    """One BO run, advanced one evaluation at a time.
+
+    It holds the run's initial design, its history, the hyperparameter-refit
+    state and its seed. The design points come first; after them each point
+    comes from propose on proposal_inputs(). evaluate records an observation.
+    """
+
+    def __init__(self, box: Box, iterations: int, init_count: int,
+                 spec: ConstraintSpec | None = None, initial_design=None,
+                 seed: SeedSpec = SeedSpec(0)):
+        if init_count < 1:
+            raise ConfigurationError(f"init_count must be at least 1, got {init_count}")
+        if iterations < init_count:
+            raise ConfigurationError(
+                f"iterations ({iterations}) must cover the initial design ({init_count})"
+            )
+        if initial_design is not None:
+            design = [np.asarray(x, dtype=float) for x in initial_design]
+            if not design:
+                raise ConfigurationError("initial design must not be empty when given")
+            if len(design) > iterations:
+                raise ConfigurationError(
+                    f"initial design has {len(design)} points, more than {iterations} "
+                    "iterations"
+                )
+            for x in design:
+                to_unit(x, box)  # raises RangeError before anything is evaluated
+        else:
+            rng_init = seed.generator(0)
+            design = [from_unit(rng_init.random(box.n_dims), box) for _ in range(init_count)]
+        self.box = box
+        self.iterations = iterations
+        self.spec = spec
+        self.seed = seed
+        self.design = design
+        self.history: list[Evaluation] = []
+        self._grid = default_hyper_grid(box.n_dims)
+        self._obj_hyper = None
+        self._h_hyper = None
+
+    @property
+    def done(self) -> bool:
+        return len(self.history) >= self.iterations
+
+    @property
+    def in_design(self) -> bool:
+        return len(self.history) < len(self.design)
+
+    def design_point(self) -> np.ndarray:
+        return self.design[len(self.history)]
+
+    def proposal_inputs(self) -> tuple:
+        """propose's arguments for the next point: the models fitted to the
+        history, the constraint spec, the best cost and the step's generator."""
+        k = len(self.history)
+        U = np.array([ev.x for ev in self.history])
+        costs = np.array([ev.cost for ev in self.history])
+        refit = self._obj_hyper is None or (k - len(self.design)) % HYPER_REFIT_PERIOD == 0
+        if refit:
+            self._obj_hyper = fit_hyper(U, costs, self._grid)
+        obj_model = fit(U, costs, self._obj_hyper)
+
+        h_model = None
+        if self.spec is not None:
+            observed = [(ev.x, ev.h_value) for ev in self.history if ev.h_value is not None]
+            if observed:
+                Uh = np.array([x for x, _ in observed])
+                hs = np.array([h for _, h in observed])
+                if refit or self._h_hyper is None:
+                    self._h_hyper = fit_hyper(Uh, hs, self._grid)
+                h_model = fit(Uh, hs, self._h_hyper)
+        return obj_model, h_model, self.spec, float(costs.min()), self.seed.generator(1, k)
+
+    def evaluate(self, x_orig: np.ndarray, observe) -> None:
+        """Record the observation observe() gives at the original-units x_orig.
+
+        A failure of observe other than BlackBoxError, and a non-finite cost,
+        raise BlackBoxError carrying the history so far.
+        """
+        try:
+            cost, h_value, fell = _parse_observation(observe())
+        except BlackBoxError:
+            raise
+        except Exception as exc:
+            err = BlackBoxError(f"black box failed at x={x_orig}: {exc}",
+                                tuple(self.history))
+            raise err from exc
+        if not np.isfinite(cost):
+            raise BlackBoxError(f"black box returned non-finite cost at x={x_orig}",
+                                tuple(self.history))
+        self.history.append(Evaluation(to_unit(x_orig, self.box), cost, h_value, fell))
+
+    def result(self) -> BOResult:
+        costs = np.array([ev.cost for ev in self.history])
+        best_idx = int(np.argmin(costs))
+        return BOResult(
+            best_x=self.history[best_idx].x,
+            best_cost=float(costs[best_idx]),
+            history=tuple(self.history),
+            best_cost_trace=np.minimum.accumulate(costs),
+        )
+
+
 def optimize(black_box, box: Box, iterations: int, init_count: int,
              spec: ConstraintSpec | None = None, initial_design=None,
              seed: SeedSpec = SeedSpec(0)) -> BOResult:
@@ -270,80 +441,14 @@ def optimize(black_box, box: Box, iterations: int, init_count: int,
     including the initial design. The returned best is the best observed
     evaluation, never a model prediction.
     """
-    if init_count < 1:
-        raise ConfigurationError(f"init_count must be at least 1, got {init_count}")
-    if iterations < init_count:
-        raise ConfigurationError(
-            f"iterations ({iterations}) must cover the initial design ({init_count})"
-        )
-
-    n = box.n_dims
-    history: list[Evaluation] = []
-
-    def evaluate(x_orig: np.ndarray) -> None:
-        try:
-            raw = black_box(np.array(x_orig))
-            cost, h_value, fell = _parse_observation(raw)
-        except BlackBoxError:
-            raise
-        except Exception as exc:
-            err = BlackBoxError(f"black box failed at x={x_orig}: {exc}", tuple(history))
-            raise err from exc
-        if not np.isfinite(cost):
-            raise BlackBoxError(f"black box returned non-finite cost at x={x_orig}",
-                                tuple(history))
-        history.append(Evaluation(to_unit(x_orig, box), cost, h_value, fell))
-
-    if initial_design is not None:
-        design = [np.asarray(x, dtype=float) for x in initial_design]
-        if not design:
-            raise ConfigurationError("initial design must not be empty when given")
-        if len(design) > iterations:
-            raise ConfigurationError(
-                f"initial design has {len(design)} points, more than {iterations} iterations"
-            )
-        for x in design:
-            to_unit(x, box)  # raises RangeError before anything is evaluated
-    else:
-        rng_init = seed.generator(0)
-        design = [from_unit(rng_init.random(n), box) for _ in range(init_count)]
-    for x in design:
-        evaluate(x)
-
-    grid = default_hyper_grid(n)
-    obj_hyper = None
-    h_hyper = None
-    first_loop = len(history)
-    for k in range(first_loop, iterations):
-        U = np.array([ev.x for ev in history])
-        costs = np.array([ev.cost for ev in history])
-        refit = obj_hyper is None or (k - first_loop) % HYPER_REFIT_PERIOD == 0
-        if refit:
-            obj_hyper = fit_hyper(U, costs, grid)
-        obj_model = fit(U, costs, obj_hyper)
-
-        h_model = None
-        if spec is not None:
-            observed = [(ev.x, ev.h_value) for ev in history if ev.h_value is not None]
-            if observed:
-                Uh = np.array([x for x, _ in observed])
-                hs = np.array([h for _, h in observed])
-                if refit or h_hyper is None:
-                    h_hyper = fit_hyper(Uh, hs, grid)
-                h_model = fit(Uh, hs, h_hyper)
-
-        best = float(costs.min())
-        u = propose(obj_model, h_model, spec, best, seed.generator(1, k))
-        evaluate(from_unit(u, box))
-
-    costs = np.array([ev.cost for ev in history])
-    best_idx = int(np.argmin(costs))
-    return BOResult(
-        best_x=history[best_idx].x,
-        best_cost=float(costs[best_idx]),
-        history=tuple(history),
-        best_cost_trace=np.minimum.accumulate(costs),
-    )
+    run = _BORun(box, iterations, init_count, spec, initial_design, seed)
+    while not run.done:
+        if run.in_design:
+            x = run.design_point()
+        else:
+            x = from_unit(propose(*run.proposal_inputs()), box)
+        run.evaluate(x, lambda: black_box(np.array(x)))
+    return run.result()
 
 
 def result_to_log_entries(result: BOResult) -> list[dict]:

@@ -21,6 +21,8 @@ __all__ = [
     "SeedSpec",
     "apply_correction",
     "correction_from_vector",
+    "from_unit",
+    "to_unit",
 ]
 
 

@@ -20,11 +20,17 @@ class ConfigurationError(GaitBoError, ValueError):
 
 
 class SimulationError(GaitBoError, RuntimeError):
-    """The plant produced a non-finite state."""
+    """The plant produced a non-finite state.
 
-    def __init__(self, message: str, step_index: int | None = None):
+    step_index is the step it failed at; episode_index, when a batch of
+    episodes was run, the input-order index of the failing episode.
+    """
+
+    def __init__(self, message: str, step_index: int | None = None,
+                 episode_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
+        self.episode_index = episode_index
 
 
 class NumericalError(GaitBoError, RuntimeError):

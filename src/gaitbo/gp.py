@@ -4,8 +4,9 @@ Targets are standardized before fitting; posteriors are mapped back to the
 original scale. Factorization goes through a jittered Cholesky that retries
 with doubled jitter before giving up. A fitted model keeps its scaled training
 inputs, so a posterior at new points costs one cross-kernel, one product and
-one LAPACK triangular solve. A batch can also be scored row by row in one call,
-rounding each row as a one-point posterior does.
+one LAPACK triangular solve. Rows can also be scored one by one in a single
+call, each against its own model of a stack and rounded as a one-point
+posterior is.
 """
 
 from __future__ import annotations
@@ -198,36 +199,79 @@ def _posterior_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.n
     return mean, std
 
 
-def _pointwise_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _ModelStack:
+    """Fitted models sharing a point count and dimension, their posterior
+    factors stacked along a leading model axis."""
+
+    twice_scaled_X: np.ndarray  # (models, n, d)
+    scaled_sq_norms: np.ndarray  # (models, n, 1)
+    alpha: np.ndarray  # (models, n, 1)
+    lengthscales: np.ndarray  # (models, d)
+    signal_var: np.ndarray  # (models,)
+    y_scale: np.ndarray  # (models,)
+    y_mean: np.ndarray  # (models,)
+    L: tuple
+
+
+def _stack_models(models) -> _ModelStack:
+    models = tuple(models)
+    return _ModelStack(
+        twice_scaled_X=np.stack([m.twice_scaled_X for m in models]),
+        scaled_sq_norms=np.stack([m.scaled_sq_norms for m in models]),
+        alpha=np.stack([m.alpha for m in models])[:, :, None],
+        lengthscales=np.stack([m.hyper.lengthscales for m in models]),
+        signal_var=np.array([m.hyper.signal_std**2 for m in models]),
+        y_scale=np.array([m.y_scale for m in models]),
+        y_mean=np.array([m.y_mean for m in models]),
+        L=tuple(m.L for m in models),
+    )
+
+
+def _stacked_moments(stack: _ModelStack, owner: np.ndarray | None,
+                     Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_posterior_moments at each row of Xq on its own, bit for bit, in one call.
 
-    The cross-kernel and mean products are stacked, one (n, d) @ (d, 1) and
-    one (1, n) @ (n,) per row, which round like the one-row products; plain
-    2-D products do not. The triangular solve takes one LAPACK call per row,
-    because a multi-column solve rounds differently.
+    Row r is scored against model owner[r] of the stack; with owner None,
+    every row against a stack of one, whose arrays then broadcast instead of
+    being gathered per row. The cross-kernel and mean products are stacked,
+    one (n, d) @ (d, 1) and one (1, n) @ (n, 1) per row, which round like the
+    one-row products; plain 2-D products do not. The triangular solve takes
+    one LAPACK call per row, against that row's own factor, because a
+    multi-column solve rounds differently.
     """
-    hyper = model.hyper
-    B = Xq / hyper.lengthscales
-    sq = np.add(model.scaled_sq_norms, np.add.reduce(B**2, axis=1)[:, None, None])
-    np.subtract(sq, np.matmul(model.twice_scaled_X, B[:, :, None]), out=sq)
+    if owner is None:
+        rows, factors = slice(None), stack.L * len(Xq)
+    else:
+        rows, factors = owner, [stack.L[m] for m in owner.tolist()]
+    B = Xq / stack.lengthscales[rows]
+    sq = np.add(stack.scaled_sq_norms[rows], np.add.reduce(B**2, axis=1)[:, None, None])
+    np.subtract(sq, np.matmul(stack.twice_scaled_X[rows], B[:, :, None]), out=sq)
     np.maximum(sq, 0.0, out=sq)
     np.multiply(sq, -0.5, out=sq)
     np.exp(sq, out=sq)
-    Ks = np.multiply(sq, hyper.signal_std**2, out=sq)  # (rows, n, 1)
-    mean_s = np.matmul(Ks.transpose(0, 2, 1), model.alpha)[:, 0]
+    signal_var = stack.signal_var[rows]
+    Ks = np.multiply(sq, signal_var[:, None, None], out=sq)  # (rows, n, 1)
+    mean_s = np.matmul(Ks.transpose(0, 2, 1), stack.alpha[rows])[:, 0, 0]
     columns = []
-    for k in Ks:
-        v, info = _trtrs(model.L, k, 1)  # lower
+    for k, L in zip(Ks, factors):
+        v, info = _trtrs(L, k, 1)  # lower
         if info != 0:
             raise NumericalError(f"triangular solve failed (LAPACK info {info})")
         columns.append(v)
     # each row's solution contiguous, so its squared sum pairs up as in the one-row call
     V = np.concatenate(columns).reshape(len(columns), -1)
-    var = hyper.signal_std**2 - np.add.reduce(V**2, axis=1)
+    var = signal_var - np.add.reduce(V**2, axis=1)
     np.maximum(var, 0.0, out=var)
-    mean = mean_s * model.y_scale + model.y_mean
-    std = np.sqrt(var) * model.y_scale
+    y_scale = stack.y_scale[rows]
+    mean = mean_s * y_scale + stack.y_mean[rows]
+    std = np.sqrt(var) * y_scale
     return mean, std
+
+
+def _pointwise_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_stacked_moments for one model: each row of Xq as if scored on its own."""
+    return _stacked_moments(_stack_models((model,)), None, Xq)
 
 
 def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:

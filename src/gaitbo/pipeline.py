@@ -13,6 +13,7 @@ a whole run is reproducible artifact-for-artifact.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bo import BOResult, ConstraintSpec, optimize, write_run_log
+from .bo import BOResult, ConstraintSpec, _BORun, _propose_level, optimize, write_run_log
 from .domain import (
     Box,
     ControlParams,
@@ -33,13 +34,14 @@ from .domain import (
     from_unit,
 )
 from .errors import BlackBoxError, ConfigurationError, GridNodeError, SafeSetError
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, SimulationError
 from .objective import ObjectiveConfig, converged_stats, evaluate_cost
 from .plant import (
     PlantConfig,
     learning_profile,
     real_config,
     run_episode,
+    run_episodes,
     sim_config,
     stepping_start,
 )
@@ -295,6 +297,16 @@ def _write_log(result: BOResult, out_dir, phase: str, gait: GaitParameter) -> No
     write_run_log(result, os.path.join(run_dir, "log.json"))
 
 
+def _gain_params(x: np.ndarray) -> ControlParams:
+    """The controller of a 6-vector of gains: kP then kD, no command offset."""
+    return ControlParams(x[:3], x[3:6], np.zeros(3))
+
+
+def _gain_observation(traj, gait: GaitParameter, cfg: PipelineConfig) -> tuple:
+    """A learning episode as a gain run's (cost, h_value, fell)."""
+    return evaluate_cost(traj, gait, cfg.objective), None, traj.fell
+
+
 def _gain_black_box(gait: GaitParameter, cfg: PipelineConfig, plant: PlantConfig,
                     run_seed: SeedSpec):
     """Evaluate one 6-vector of gains by running a learning episode."""
@@ -304,12 +316,29 @@ def _gain_black_box(gait: GaitParameter, cfg: PipelineConfig, plant: PlantConfig
 
     def black_box(x):
         idx = next(counter)
-        table = GainTable.constant(ControlParams(x[:3], x[3:6], np.zeros(3)))
-        traj = run_episode(plant, table, profile, start,
+        traj = run_episode(plant, GainTable.constant(_gain_params(x)), profile, start,
                            run_seed.derive(_EPISODE_KEY, idx))
-        return evaluate_cost(traj, gait, cfg.objective), None, traj.fell
+        return _gain_observation(traj, gait, cfg)
 
     return black_box
+
+
+@contextlib.contextmanager
+def _failure_names_gait(what: str, gait: GaitParameter):
+    """Re-raise a BlackBoxError naming the phase's quantity and the gait."""
+    try:
+        yield
+    except BlackBoxError as exc:
+        raise BlackBoxError(
+            f"{what} learning failed at gait ({gait.vx}, {gait.vy}, {gait.h}): {exc}",
+            exc.history) from exc
+
+
+def _warm_design(first, run_seed: SeedSpec, box: Box, init_count: int) -> list:
+    """An initial design starting at first, the rest drawn from the run seed's
+    stream 0."""
+    rng = run_seed.generator(0)
+    return [first] + [from_unit(rng.random(box.n_dims), box) for _ in range(init_count - 1)]
 
 
 def _run_bo(what: str, gait: GaitParameter, black_box, box: Box, run_seed: SeedSpec,
@@ -320,23 +349,14 @@ def _run_bo(what: str, gait: GaitParameter, black_box, box: Box, run_seed: SeedS
     Given a first design point, the rest of the initial design is drawn from
     the run seed's stream 0; without one, optimize draws the whole design.
     """
-    design = None
-    if first is not None:
-        rng = run_seed.generator(0)
-        design = [first] + [from_unit(rng.random(box.n_dims), box)
-                            for _ in range(init_count - 1)]
-    try:
+    design = None if first is None else _warm_design(first, run_seed, box, init_count)
+    with _failure_names_gait(what, gait):
         return optimize(black_box, box, iterations, init_count, spec=spec,
                         initial_design=design, seed=run_seed)
-    except BlackBoxError as exc:
-        raise BlackBoxError(
-            f"{what} learning failed at gait ({gait.vx}, {gait.vy}, {gait.h}): {exc}",
-            exc.history) from exc
 
 
 def _best_params(result: BOResult, box: Box) -> ControlParams:
-    x = from_unit(result.best_x, box)
-    return ControlParams(x[:3], x[3:6], np.zeros(3))
+    return _gain_params(from_unit(result.best_x, box))
 
 
 def _sim_schedule(cfg: PipelineConfig) -> list:
@@ -410,6 +430,61 @@ def _fill_table(cfg: PipelineConfig, visited: dict) -> GainTable:
     return GainTable(cfg.vx_nodes, cfg.vy_nodes, cfg.h_nodes, values)
 
 
+def _sim_levels(schedule: list) -> list:
+    """Schedule positions by level, each level in schedule order.
+
+    A run's level is 0 without a parent, and its parent's level plus 1
+    otherwise. The runs of one level do not depend on each other.
+    """
+    depth: list = []
+    levels: list = []
+    for position, (_, _, _, parent, _) in enumerate(schedule):
+        depth.append(0 if parent is None else depth[parent] + 1)
+        if depth[-1] == len(levels):
+            levels.append([])
+        levels[depth[-1]].append(position)
+    return levels
+
+
+def _run_sim2_level(runs: list, cfg: PipelineConfig, plant: PlantConfig, box: Box) -> list:
+    """The BO runs of one sim-2 level in lockstep; runs lists each run's
+    (gait, run seed, first design point).
+
+    Every run takes its next evaluation at each step: the proposals come
+    from one _propose_level call and the episodes from one run_episodes
+    call, each run's seeded by its own evaluation index. Each run's results
+    equal those of its own optimize call.
+    """
+    gaits = [gait for gait, _, _ in runs]
+    bo_runs = [_BORun(box, cfg.i2, cfg.init_counts[1], seed=run_seed,
+                      initial_design=_warm_design(first, run_seed, box, cfg.init_counts[1]))
+               for _, run_seed, first in runs]
+    profiles = [learning_profile(gait) for gait in gaits]
+    starts = [stepping_start(gait) for gait in gaits]
+    while not bo_runs[0].done:  # the runs share one budget
+        proposed = iter(_propose_level([run.proposal_inputs() for run in bo_runs
+                                        if not run.in_design]))
+        xs = [run.design_point() if run.in_design else from_unit(next(proposed), box)
+              for run in bo_runs]
+        tables = [GainTable.constant(_gain_params(x)) for x in xs]
+        seeds = [run_seed.derive(_EPISODE_KEY, len(run.history))
+                 for (_, run_seed, _), run in zip(runs, bo_runs)]
+        try:
+            trajectories = run_episodes(plant, tables, profiles, starts, seeds)
+        except SimulationError as exc:
+            failed = exc.episode_index
+
+            def rethrow():
+                raise exc
+
+            with _failure_names_gait("gain", gaits[failed]):
+                bo_runs[failed].evaluate(xs[failed], rethrow)  # raises
+        for gait, run, x, traj in zip(gaits, bo_runs, xs, trajectories):
+            with _failure_names_gait("gain", gait):
+                run.evaluate(x, lambda: _gain_observation(traj, gait, cfg))
+    return [run.result() for run in bo_runs]
+
+
 def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = None,
               ) -> GainTable:
     """Tune gains for every listed gait in simulation and build the table.
@@ -418,25 +493,36 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
     run in order of distance to the nearest finished gait, reusing its
     optimum as the first design point. That order and each gait's parent
     depend only on gait positions, so _sim_schedule fixes them up front.
+    The nominal runs go one after another; then each level of the rest runs
+    in lockstep, since a run needs only its parent's optimum.
     """
     plant = sim_config() if plant is None else plant
     root = cfg.root_seed()
     box = cfg.gain_box
-    budgets = {"sim1": (_STREAM_SIM1, cfg.i1, cfg.init_counts[0]),
-               "sim2": (_STREAM_SIM2, cfg.i2, cfg.init_counts[1])}
-    found: list = []  # each run's optimum, in schedule order
-    visited: dict = {}
+    schedule = _sim_schedule(cfg)
+    levels = _sim_levels(schedule)
+    results: list = [None] * len(schedule)  # by schedule position
+    found: list = [None] * len(schedule)  # each run's optimum
 
-    for phase, index, gait, parent, dist in _sim_schedule(cfg):
-        stream, iterations, init_count = budgets[phase]
-        run_seed = root.derive(stream, index)
-        first = None
-        if parent is not None:
-            first = np.concatenate([found[parent].kP, found[parent].kD])
-        result = _run_bo("gain", gait, _gain_black_box(gait, cfg, plant, run_seed), box,
-                         run_seed, iterations, init_count, first=first)
-        params = _best_params(result, box)
-        found.append(params)
+    for position in levels[0]:
+        _, index, gait, _, _ = schedule[position]
+        run_seed = root.derive(_STREAM_SIM1, index)
+        results[position] = _run_bo(
+            "gain", gait, _gain_black_box(gait, cfg, plant, run_seed), box, run_seed,
+            cfg.i1, cfg.init_counts[0])
+        found[position] = _best_params(results[position], box)
+    for level in levels[1:]:
+        runs = []
+        for position in level:
+            _, index, gait, parent, _ = schedule[position]
+            runs.append((gait, root.derive(_STREAM_SIM2, index),
+                         np.concatenate([found[parent].kP, found[parent].kD])))
+        for position, result in zip(level, _run_sim2_level(runs, cfg, plant, box)):
+            results[position] = result
+            found[position] = _best_params(result, box)
+
+    visited: dict = {}
+    for (phase, _, gait, _, dist), result, params in zip(schedule, results, found):
         visited[(gait.vx, gait.vy, gait.h)] = params
         _write_log(result, out_dir, phase, gait)
         where = "" if dist is None else f" (dist {dist:.3g})"

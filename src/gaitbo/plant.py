@@ -268,27 +268,29 @@ def step(
     return p_hat + v_new, v_new, u_new
 
 
-def run_episodes(cfg: PlantConfig, table, profiles, initials, seeds) -> tuple:
+def run_episodes(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
     """Run a batch of closed-loop episodes in one array pass.
 
-    Episode k follows profiles[k] from initials[k] with noise from seeds[k];
-    all profiles must share one duration. Gains are looked up once per
-    command, and each episode draws its whole noise block up front from its
-    own stream, so every Trajectory equals the one its episode gives alone,
-    bit for bit. Every episode is stepped to the end; falls and non-finite
-    states are then found from the recorded samples, and each trajectory is
-    cut at its fall. If a state turned non-finite before its episode fell,
-    SimulationError is raised for the first such episode in input order,
-    with the step it failed at.
+    Episode k runs under tables[k], following profiles[k] from initials[k]
+    with noise from seeds[k]; all profiles must share one duration. Gains are
+    looked up once per distinct table and command, and each episode draws its
+    whole noise block up front from its own stream, so every Trajectory
+    equals the one its episode gives alone, bit for bit. Every episode is
+    stepped to the end; falls and non-finite states are then found from the
+    recorded samples, and each trajectory is cut at its fall. If a state
+    turned non-finite before its episode fell, SimulationError is raised for
+    the first such episode in input order, with its index and the step it
+    failed at.
     """
     from .scheduler import lookup  # local import to avoid a module cycle
 
-    profiles, initials, seeds = tuple(profiles), tuple(initials), tuple(seeds)
+    tables, profiles = tuple(tables), tuple(profiles)
+    initials, seeds = tuple(initials), tuple(seeds)
     n = len(profiles)
-    if n == 0 or len(initials) != n or len(seeds) != n:
+    if n == 0 or not len(tables) == len(initials) == len(seeds) == n:
         raise ConfigurationError(
-            f"a batch needs one profile, initial state and seed per episode, got "
-            f"{n}, {len(initials)} and {len(seeds)}"
+            f"a batch needs one table, profile, initial state and seed per episode, "
+            f"got {len(tables)}, {n}, {len(initials)} and {len(seeds)}"
         )
     n_float = profiles[0].total_duration / cfg.dt
     n_steps = int(round(n_float))
@@ -305,16 +307,17 @@ def run_episodes(cfg: PlantConfig, table, profiles, initials, seeds) -> tuple:
     p_des = np.empty((n_steps + 1, n, 3))
     gains = np.empty((n_steps + 1, n, 9))
     noise = np.empty((n_steps, n, 3))
-    resolved = {}
-    for k, (profile, seed) in enumerate(zip(profiles, seeds)):
+    resolved = {}  # keyed by (id(table), command); tables holds every table alive
+    for k, (table, profile, seed) in enumerate(zip(tables, profiles, seeds)):
         commands = [cmd for _, cmd in profile.entries]
-        for cmd in commands:
-            if cmd not in resolved:
-                resolved[cmd] = lookup(table, cmd).as_vector()
+        keys = [(id(table), cmd) for cmd in commands]
+        for key, cmd in zip(keys, commands):
+            if key not in resolved:
+                resolved[key] = lookup(table, cmd).as_vector()
         segment = np.searchsorted([start for start, _ in profile.entries], times,
                                   side="right") - 1
         p_des[:, k] = np.array([cmd.as_array() for cmd in commands])[segment]
-        gains[:, k] = np.array([resolved[cmd] for cmd in commands])[segment]
+        gains[:, k] = np.array([resolved[key] for key in keys])[segment]
         noise[:, k] = seed.generator().normal(0.0, cfg.noise_std, size=(n_steps, 3))
 
     p_hat = np.array([s.p_hat for s in initials])
@@ -351,7 +354,8 @@ def run_episodes(cfg: PlantConfig, table, profiles, initials, seeds) -> tuple:
     if failed.size:
         step_index = int(broken[:, failed[0]].argmax()) - 1
         raise SimulationError(
-            f"plant state became non-finite at step {step_index}", step_index=step_index
+            f"plant state became non-finite at step {step_index}", step_index=step_index,
+            episode_index=int(failed[0]),
         )
     return tuple(
         Trajectory(
@@ -380,7 +384,7 @@ def run_episode(
     terminate early with fell=True when the fall predicate fires. This is
     run_episodes on a batch of one.
     """
-    return run_episodes(cfg, table, (profile,), (initial,), (seed,))[0]
+    return run_episodes(cfg, (table,), (profile,), (initial,), (seed,))[0]
 
 
 def stepping_start(command: GaitParameter) -> PlantState:

@@ -168,7 +168,7 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
     for first in range(0, len(grid), _SWEEP_CHUNK):
         chunk = grid[first:first + _SWEEP_CHUNK]
         trajectories = run_episodes(
-            cfg, table,
+            cfg, (table,) * len(chunk),
             [learning_profile(cmd) for cmd in chunk],
             [stepping_start(cmd) for cmd in chunk],
             [seed.derive(first + k) for k in range(len(chunk))],

@@ -23,11 +23,14 @@ from gaitbo.bo import (
     result_to_log_entries,
     write_run_log,
     _coordinate_refine,
+    _propose_level,
     _refinement_scores,
+    _stacked_scores,
 )
 from gaitbo.domain import Box, SeedSpec, from_unit
 from gaitbo.errors import BlackBoxError, ConfigurationError
-from gaitbo.gp import Hyperparams, _std_ratio, default_hyper_grid, fit, posterior_batch
+from gaitbo.gp import (Hyperparams, _stack_models, _std_ratio, default_hyper_grid, fit,
+                       posterior_batch)
 
 
 def reference_ei(mean, std, best):
@@ -270,6 +273,70 @@ class TestProposeBitIdentity:
         got = propose(obj, con, spec, best, SeedSpec(propose_seed).generator())
         want = reference_propose(obj, con, spec, best, SeedSpec(propose_seed).generator())
         np.testing.assert_array_equal(got, want)
+
+
+def random_models(rng, n_models, n_points, n_dims):
+    """Models on one point count and dimension, each with grid hyperparameters."""
+    grid = default_hyper_grid(n_dims)
+    return [fit(rng.random((n_points, n_dims)), rng.normal(0.0, 1.0, n_points),
+                grid[int(rng.integers(len(grid)))]) for _ in range(n_models)]
+
+
+class TestLevelScoring:
+    """Runs scored together give each run's own scores and proposals, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_models=st.integers(2, 6), n_points=st.integers(1, 100),
+           n_dims=st.integers(1, 6), data_seed=st.integers(0, 2**32 - 1))
+    def test_stacked_scores_match_each_models_own(self, n_models, n_points, n_dims,
+                                                  data_seed):
+        rng = np.random.default_rng(data_seed)
+        models = random_models(rng, n_models, n_points, n_dims)
+        ratios = [float(r) for r in rng.uniform(1.0, 50.0, n_models)]
+        bests = [float(m.y_mean - rng.uniform(0.0, 2.0) * m.y_scale) for m in models]
+        blocks = [rng.random((int(rng.integers(1, 14)), n_dims)) for _ in models]
+        owner = np.concatenate([np.full(len(b), i) for i, b in enumerate(blocks)])
+        X = np.concatenate(blocks)
+        order = rng.permutation(len(X))  # rows of the models interleaved
+        got = np.empty(len(X))
+        got[order] = _stacked_scores(_stack_models(models), owner[order], X[order],
+                                     np.array(ratios)[owner[order]],
+                                     np.array(bests)[owner[order]])
+        start = 0
+        for model, ratio, best, block in zip(models, ratios, bests, blocks):
+            want = _refinement_scores(model, block, ratio, best)
+            assert got[start:start + len(block)].tolist() == want.tolist()
+            start += len(block)
+
+    @settings(max_examples=25, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["free", "constrained", "fallback"]),
+                          min_size=1, max_size=6),
+           n_points=st.integers(1, 60), n_dims=st.integers(2, 6),
+           data_seed=st.integers(0, 2**32 - 1))
+    def test_propose_level_matches_propose_per_run(self, kinds, n_points, n_dims,
+                                                   data_seed):
+        rng = np.random.default_rng(data_seed)
+        models = random_models(rng, len(kinds), n_points, n_dims)
+        spec = ConstraintSpec(tolerance=0.05)
+        problems = []
+        for model, kind in zip(models, kinds):
+            h_model = None
+            if kind != "free":
+                # a constraint far above zero leaves no candidate feasible
+                shift = 100.0 if kind == "fallback" else rng.random()
+                h_model = fit(model.X, model.X[:, 0] - 0.5 + shift, model.hyper)
+            best = float(model.y_mean - rng.uniform(0.0, 2.0) * model.y_scale)
+            problems.append((model, h_model, None if kind == "free" else spec, best,
+                             int(rng.integers(2**32))))
+
+        def with_generators():
+            return [(*args, SeedSpec(seed).generator()) for *args, seed in problems]
+
+        got = _propose_level(with_generators())
+        want = [propose(*args) for args in with_generators()]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestOptimize:

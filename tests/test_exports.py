@@ -1,4 +1,5 @@
-"""The public names: every exported name resolves to a definition."""
+"""The public names: every exported name resolves to a definition and is listed
+in its module's __all__."""
 
 import ast
 import importlib
@@ -29,3 +30,14 @@ def test_every_package_import_resolves():
     for module, name in imported:
         assert hasattr(importlib.import_module(f"gaitbo.{module}"), name), (module, name)
         assert hasattr(gaitbo, name), name
+
+
+def test_every_package_import_is_in_its_module_all():
+    # a name the package exports is public, so `from module import *` must give it too
+    missing = [(node.module, alias.name)
+               for node in ast.parse(inspect.getsource(gaitbo)).body
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names
+               if alias.name not in getattr(importlib.import_module(f"gaitbo.{node.module}"),
+                                            "__all__", ())]
+    assert missing == []

@@ -10,12 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitbo.domain import ControlParams, GaitParameter, SeedSpec, from_unit
-from gaitbo.errors import ConfigurationError, SafeSetError
+from gaitbo.errors import BlackBoxError, ConfigurationError, SafeSetError, SimulationError
 from gaitbo.pipeline import (
+    _STREAM_SIM1,
+    _STREAM_SIM2,
     BenchmarkReport,
     PipelineConfig,
     TableBenchmark,
+    _best_params,
+    _fill_table,
+    _gain_black_box,
+    _run_bo,
+    _sim_levels,
     _sim_schedule,
+    _write_log,
     baseline_table,
     benchmark,
     benchmark_to_json_dict,
@@ -30,7 +38,7 @@ from gaitbo.pipeline import (
 )
 from gaitbo.plant import real_config, sim_config
 from gaitbo.safeset import load_polyhedron
-from gaitbo.scheduler import GainTable, load_table
+from gaitbo.scheduler import GainTable, load_table, save_table
 
 
 def tiny_config(**overrides):
@@ -312,21 +320,136 @@ class TestSimSchedule:
             np.testing.assert_allclose(log[0]["x"], best, atol=1e-12)
 
 
+def reference_learn_sim(cfg, out_dir=None):
+    """learn_sim as a sequential loop over _sim_schedule: one optimize call
+    per run, each run's log written as it finishes."""
+    plant = sim_config()
+    root = cfg.root_seed()
+    box = cfg.gain_box
+    budgets = {"sim1": (_STREAM_SIM1, cfg.i1, cfg.init_counts[0]),
+               "sim2": (_STREAM_SIM2, cfg.i2, cfg.init_counts[1])}
+    found: list = []
+    visited: dict = {}
+    for phase, index, gait, parent, _ in _sim_schedule(cfg):
+        stream, iterations, init_count = budgets[phase]
+        run_seed = root.derive(stream, index)
+        first = None
+        if parent is not None:
+            first = np.concatenate([found[parent].kP, found[parent].kD])
+        result = _run_bo("gain", gait, _gain_black_box(gait, cfg, plant, run_seed), box,
+                         run_seed, iterations, init_count, first=first)
+        params = _best_params(result, box)
+        found.append(params)
+        visited[(gait.vx, gait.vy, gait.h)] = params
+        _write_log(result, out_dir, phase, gait)
+    table = _fill_table(cfg, visited)
+    if out_dir is not None:
+        save_table(table, os.path.join(out_dir, "gaintable_sim.json"))
+    return table
+
+
+def tree_bytes(root) -> dict:
+    return {os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(root) for f in files}
+
+
+def multi_level_config():
+    """Three sim-2 levels of width 4 or more: 4, 6 and 4."""
+    nodes = [GaitParameter(vx, vy, 1.0) for vx in (-0.4, -0.2, 0.0, 0.2, 0.4)
+             for vy in (-0.2, 0.0, 0.2)]
+    return tiny_config(vx_nodes=(-0.4, -0.2, 0.0, 0.2, 0.4), vy_nodes=(-0.2, 0.0, 0.2),
+                       h_nodes=(1.0,), p_sim1=(nodes[7],), p_sim2=nodes[:7] + nodes[8:],
+                       i1=6, i2=6, init_counts=(2, 2, 1))
+
+
+class TestLockstep:
+    """Each sim-2 level runs in lockstep and gives the sequential loop's artifacts."""
+
+    @pytest.mark.parametrize("cfg, widths", [
+        (full_scale_config(), [4, 4, 6, 8, 5, 8, 13, 20, 28, 34, 38, 38, 34, 28, 20, 12,
+                               6, 2]),
+        (desk_scale_config(), [2, 2, 2]),
+        (full_learn_sim_slice(), [1, 4, 4]),
+        (multi_level_config(), [1, 4, 6, 4]),
+    ], ids=["full", "desk", "full_learn_sim", "multi_level"])
+    def test_level_widths(self, cfg, widths):
+        schedule = _sim_schedule(cfg)
+        levels = _sim_levels(schedule)
+        assert [len(level) for level in levels] == widths
+        assert sorted(p for level in levels for p in level) == list(range(len(schedule)))
+        assert all(schedule[p][3] is None for p in levels[0])
+        for depth, level in enumerate(levels[1:], start=1):
+            assert all(schedule[p][0] == "sim2" and schedule[p][3] in levels[depth - 1]
+                       for p in level)
+
+    @pytest.mark.parametrize("make_cfg", [desk_scale_config, multi_level_config],
+                             ids=["desk", "multi_level"])
+    def test_same_logs_and_table_as_sequential_loop(self, make_cfg, tmp_path):
+        cfg = make_cfg()
+        learn_sim(cfg, out_dir=str(tmp_path / "lockstep"))
+        reference_learn_sim(cfg, out_dir=str(tmp_path / "sequential"))
+        got = tree_bytes(tmp_path / "lockstep")
+        assert len(got) == len(cfg.p_sim1) + len(cfg.p_sim2) + 1
+        assert got == tree_bytes(tmp_path / "sequential")
+
+    def test_failing_episode_names_its_own_run(self, desk_cfg, tmp_path, monkeypatch):
+        import gaitbo.pipeline as pipeline
+
+        schedule = _sim_schedule(desk_cfg)
+        second = schedule[_sim_levels(schedule)[1][1]][2]
+        failure = "plant state became non-finite at step 7"
+
+        # the sequential loop, failing at the first episode of that run
+        single = pipeline.run_episode
+
+        def failing_single(plant, table, profile, initial, seed):
+            if profile == pipeline.learning_profile(second):
+                raise SimulationError(failure, step_index=7)
+            return single(plant, table, profile, initial, seed)
+
+        monkeypatch.setattr(pipeline, "run_episode", failing_single)
+        with pytest.raises(BlackBoxError) as sequential:
+            reference_learn_sim(desk_cfg)
+        monkeypatch.setattr(pipeline, "run_episode", single)
+
+        # lockstep, the level's batch failing at its second episode
+        def failing_batch(plant, tables, profiles, initials, seeds):
+            assert len(tables) == 2
+            raise SimulationError(failure, step_index=7, episode_index=1)
+
+        monkeypatch.setattr(pipeline, "run_episodes", failing_batch)
+        with pytest.raises(BlackBoxError) as lockstep:
+            learn_sim(desk_cfg, out_dir=str(tmp_path))
+        assert str(lockstep.value) == str(sequential.value)
+        assert str(lockstep.value).startswith(
+            f"gain learning failed at gait ({second.vx}, {second.vy}, {second.h}): "
+            "black box failed at x=")
+        assert str(lockstep.value).endswith(failure)
+        assert lockstep.value.history == sequential.value.history == ()
+        assert not (tmp_path / "runs" / "sim2").exists()
+
+
 class TestBudgetConsumption:
     """The episodes a phase actually runs, counted at the plant, match its budget."""
 
     @staticmethod
     def count_episodes(monkeypatch):
+        """One entry per episode, run alone or in a batch: the plant it ran on."""
         import gaitbo.pipeline as pipeline
 
         plants = []
-        original = pipeline.run_episode
+        single, batched = pipeline.run_episode, pipeline.run_episodes
 
-        def counting(plant, *args, **kwargs):
+        def counting_single(plant, *args, **kwargs):
             plants.append(plant)
-            return original(plant, *args, **kwargs)
+            return single(plant, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "run_episode", counting)
+        def counting_batch(plant, tables, *args, **kwargs):
+            plants.extend([plant] * len(tables))
+            return batched(plant, tables, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_episode", counting_single)
+        monkeypatch.setattr(pipeline, "run_episodes", counting_batch)
         return plants
 
     def test_desk_learn_sim_runs_sim_budget_episodes(self, desk_cfg, monkeypatch):

@@ -391,6 +391,10 @@ MIXED_TABLE = mixed_table()
 POOL = tuple(GaitParameter(vx, vy, h) for vx in (-0.8, -0.3, 0.0, 0.5, 0.8)
              for vy in (-0.3, 0.0, 0.2) for h in (0.8, 0.95))
 SEED = SeedSpec(17, 2)
+# Tables a batch may mix, one per episode.
+TABLES = (MIXED_TABLE, constant_table([1.0] * 3, [0.3] * 3),
+          constant_table([20.0] * 3, np.zeros(3)),
+          constant_table([2.0, 1.5, 2.5], [0.5, 0.2, 0.4], [0.02, -0.01, 0.0]))
 
 
 def pool_episode(cmd, cfg):
@@ -402,7 +406,7 @@ class TestBatchedRollout:
     def test_batch_matches_reference_loop_and_batches_of_one(self, plant):
         cfg = plant()
         episodes = [pool_episode(cmd, cfg) for cmd in POOL]
-        batch = run_episodes(cfg, MIXED_TABLE, *zip(*episodes))
+        batch = run_episodes(cfg, (MIXED_TABLE,) * len(episodes), *zip(*episodes))
         fell = [traj.fell for traj in batch]
         assert any(fell) and not all(fell), "the pool must mix converged and fallen runs"
         for traj, episode in zip(batch, episodes):
@@ -416,7 +420,7 @@ class TestBatchedRollout:
         profile = learning_profile(cmd)
         assert len(profile.entries) == 1
         other = GaitParameter(0.5, 0.2, 0.8)
-        batch = run_episodes(cfg, MIXED_TABLE, (profile, learning_profile(other)),
+        batch = run_episodes(cfg, (MIXED_TABLE,) * 2, (profile, learning_profile(other)),
                              (stepping_start(cmd), stepping_start(other)),
                              (SeedSpec(5), SeedSpec(6)))
         assert_same_trajectory(batch[0], reference_episode(
@@ -429,10 +433,42 @@ class TestBatchedRollout:
            st.lists(st.sampled_from(POOL), min_size=1, max_size=12))
     def test_any_subset_and_order_equals_single_episodes(self, plant, commands):
         cfg = plant()
-        batch = run_episodes(cfg, MIXED_TABLE,
+        batch = run_episodes(cfg, (MIXED_TABLE,) * len(commands),
                              *zip(*(pool_episode(cmd, cfg) for cmd in commands)))
         for traj, cmd in zip(batch, commands):
             assert_same_trajectory(traj, single_pool_episode(plant, cmd))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([sim_config, real_config]),
+           st.lists(st.tuples(st.sampled_from(POOL), st.sampled_from(range(len(TABLES)))),
+                    min_size=1, max_size=12))
+    def test_a_table_per_episode_equals_single_episodes(self, plant, episodes):
+        cfg = plant()
+        batch = run_episodes(cfg, [TABLES[t] for _, t in episodes],
+                             *zip(*(pool_episode(cmd, cfg) for cmd, _ in episodes)))
+        for traj, (cmd, t) in zip(batch, episodes):
+            assert_same_trajectory(traj, reference_episode(cfg, TABLES[t],
+                                                           *pool_episode(cmd, cfg)))
+
+    def test_gains_are_looked_up_once_per_table_and_command(self, monkeypatch):
+        import gaitbo.scheduler as scheduler
+
+        calls = []
+        original = scheduler.lookup
+
+        def counting(table, cmd):
+            calls.append((id(table), cmd))
+            return original(table, cmd)
+
+        monkeypatch.setattr(scheduler, "lookup", counting)
+        cfg = sim_config()
+        commands = POOL[:4] * 2
+        tables = [TABLES[k % 2] for k in range(len(commands))]
+        run_episodes(cfg, tables, *zip(*(pool_episode(cmd, cfg) for cmd in commands)))
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(id(table), cmd)
+                              for table, c in zip(tables, commands)
+                              for _, cmd in learning_profile(c).entries}
 
     def test_non_finite_state_raises_for_first_episode_in_input_order(self):
         cfg = disturbance_free(sim_config())
@@ -453,19 +489,26 @@ class TestBatchedRollout:
             for order in (("late", "early"), ("early", "late")):
                 batch = [dict(late=late, early=early)[name] for name in order]
                 with pytest.raises(SimulationError, match=f"at step {steps[order[0]]}$") as info:
-                    run_episodes(cfg, table, *zip(*batch))
+                    run_episodes(cfg, (table,) * 2, *zip(*batch))
                 assert info.value.step_index == steps[order[0]]
+                assert info.value.episode_index == 0
 
     def test_rejects_mismatched_batches(self):
         cfg = sim_config()
         cmd = GaitParameter(0.0, 0.0, 1.0)
         table = constant_table([1.0] * 3, np.zeros(3))
         with pytest.raises(ConfigurationError):
-            run_episodes(cfg, table, (), (), ())
+            run_episodes(cfg, (), (), (), ())
         with pytest.raises(ConfigurationError):
-            run_episodes(cfg, table, (learning_profile(cmd),), (), (SeedSpec(0),))
+            run_episodes(cfg, (table,), (learning_profile(cmd),), (), (SeedSpec(0),))
+        with pytest.raises(ConfigurationError, match="one table"):
+            run_episodes(cfg, (table,) * 2, (learning_profile(cmd),), (stepping_start(cmd),),
+                         (SeedSpec(0),))
+        with pytest.raises(ConfigurationError, match="one table"):
+            run_episodes(cfg, (table,), (learning_profile(cmd),) * 2,
+                         (stepping_start(cmd),) * 2, (SeedSpec(0), SeedSpec(1)))
         with pytest.raises(ConfigurationError, match="share a profile duration"):
-            run_episodes(cfg, table,
+            run_episodes(cfg, (table,) * 2,
                          (learning_profile(cmd), CommandProfile(((0.0, cmd),), 8.0)),
                          (stepping_start(cmd),) * 2, (SeedSpec(0), SeedSpec(1)))
 
@@ -506,8 +549,8 @@ class TestFallDetection:
     def run_alone_and_batched(self, cfg, table, episode):
         reference = reference_episode(cfg, table, *episode)
         normal = (learning_profile(HOLD), stepping_start(HOLD), SeedSpec(9))
-        alone, = run_episodes(cfg, table, *zip(episode))
-        first, batched = run_episodes(cfg, table, *zip(normal, episode))
+        alone, = run_episodes(cfg, (table,), *zip(episode))
+        first, batched = run_episodes(cfg, (table,) * 2, *zip(normal, episode))
         for traj in (alone, batched):
             assert_same_trajectory(traj, reference)
         assert_same_trajectory(first, reference_episode(cfg, table, *normal))
