@@ -160,7 +160,7 @@ def _feasibility_values(h_model: GPModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked_scores(stack: _ModelStack, owner: np.ndarray | None, X: np.ndarray,
+def _stacked_scores(stack: _ModelStack, owner: np.ndarray, X: np.ndarray,
                     ratio, best) -> np.ndarray:
     """The refinement score at each row of X under its own model of the stack,
     with ratio and best given per row; each row scores as it would alone."""
@@ -174,7 +174,7 @@ def _refinement_scores(model: GPModel, X: np.ndarray, ratio: float,
 
     Each row scores bit for bit as it would on its own.
     """
-    return _stacked_scores(_stack_models((model,)), None, X, ratio, best)
+    return _stacked_scores(_stack_models((model,)), np.zeros(len(X), int), X, ratio, best)
 
 
 def _refinement_search(x0: np.ndarray):
@@ -223,15 +223,33 @@ def _refinement_search(x0: np.ndarray):
     return np.array(point)
 
 
+def _refine_together(starts, score_blocks) -> list:
+    """A _refinement_search from each start, the searches advanced together.
+
+    Each round, the blocks of every search still running are scored in one
+    score_blocks(owner, rows) call, owner[r] being the index of the search
+    that yielded row r. Returns each search's final point.
+    """
+    searches = [_refinement_search(x0) for x0 in starts]
+    blocks = {i: next(search) for i, search in enumerate(searches)}
+    points = [None] * len(searches)
+    while blocks:
+        owner = np.repeat(list(blocks), [len(rows) for rows in blocks.values()])
+        scores = score_blocks(owner, np.concatenate(list(blocks.values())))
+        start = 0
+        for i, rows in list(blocks.items()):
+            block, start = scores[start:start + len(rows)], start + len(rows)
+            try:
+                blocks[i] = searches[i].send(block)
+            except StopIteration as stop:
+                points[i] = stop.value
+                del blocks[i]
+    return points
+
+
 def _coordinate_refine(x0: np.ndarray, score_rows) -> np.ndarray:
     """_refinement_search from x0, each block scored by score_rows."""
-    search = _refinement_search(x0)
-    rows = next(search)
-    while True:
-        try:
-            rows = search.send(score_rows(rows))
-        except StopIteration as stop:
-            return stop.value
+    return _refine_together([x0], lambda _, rows: score_rows(rows))[0]
 
 
 def _candidate_step(obj_model: GPModel, h_model: GPModel | None,
@@ -270,11 +288,7 @@ def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | 
     EI times that probability; if none clears it, fall back to the most
     likely feasible candidate.
     """
-    x, ratio = _candidate_step(obj_model, h_model, spec, best, rng)
-    if ratio is None:
-        return x
-    stack = _stack_models((obj_model,))
-    return _coordinate_refine(x, lambda X: _stacked_scores(stack, None, X, ratio, best))
+    return _propose_level([(obj_model, h_model, spec, best, rng)])[0]
 
 
 def _propose_level(problems) -> list:
@@ -282,8 +296,8 @@ def _propose_level(problems) -> list:
 
     Each run takes its own candidate step. Then every round, the blocks of
     all runs still refining are scored in one stacked posterior call, each
-    row against its own run's model, so each point equals propose's bit for
-    bit.
+    row against its own run's model, so each point is the one the run would
+    get alone, bit for bit.
     """
     points, refining = [], []
     for obj_model, h_model, spec, best, rng in problems:
@@ -296,20 +310,11 @@ def _propose_level(problems) -> list:
     stack = _stack_models(model for _, model, _, _ in refining)
     ratios = np.array([ratio for _, _, ratio, _ in refining])
     bests = np.array([best for _, _, _, best in refining])
-    searches = [_refinement_search(points[i]) for i, _, _, _ in refining]
-    blocks = {slot: next(search) for slot, search in enumerate(searches)}  # by stack slot
-    while blocks:
-        owner = np.repeat(list(blocks), [len(rows) for rows in blocks.values()])
-        scores = _stacked_scores(stack, owner, np.concatenate(list(blocks.values())),
-                                 ratios[owner], bests[owner])
-        start = 0
-        for slot, rows in list(blocks.items()):
-            block, start = scores[start:start + len(rows)], start + len(rows)
-            try:
-                blocks[slot] = searches[slot].send(block)
-            except StopIteration as stop:
-                points[refining[slot][0]] = stop.value
-                del blocks[slot]
+    refined = _refine_together(
+        [points[i] for i, _, _, _ in refining],
+        lambda owner, rows: _stacked_scores(stack, owner, rows, ratios[owner], bests[owner]))
+    for (i, _, _, _), x in zip(refining, refined):
+        points[i] = x
     return points
 
 

@@ -228,34 +228,29 @@ def _stack_models(models) -> _ModelStack:
     )
 
 
-def _stacked_moments(stack: _ModelStack, owner: np.ndarray | None,
+def _stacked_moments(stack: _ModelStack, owner: np.ndarray,
                      Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_posterior_moments at each row of Xq on its own, bit for bit, in one call.
 
-    Row r is scored against model owner[r] of the stack; with owner None,
-    every row against a stack of one, whose arrays then broadcast instead of
-    being gathered per row. The cross-kernel and mean products are stacked,
+    Row r is scored against model owner[r] of the stack, whose arrays are
+    gathered per row. The cross-kernel and mean products are stacked,
     one (n, d) @ (d, 1) and one (1, n) @ (n, 1) per row, which round like the
     one-row products; plain 2-D products do not. The triangular solve takes
     one LAPACK call per row, against that row's own factor, because a
     multi-column solve rounds differently.
     """
-    if owner is None:
-        rows, factors = slice(None), stack.L * len(Xq)
-    else:
-        rows, factors = owner, [stack.L[m] for m in owner.tolist()]
-    B = Xq / stack.lengthscales[rows]
-    sq = np.add(stack.scaled_sq_norms[rows], np.add.reduce(B**2, axis=1)[:, None, None])
-    np.subtract(sq, np.matmul(stack.twice_scaled_X[rows], B[:, :, None]), out=sq)
+    B = Xq / stack.lengthscales[owner]
+    sq = np.add(stack.scaled_sq_norms[owner], np.add.reduce(B**2, axis=1)[:, None, None])
+    np.subtract(sq, np.matmul(stack.twice_scaled_X[owner], B[:, :, None]), out=sq)
     np.maximum(sq, 0.0, out=sq)
     np.multiply(sq, -0.5, out=sq)
     np.exp(sq, out=sq)
-    signal_var = stack.signal_var[rows]
+    signal_var = stack.signal_var[owner]
     Ks = np.multiply(sq, signal_var[:, None, None], out=sq)  # (rows, n, 1)
-    mean_s = np.matmul(Ks.transpose(0, 2, 1), stack.alpha[rows])[:, 0, 0]
+    mean_s = np.matmul(Ks.transpose(0, 2, 1), stack.alpha[owner])[:, 0, 0]
     columns = []
-    for k, L in zip(Ks, factors):
-        v, info = _trtrs(L, k, 1)  # lower
+    for k, m in zip(Ks, owner.tolist()):
+        v, info = _trtrs(stack.L[m], k, 1)  # lower
         if info != 0:
             raise NumericalError(f"triangular solve failed (LAPACK info {info})")
         columns.append(v)
@@ -263,15 +258,15 @@ def _stacked_moments(stack: _ModelStack, owner: np.ndarray | None,
     V = np.concatenate(columns).reshape(len(columns), -1)
     var = signal_var - np.add.reduce(V**2, axis=1)
     np.maximum(var, 0.0, out=var)
-    y_scale = stack.y_scale[rows]
-    mean = mean_s * y_scale + stack.y_mean[rows]
+    y_scale = stack.y_scale[owner]
+    mean = mean_s * y_scale + stack.y_mean[owner]
     std = np.sqrt(var) * y_scale
     return mean, std
 
 
 def _pointwise_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_stacked_moments for one model: each row of Xq as if scored on its own."""
-    return _stacked_moments(_stack_models((model,)), None, Xq)
+    return _stacked_moments(_stack_models((model,)), np.zeros(len(Xq), int), Xq)
 
 
 def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:

@@ -511,6 +511,7 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
             "gain", gait, _gain_black_box(gait, cfg, plant, run_seed), box, run_seed,
             cfg.i1, cfg.init_counts[0])
         found[position] = _best_params(results[position], box)
+        _write_log(results[position], out_dir, "sim1", gait)
     for level in levels[1:]:
         runs = []
         for position in level:
@@ -520,11 +521,11 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
         for position, result in zip(level, _run_sim2_level(runs, cfg, plant, box)):
             results[position] = result
             found[position] = _best_params(result, box)
+            _write_log(result, out_dir, "sim2", schedule[position][2])
 
     visited: dict = {}
     for (phase, _, gait, _, dist), result, params in zip(schedule, results, found):
         visited[(gait.vx, gait.vy, gait.h)] = params
-        _write_log(result, out_dir, phase, gait)
         where = "" if dist is None else f" (dist {dist:.3g})"
         logger.info("%s %s%s: best cost %.6g", phase, gait_run_name(gait), where,
                     result.best_cost)

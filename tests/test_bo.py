@@ -333,9 +333,11 @@ class TestLevelScoring:
             return [(*args, SeedSpec(seed).generator()) for *args, seed in problems]
 
         got = _propose_level(with_generators())
-        want = [propose(*args) for args in with_generators()]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
+        alone = [propose(*args) for args in with_generators()]
+        want = [reference_propose(*args) for args in with_generators()]
+        assert len(got) == len(alone) == len(want)
+        for g, a, w in zip(got, alone, want):
+            np.testing.assert_array_equal(g, a)
             np.testing.assert_array_equal(g, w)
 
 

@@ -392,41 +392,64 @@ class TestLockstep:
         assert len(got) == len(cfg.p_sim1) + len(cfg.p_sim2) + 1
         assert got == tree_bytes(tmp_path / "sequential")
 
-    def test_failing_episode_names_its_own_run(self, desk_cfg, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("make_cfg, depth, slot", [
+        (desk_scale_config, 1, 1),  # the second episode of a level-of-2 batch
+        (multi_level_config, 1, 3),
+        (multi_level_config, 2, 0),
+        (multi_level_config, 3, 2),
+    ], ids=["desk-1-1", "multi_level-1-3", "multi_level-2-0", "multi_level-3-2"])
+    def test_failing_episode_names_its_own_run(self, make_cfg, depth, slot, tmp_path,
+                                               monkeypatch):
         import gaitbo.pipeline as pipeline
 
-        schedule = _sim_schedule(desk_cfg)
-        second = schedule[_sim_levels(schedule)[1][1]][2]
+        cfg = make_cfg()
+        schedule = _sim_schedule(cfg)
+        levels = _sim_levels(schedule)
+        target = pipeline.learning_profile(schedule[levels[depth][slot]][2])
         failure = "plant state became non-finite at step 7"
 
         # the sequential loop, failing at the first episode of that run
         single = pipeline.run_episode
 
         def failing_single(plant, table, profile, initial, seed):
-            if profile == pipeline.learning_profile(second):
+            if profile == target:
                 raise SimulationError(failure, step_index=7)
             return single(plant, table, profile, initial, seed)
 
         monkeypatch.setattr(pipeline, "run_episode", failing_single)
         with pytest.raises(BlackBoxError) as sequential:
-            reference_learn_sim(desk_cfg)
+            reference_learn_sim(cfg)
         monkeypatch.setattr(pipeline, "run_episode", single)
+        reference_learn_sim(cfg, out_dir=str(tmp_path / "sequential"))
 
-        # lockstep, the level's batch failing at its second episode
+        # lockstep, the level's first batch failing at that run's episode
+        batched = pipeline.run_episodes
+
         def failing_batch(plant, tables, profiles, initials, seeds):
-            assert len(tables) == 2
-            raise SimulationError(failure, step_index=7, episode_index=1)
+            if target in profiles:
+                assert len(tables) == len(levels[depth])
+                raise SimulationError(failure, step_index=7,
+                                      episode_index=profiles.index(target))
+            return batched(plant, tables, profiles, initials, seeds)
 
         monkeypatch.setattr(pipeline, "run_episodes", failing_batch)
         with pytest.raises(BlackBoxError) as lockstep:
-            learn_sim(desk_cfg, out_dir=str(tmp_path))
+            learn_sim(cfg, out_dir=str(tmp_path / "lockstep"))
         assert str(lockstep.value) == str(sequential.value)
+        gait = schedule[levels[depth][slot]][2]
         assert str(lockstep.value).startswith(
-            f"gain learning failed at gait ({second.vx}, {second.vy}, {second.h}): "
+            f"gain learning failed at gait ({gait.vx}, {gait.vy}, {gait.h}): "
             "black box failed at x=")
         assert str(lockstep.value).endswith(failure)
         assert lockstep.value.history == sequential.value.history == ()
-        assert not (tmp_path / "runs" / "sim2").exists()
+        # every run of the earlier levels has its log; the failing level has none
+        finished = {os.path.join("runs", phase, gait_run_name(gait), "log.json")
+                    for level in levels[:depth] for phase, _, gait, _, _ in
+                    (schedule[p] for p in level)}
+        want = {path: data for path, data in tree_bytes(tmp_path / "sequential").items()
+                if path in finished}
+        assert len(want) == len(finished)
+        assert tree_bytes(tmp_path / "lockstep") == want
 
 
 class TestBudgetConsumption:
