@@ -168,15 +168,6 @@ def _stacked_scores(stack: _ModelStack, owner: np.ndarray, X: np.ndarray,
     return _ei_values(means, stds * ratio, best)
 
 
-def _refinement_scores(model: GPModel, X: np.ndarray, ratio: float,
-                       best: float) -> np.ndarray:
-    """EI at unit-cube rows, posterior stds scaled by ratio: the refinement score.
-
-    Each row scores bit for bit as it would on its own.
-    """
-    return _stacked_scores(_stack_models((model,)), np.zeros(len(X), int), X, ratio, best)
-
-
 def _refinement_search(x0: np.ndarray):
     """Greedy coordinate-descent ascent of a score inside the unit cube.
 
@@ -245,11 +236,6 @@ def _refine_together(starts, score_blocks) -> list:
                 points[i] = stop.value
                 del blocks[i]
     return points
-
-
-def _coordinate_refine(x0: np.ndarray, score_rows) -> np.ndarray:
-    """_refinement_search from x0, each block scored by score_rows."""
-    return _refine_together([x0], lambda _, rows: score_rows(rows))[0]
 
 
 def _candidate_step(obj_model: GPModel, h_model: GPModel | None,

@@ -1,8 +1,10 @@
 """Gaussian-process regression with a squared-exponential ARD kernel.
 
 Targets are standardized before fitting; posteriors are mapped back to the
-original scale. Factorization goes through a jittered Cholesky that retries
-with doubled jitter before giving up. A fitted model keeps its scaled training
+original scale. Factorization calls LAPACK potrf and potrs directly, in a
+jittered Cholesky that retries with doubled jitter before giving up; fit and
+the hyperparameter search share it, and the search builds one kernel per
+distinct lengthscale setting. A fitted model keeps its scaled training
 inputs, so a posterior at new points costs one cross-kernel, one product and
 one LAPACK triangular solve. Rows can also be scored one by one in a single
 call, each against its own model of a stack and rounded as a one-point
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .errors import NumericalError
 
@@ -36,9 +38,13 @@ _STD_FLOOR = 1e-12
 DEFAULT_LENGTHSCALES = (0.1, 0.2, 0.3, 0.5, 1.0)
 DEFAULT_NOISE_STDS = (1e-3, 1e-2, 1e-1)
 
-# The LAPACK routine scipy.linalg.solve_triangular ends in for a float64,
-# F-contiguous factor, without that wrapper's per-call checks.
-_trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
+# The LAPACK routines scipy.linalg.cholesky, cho_solve and solve_triangular
+# end in for float64 arrays, without those wrappers' per-call checks.
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+
+# The error text of scipy's checked wrappers for a non-finite array; a raw
+# potrf would factorize one without complaint, so the checks are made here.
+_NONFINITE = "array must not contain infs or NaNs"
 
 
 @dataclass(frozen=True)
@@ -117,29 +123,24 @@ class GPModel:
         return self.hyper.signal_std * self.y_scale
 
 
-def _as_training_inputs(X, n_dims: int) -> np.ndarray:
+def _check_dims(X: np.ndarray, n_dims: int) -> None:
+    if X.shape[1] != n_dims:
+        raise ValueError(
+            f"training inputs have {X.shape[1]} dims, lengthscales have {n_dims}"
+        )
+
+
+def _training_data(X, y, n_dims: int,
+                   standardize: bool) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Validated inputs and standardized targets: (X, ys, y_mean, y_scale)."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"training inputs must be a nonempty 2-D array, got shape {X.shape}")
-    if X.shape[1] != n_dims:
-        raise ValueError(
-            f"training inputs have {X.shape[1]} dims, lengthscales have {n_dims}"
-        )
+    _check_dims(X, n_dims)
     if not np.all(np.isfinite(X)):
         raise ValueError("training inputs must be finite")
-    return X
-
-
-def fit(X, y, hyper: Hyperparams, standardize: bool = True) -> GPModel:
-    """Fit a GP to (X, y) under fixed hyperparameters.
-
-    With standardize=True (the default) targets are shifted to zero mean and,
-    unless nearly constant, scaled to unit standard deviation; hyperparameters
-    then refer to the standardized scale.
-    """
-    X = _as_training_inputs(X, hyper.n_dims)
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"got {X.shape[0]} inputs but {y.shape[0]} targets")
@@ -152,28 +153,66 @@ def fit(X, y, hyper: Hyperparams, standardize: bool = True) -> GPModel:
         y_scale = sd if sd >= _STD_FLOOR else 1.0
     else:
         y_mean, y_scale = 0.0, 1.0
-    ys = (y - y_mean) / y_scale
+    return X, (y - y_mean) / y_scale, y_mean, y_scale
 
+
+def _training_kernel(X: np.ndarray,
+                     hyper: Hyperparams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_scaled_factors(X, hyper) and the kernel of X with itself, checked finite.
+
+    An input overflowing X / ls makes the kernel NaN.
+    """
     twice_scaled, sq_norms = _scaled_factors(X, hyper)
     K = _cross_kernel(twice_scaled, sq_norms, X, hyper)
-    sig2 = hyper.signal_std**2
-    jitter = _JITTER_START * sig2
-    cap = _JITTER_CAP * sig2
-    L = None
+    if not np.all(np.isfinite(K)):
+        raise ValueError(_NONFINITE)
+    return twice_scaled, sq_norms, K
+
+
+def _factorize(K: np.ndarray, noise_var: float, signal_var: float,
+               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Jittered Cholesky of K + (noise_var + jitter) I and its solve against ys.
+
+    Returns (L, alpha, jitter): L lower and Fortran-ordered with a zeroed
+    upper triangle, as _trtrs needs. The jitter starts small and doubles
+    after each failed factorization until it passes a cap.
+    """
+    jitter = _JITTER_START * signal_var
+    cap = _JITTER_CAP * signal_var
     while True:
-        try:
-            L = cholesky(K + (hyper.noise_std**2 + jitter) * np.eye(X.shape[0]), lower=True)
+        diagonal = np.diagonal(K) + (noise_var + jitter)
+        if not np.all(np.isfinite(diagonal)):
+            raise ValueError(_NONFINITE)
+        A = np.array(K, order="F")
+        np.fill_diagonal(A, diagonal)
+        L, info = _potrf(A, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             break
-        except LinAlgError:
-            jitter *= 2.0
-            if jitter > cap:
-                raise NumericalError(
-                    f"covariance factorization failed even with jitter {jitter:.3e}"
-                ) from None
-    alpha = cho_solve((L, True), ys)
+        jitter *= 2.0
+        if jitter > cap:
+            raise NumericalError(
+                f"covariance factorization failed even with jitter {jitter:.3e}"
+            )
+    if not np.all(np.isfinite(ys)):  # standardizing can overflow
+        raise ValueError(_NONFINITE)
+    alpha, info = _potrs(L, ys, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return L, alpha, jitter
+
+
+def fit(X, y, hyper: Hyperparams, standardize: bool = True) -> GPModel:
+    """Fit a GP to (X, y) under fixed hyperparameters.
+
+    With standardize=True (the default) targets are shifted to zero mean and,
+    unless nearly constant, scaled to unit standard deviation; hyperparameters
+    then refer to the standardized scale.
+    """
+    X, ys, y_mean, y_scale = _training_data(X, y, hyper.n_dims, standardize)
+    twice_scaled, sq_norms, K = _training_kernel(X, hyper)
+    L, alpha, jitter = _factorize(K, hyper.noise_std**2, hyper.signal_std**2, ys)
     X = np.array(X)
     X.setflags(write=False)
-    L = np.asfortranarray(L)  # already Fortran-ordered, as _trtrs needs
     for arr in (ys, L, alpha, twice_scaled, sq_norms):
         arr.setflags(write=False)
     return GPModel(X=X, y=ys, hyper=hyper, L=L, alpha=alpha,
@@ -185,7 +224,7 @@ def _posterior_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.n
     """Posterior means and stds at the rows of a finite 2-D float array, unvalidated.
 
     posterior_batch validates its input and calls this; the proposal step
-    calls it directly. _pointwise_moments gives the bits of one call per row.
+    calls it directly. _stacked_moments gives the bits of one call per row.
     """
     Ks = _cross_kernel(model.twice_scaled_X, model.scaled_sq_norms, Xq, model.hyper)
     mean_s = Ks.T @ model.alpha
@@ -264,11 +303,6 @@ def _stacked_moments(stack: _ModelStack, owner: np.ndarray,
     return mean, std
 
 
-def _pointwise_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_stacked_moments for one model: each row of Xq as if scored on its own."""
-    return _stacked_moments(_stack_models((model,)), np.zeros(len(Xq), int), Xq)
-
-
 def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and standard deviations at query points, original scale."""
     Xq = np.asarray(Xq, dtype=float)
@@ -285,14 +319,17 @@ def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+def _log_evidence(ys: np.ndarray, alpha: np.ndarray, L: np.ndarray) -> float:
+    return float(
+        -0.5 * ys @ alpha
+        - np.sum(np.log(np.diag(L)))
+        - 0.5 * ys.shape[0] * np.log(2.0 * np.pi)
+    )
+
+
 def log_marginal_likelihood(model: GPModel) -> float:
     """Log evidence of the standardized targets under the fitted model."""
-    m = model.n_points
-    return float(
-        -0.5 * model.y @ model.alpha
-        - np.sum(np.log(np.diag(model.L)))
-        - 0.5 * m * np.log(2.0 * np.pi)
-    )
+    return _log_evidence(model.y, model.alpha, model.L)
 
 
 def default_hyper_grid(n_dims: int) -> list[Hyperparams]:
@@ -312,27 +349,38 @@ def fit_hyper(X, y, grid) -> Hyperparams:
     """Pick the grid hyperparameters with the highest log marginal likelihood.
 
     Exact ties go to the smallest lengthscale product so the choice is
-    deterministic even for constant targets.
+    deterministic even for constant targets. Each entry scores as
+    log_marginal_likelihood(fit(X, y, hyper)) would, bit for bit; the data
+    are validated and standardized once, and entries differing only in
+    noise_std share one kernel.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("hyperparameter grid must be nonempty")
+    X, ys, _, _ = _training_data(X, y, grid[0].n_dims, standardize=True)
+    kernels = {}
     best: Hyperparams | None = None
     best_lml = -np.inf
     best_prod = np.inf
-    failures = []
+    failures = 0
     for hyper in grid:
+        _check_dims(X, hyper.n_dims)
+        key = (hyper.lengthscales.tobytes(), hyper.signal_std)
+        if key not in kernels:
+            kernels[key] = _training_kernel(X, hyper)[2]
         try:
-            lml = log_marginal_likelihood(fit(X, y, hyper))
-        except NumericalError as exc:
-            failures.append(exc)
+            L, alpha, _ = _factorize(kernels[key], hyper.noise_std**2,
+                                     hyper.signal_std**2, ys)
+        except NumericalError:
+            failures += 1
             continue
+        lml = _log_evidence(ys, alpha, L)
         prod = float(np.prod(hyper.lengthscales))
         if lml > best_lml or (lml == best_lml and prod < best_prod):
             best, best_lml, best_prod = hyper, lml, prod
     if best is None:
         raise NumericalError(
-            f"every hyperparameter candidate failed to factorize ({len(failures)} failures)"
+            f"every hyperparameter candidate failed to factorize ({failures} failures)"
         )
     return best
 

@@ -22,9 +22,8 @@ from gaitbo.bo import (
     propose,
     result_to_log_entries,
     write_run_log,
-    _coordinate_refine,
     _propose_level,
-    _refinement_scores,
+    _refine_together,
     _stacked_scores,
 )
 from gaitbo.domain import Box, SeedSpec, from_unit
@@ -82,6 +81,19 @@ def one_point_score(model, ratio, best):
         return reference_ei_values(m, s * ratio, best)[0]
 
     return score
+
+
+def _refinement_scores(model, X, ratio, best):
+    """EI at unit-cube rows, posterior stds scaled by ratio: the refinement score.
+
+    Each row scores bit for bit as it would on its own.
+    """
+    return _stacked_scores(_stack_models((model,)), np.zeros(len(X), int), X, ratio, best)
+
+
+def _coordinate_refine(x0, score_rows):
+    """_refinement_search from x0, each block scored by score_rows."""
+    return _refine_together([x0], lambda _, rows: score_rows(rows))[0]
 
 
 def reference_propose(obj_model, h_model, spec, best, rng):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
 from gaitbo.errors import NumericalError
 from gaitbo.gp import (
-    _pointwise_moments,
     _posterior_moments,
+    _stack_models,
+    _stacked_moments,
     _std_ratio,
     GPModel,
     Hyperparams,
@@ -39,6 +40,11 @@ def posterior_at(model, x):
     """posterior_batch's mean and std at one point, as floats."""
     mean, std = posterior_batch(model, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
     return float(mean[0]), float(std[0])
+
+
+def _pointwise_moments(model, Xq):
+    """_stacked_moments for one model: each row of Xq as if scored on its own."""
+    return _stacked_moments(_stack_models((model,)), np.zeros(len(Xq), int), Xq)
 
 
 def dense_posterior(X, y, hyper, xq, jitter):
@@ -81,6 +87,104 @@ def reference_posterior_batch(model, Xq):
     var = model.hyper.signal_std**2 - np.sum(V**2, axis=0)
     np.maximum(var, 0.0, out=var)
     return mean_s * model.y_scale + model.y_mean, np.sqrt(var) * model.y_scale
+
+
+def reference_fit(X, y, hyper, standardize=True):
+    """fit as first written: scipy's checked cholesky and cho_solve, with the
+    kernel built and the data validated on every call."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError(f"training inputs must be a nonempty 2-D array, got shape {X.shape}")
+    if X.shape[1] != hyper.n_dims:
+        raise ValueError(
+            f"training inputs have {X.shape[1]} dims, lengthscales have {hyper.n_dims}"
+        )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("training inputs must be finite")
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.shape[0] != X.shape[0]:
+        raise ValueError(f"got {X.shape[0]} inputs but {y.shape[0]} targets")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("targets must be finite")
+
+    if standardize:
+        y_mean = float(y.mean())
+        sd = float(y.std())
+        y_scale = sd if sd >= 1e-12 else 1.0
+    else:
+        y_mean, y_scale = 0.0, 1.0
+    ys = (y - y_mean) / y_scale
+
+    A = X / hyper.lengthscales
+    twice_scaled, sq_norms = 2.0 * A, np.sum(A**2, axis=1)[:, None]
+    sq = sq_norms + np.sum(A**2, axis=1) - twice_scaled @ A.T
+    np.maximum(sq, 0.0, out=sq)
+    K = hyper.signal_std**2 * np.exp(-0.5 * sq)
+    sig2 = hyper.signal_std**2
+    jitter = 1e-10 * sig2
+    cap = 1e-4 * sig2
+    while True:
+        try:
+            L = cholesky(K + (hyper.noise_std**2 + jitter) * np.eye(X.shape[0]), lower=True)
+            break
+        except LinAlgError:
+            jitter *= 2.0
+            if jitter > cap:
+                raise NumericalError(
+                    f"covariance factorization failed even with jitter {jitter:.3e}"
+                ) from None
+    alpha = cho_solve((L, True), ys)
+    return GPModel(X=np.array(X), y=ys, hyper=hyper, L=L, alpha=alpha,
+                   y_mean=y_mean, y_scale=y_scale, jitter=jitter,
+                   twice_scaled_X=twice_scaled, scaled_sq_norms=sq_norms)
+
+
+def reference_fit_hyper(X, y, grid):
+    """fit_hyper as first written: one reference_fit per grid entry."""
+    grid = list(grid)
+    if not grid:
+        raise ValueError("hyperparameter grid must be nonempty")
+    best, best_lml, best_prod = None, -np.inf, np.inf
+    failures = []
+    for hyper in grid:
+        try:
+            lml = log_marginal_likelihood(reference_fit(X, y, hyper))
+        except NumericalError as exc:
+            failures.append(exc)
+            continue
+        prod = float(np.prod(hyper.lengthscales))
+        if lml > best_lml or (lml == best_lml and prod < best_prod):
+            best, best_lml, best_prod = hyper, lml, prod
+    if best is None:
+        raise NumericalError(
+            f"every hyperparameter candidate failed to factorize ({len(failures)} failures)"
+        )
+    return best
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the ValueError or NumericalError it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+def custom_grid(n_dims):
+    """A grid whose amplitudes differ from 1 and whose lengthscales repeat,
+    across amplitudes and within one, with zero-noise entries."""
+    ard = np.linspace(0.2, 0.8, n_dims)
+    return [
+        Hyperparams(2.0, np.full(n_dims, 0.3), 0.0),
+        Hyperparams(0.5, np.full(n_dims, 0.3), 0.0),
+        Hyperparams(2.0, ard, 1e-2),
+        Hyperparams(2.0, np.full(n_dims, 0.3), 1e-2),
+        Hyperparams(0.5, np.full(n_dims, 1.0), 1e-3),
+        Hyperparams(2.0, ard.copy(), 0.0),
+        Hyperparams(2.0, np.full(n_dims, 0.3), 1e-1),
+    ]
 
 
 class TestKernel:
@@ -150,6 +254,111 @@ class TestFit:
         assert model.jitter >= 1e-10
         mean, std = posterior_at(model, [0.5])
         assert np.isfinite(mean) and np.isfinite(std)
+
+
+class TestFitBitIdentity:
+    """fit and fit_hyper give the reference's arrays, choices and errors, bit for bit."""
+
+    FIELDS = ("L", "alpha", "jitter", "y", "y_mean", "y_scale", "twice_scaled_X",
+              "scaled_sq_norms")
+
+    def assert_same_fit(self, got, want):
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.hyper is want.hyper
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_points=st.integers(1, 100), n_dims=st.integers(1, 6),
+           standardize=st.booleans(), n_duplicates=st.integers(0, 100),
+           shift=st.sampled_from([0.0, 0.0, 1e2, 1e3, 1e5, 1e7]),
+           constant=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, n_points, n_dims, standardize, n_duplicates,
+                               shift, constant, data_seed):
+        # Duplicated rows under zero noise make the factorization retry with
+        # more jitter; inputs far from the origin make the kernel lose its
+        # positive definiteness to rounding and can exhaust the jitter.
+        rng = np.random.default_rng(data_seed)
+        X = shift + rng.random((n_points, n_dims))
+        copies = rng.integers(0, n_points, min(n_duplicates, n_points - 1))
+        X[rng.permutation(n_points)[:len(copies)]] = X[copies]
+        y = np.full(n_points, 2.5) if constant else rng.normal(0.0, 3.0, n_points)
+        for grid in (default_hyper_grid(n_dims), custom_grid(n_dims)):
+            for hyper in grid:
+                self.assert_same_fit(outcome(fit, X, y, hyper, standardize),
+                                     outcome(reference_fit, X, y, hyper, standardize))
+            got = outcome(fit_hyper, X, y, grid)
+            want = outcome(reference_fit_hyper, X, y, grid)
+            assert got is want if isinstance(want, Hyperparams) else got == want
+
+    def test_duplicated_rows_retry_with_more_jitter(self):
+        X = 100.0 + np.repeat(np.linspace(0.0, 1.0, 40)[:, None], 3, axis=0)
+        y = np.sin(6.0 * X[:, 0])
+        hyper = Hyperparams(1.0, np.array([0.3]), 0.0)
+        model = fit(X, y, hyper)
+        assert model.jitter > 1e-10
+        self.assert_same_fit(model, reference_fit(X, y, hyper))
+
+    def test_exhausted_jitter_raises_the_reference_errors(self):
+        rng = np.random.default_rng(3)
+        X = 1e7 + rng.random((20, 2))
+        y = rng.normal(0.0, 1.0, 20)
+        grid = default_hyper_grid(2)
+        for hyper in grid:
+            got = outcome(fit, X, y, hyper)
+            assert got[0] is NumericalError
+            assert got == outcome(reference_fit, X, y, hyper)
+        got = outcome(fit_hyper, X, y, grid)
+        assert got == (NumericalError,
+                       "every hyperparameter candidate failed to factorize (15 failures)")
+        assert got == outcome(reference_fit_hyper, X, y, grid)
+
+
+class TestNonFiniteKernel:
+    """A kernel made NaN by overflowing inputs is rejected, not factorized."""
+
+    X = np.array([[1e308], [0.0]])
+    HYPER = Hyperparams(1.0, np.array([0.1]), 1e-2)
+
+    def test_fit_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                fit(self.X, np.array([0.0, 1.0]), self.HYPER)
+
+    def test_fit_hyper_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                fit_hyper(self.X, np.array([0.0, 1.0]), [self.HYPER])
+
+    def test_overflowing_standardization_raises(self):
+        # (y - mean) / std overflows to NaN although every target is finite
+        y = np.array([1.7e308, -1.7e308, -1.7e308])
+        X = np.array([[0.1], [0.5], [0.9]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert outcome(fit, X, y, self.HYPER)[0] is ValueError
+            assert outcome(fit, X, y, self.HYPER) == outcome(reference_fit, X, y, self.HYPER)
+            assert outcome(fit_hyper, X, y, [self.HYPER])[0] is ValueError
+
+    def test_overflowing_diagonal_raises(self):
+        # the kernel and the noise variance are finite, their sum on the diagonal is not
+        X = np.array([[0.1], [0.5], [0.9]])
+        y = np.array([0.0, 1.0, 0.5])
+        hyper = Hyperparams(1.3e154, np.array([0.3]), 1.3e154)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert outcome(fit, X, y, hyper)[0] is ValueError
+            assert outcome(fit, X, y, hyper) == outcome(reference_fit, X, y, hyper)
+            assert outcome(fit_hyper, X, y, [hyper]) == outcome(reference_fit_hyper, X, y,
+                                                                 [hyper])
+
+    def test_wrong_dimension_entry_after_a_valid_one_raises(self):
+        # one lengthscale would broadcast over both dims if not checked per entry
+        X = np.array([[0.1, 0.2], [0.5, 0.4], [0.9, 0.7]])
+        grid = [Hyperparams(1.0, np.array([0.3, 0.3]), 1e-2),
+                Hyperparams(1.0, np.array([0.3]), 1e-2)]
+        with pytest.raises(ValueError, match="1 dims|lengthscales have 1"):
+            fit_hyper(X, np.array([0.0, 1.0, 0.5]), grid)
 
 
 class TestPosterior:
