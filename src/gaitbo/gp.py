@@ -63,6 +63,10 @@ class Hyperparams:
             raise ValueError(f"lengthscales must be positive, got {ls}")
         if not np.isfinite(self.signal_std) or self.signal_std <= 0.0:
             raise ValueError(f"signal_std must be positive, got {self.signal_std}")
+        if self.signal_std < 1.0 and not _JITTER_START * float(self.signal_std)**2 > 0.0:
+            # fit's jitter would start at 0 and never grow
+            raise ValueError(f"signal_std {self.signal_std} is too small: its jitter "
+                             "start underflows to 0")
         if not np.isfinite(self.noise_std) or self.noise_std < 0.0:
             raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
         ls.setflags(write=False)

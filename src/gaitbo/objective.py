@@ -55,10 +55,23 @@ class ConvergedStats:
     p_c_max: GaitParameter
 
 
-def _segment_length(segment_duration: float, dt: float) -> int:
+def _segment_samples(segment_duration: float, dt: float, n_samples: int) -> int:
+    """The trailing segment's length in samples of dt, checked to fit in n_samples.
+
+    Raises ConfigurationError when the segment is shorter than one step or
+    longer than the trajectory.
+    """
     # The tiny epsilon keeps exact ratios (5/0.1 and friends) from flooring
     # one sample short due to binary rounding.
-    return floor(segment_duration / dt + 1e-9)
+    k = floor(segment_duration / dt + 1e-9)
+    if k < 1:
+        raise ConfigurationError(
+            f"segment_duration {segment_duration} is shorter than one step of dt={dt}")
+    if k > n_samples:
+        raise ConfigurationError(
+            f"segment_duration {segment_duration} needs {k} samples of dt={dt}, "
+            f"but a trajectory has {n_samples}")
+    return k
 
 
 def converged_stats(traj: Trajectory, segment_duration: float = 5.0) -> ConvergedStats:
@@ -68,16 +81,7 @@ def converged_stats(traj: Trajectory, segment_duration: float = 5.0) -> Converge
     """
     if traj.fell:
         raise ConfigurationError("fallen trajectory has no converged segment")
-    k = _segment_length(segment_duration, traj.dt)
-    if k < 1:
-        raise ConfigurationError(
-            f"segment_duration {segment_duration} is shorter than one step of dt={traj.dt}"
-        )
-    if k > len(traj):
-        raise ConfigurationError(
-            f"trajectory has {len(traj)} samples, fewer than the {k} the segment needs"
-        )
-    segment = traj.p_hat[-k:]
+    segment = traj.p_hat[-_segment_samples(segment_duration, traj.dt, len(traj)):]
     return ConvergedStats(
         p_c=GaitParameter.from_array(segment.mean(axis=0)),
         p_c_min=GaitParameter.from_array(segment.min(axis=0)),

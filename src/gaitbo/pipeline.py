@@ -35,8 +35,9 @@ from .domain import (
 )
 from .errors import BlackBoxError, ConfigurationError, GridNodeError, SafeSetError
 from .errors import DegenerateGeometryError, SimulationError
-from .objective import ObjectiveConfig, converged_stats, evaluate_cost
+from .objective import ObjectiveConfig, _segment_samples, converged_stats, evaluate_cost
 from .plant import (
+    EPISODE_DURATION,
     PlantConfig,
     learning_profile,
     real_config,
@@ -289,6 +290,13 @@ def gait_run_name(gait: GaitParameter) -> str:
     return f"vx{gait.vx:g}_vy{gait.vy:g}_h{gait.h:g}"
 
 
+def _check_segment(cfg: PipelineConfig, plant: PlantConfig) -> None:
+    """Raise ConfigurationError unless an episode on plant, one sample per dt
+    over EPISODE_DURATION, holds the objective's trailing segment."""
+    _segment_samples(cfg.objective.segment_duration, plant.dt,
+                     round(EPISODE_DURATION / plant.dt) + 1)
+
+
 def _write_log(result: BOResult, out_dir, phase: str, gait: GaitParameter) -> None:
     if out_dir is None:
         return
@@ -339,20 +347,6 @@ def _warm_design(first, run_seed: SeedSpec, box: Box, init_count: int) -> list:
     stream 0."""
     rng = run_seed.generator(0)
     return [first] + [from_unit(rng.random(box.n_dims), box) for _ in range(init_count - 1)]
-
-
-def _run_bo(what: str, gait: GaitParameter, black_box, box: Box, run_seed: SeedSpec,
-            iterations: int, init_count: int, first=None,
-            spec: ConstraintSpec | None = None) -> BOResult:
-    """One gait's BO run; a failure names the phase's quantity and the gait.
-
-    Given a first design point, the rest of the initial design is drawn from
-    the run seed's stream 0; without one, optimize draws the whole design.
-    """
-    design = None if first is None else _warm_design(first, run_seed, box, init_count)
-    with _failure_names_gait(what, gait):
-        return optimize(black_box, box, iterations, init_count, spec=spec,
-                        initial_design=design, seed=run_seed)
 
 
 def _best_params(result: BOResult, box: Box) -> ControlParams:
@@ -446,29 +440,33 @@ def _sim_levels(schedule: list) -> list:
     return levels
 
 
-def _run_sim2_level(runs: list, cfg: PipelineConfig, plant: PlantConfig, box: Box) -> list:
-    """The BO runs of one sim-2 level in lockstep; runs lists each run's
-    (gait, run seed, first design point).
+def _run_level(what: str, runs: list, iterations: int, init_count: int,
+               spec: ConstraintSpec | None, plant: PlantConfig, episode_table,
+               observe) -> list:
+    """The BO runs of one level in lockstep; runs lists each run's
+    (gait, run seed, box, first design point), and the runs share the budget,
+    the init count and the constraint spec.
 
     Every run takes its next evaluation at each step: the proposals come
     from one _propose_level call and the episodes from one run_episodes
-    call, each run's seeded by its own evaluation index. Each run's results
-    equal those of its own optimize call.
+    call, each run's seeded by its own evaluation index. An episode at x runs
+    the table episode_table(gait, x) and is read as observe(gait, traj).
+    Each run's results equal those of its own optimize call; a failure names
+    the phase's quantity (what) and the run's gait.
     """
-    gaits = [gait for gait, _, _ in runs]
-    bo_runs = [_BORun(box, cfg.i2, cfg.init_counts[1], seed=run_seed,
-                      initial_design=_warm_design(first, run_seed, box, cfg.init_counts[1]))
-               for _, run_seed, first in runs]
+    gaits = [gait for gait, _, _, _ in runs]
+    bo_runs = [_BORun(box, iterations, init_count, spec, seed=run_seed,
+                      initial_design=_warm_design(first, run_seed, box, init_count))
+               for _, run_seed, box, first in runs]
     profiles = [learning_profile(gait) for gait in gaits]
     starts = [stepping_start(gait) for gait in gaits]
-    while not bo_runs[0].done:  # the runs share one budget
+    while not all(run.done for run in bo_runs):  # the runs share one budget
         proposed = iter(_propose_level([run.proposal_inputs() for run in bo_runs
                                         if not run.in_design]))
-        xs = [run.design_point() if run.in_design else from_unit(next(proposed), box)
+        xs = [run.design_point() if run.in_design else from_unit(next(proposed), run.box)
               for run in bo_runs]
-        tables = [GainTable.constant(_gain_params(x)) for x in xs]
-        seeds = [run_seed.derive(_EPISODE_KEY, len(run.history))
-                 for (_, run_seed, _), run in zip(runs, bo_runs)]
+        tables = [episode_table(gait, x) for gait, x in zip(gaits, xs)]
+        seeds = [run.seed.derive(_EPISODE_KEY, len(run.history)) for run in bo_runs]
         try:
             trajectories = run_episodes(plant, tables, profiles, starts, seeds)
         except SimulationError as exc:
@@ -477,11 +475,11 @@ def _run_sim2_level(runs: list, cfg: PipelineConfig, plant: PlantConfig, box: Bo
             def rethrow():
                 raise exc
 
-            with _failure_names_gait("gain", gaits[failed]):
+            with _failure_names_gait(what, gaits[failed]):
                 bo_runs[failed].evaluate(xs[failed], rethrow)  # raises
         for gait, run, x, traj in zip(gaits, bo_runs, xs, trajectories):
-            with _failure_names_gait("gain", gait):
-                run.evaluate(x, lambda: _gain_observation(traj, gait, cfg))
+            with _failure_names_gait(what, gait):
+                run.evaluate(x, lambda: observe(gait, traj))
     return [run.result() for run in bo_runs]
 
 
@@ -497,6 +495,7 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
     in lockstep, since a run needs only its parent's optimum.
     """
     plant = sim_config() if plant is None else plant
+    _check_segment(cfg, plant)
     root = cfg.root_seed()
     box = cfg.gain_box
     schedule = _sim_schedule(cfg)
@@ -507,18 +506,23 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
     for position in levels[0]:
         _, index, gait, _, _ = schedule[position]
         run_seed = root.derive(_STREAM_SIM1, index)
-        results[position] = _run_bo(
-            "gain", gait, _gain_black_box(gait, cfg, plant, run_seed), box, run_seed,
-            cfg.i1, cfg.init_counts[0])
+        # sim-1 stays on optimize while the benchmark tracer reads its span (ROADMAP item 1)
+        with _failure_names_gait("gain", gait):
+            results[position] = optimize(_gain_black_box(gait, cfg, plant, run_seed), box,
+                                         cfg.i1, cfg.init_counts[0], seed=run_seed)
         found[position] = _best_params(results[position], box)
         _write_log(results[position], out_dir, "sim1", gait)
     for level in levels[1:]:
         runs = []
         for position in level:
             _, index, gait, parent, _ = schedule[position]
-            runs.append((gait, root.derive(_STREAM_SIM2, index),
+            runs.append((gait, root.derive(_STREAM_SIM2, index), box,
                          np.concatenate([found[parent].kP, found[parent].kD])))
-        for position, result in zip(level, _run_sim2_level(runs, cfg, plant, box)):
+        level_results = _run_level(
+            "gain", runs, cfg.i2, cfg.init_counts[1], None, plant,
+            lambda gait, x: GainTable.constant(_gain_params(x)),
+            lambda gait, traj: _gain_observation(traj, gait, cfg))
+        for position, result in zip(level, level_results):
             results[position] = result
             found[position] = _best_params(result, box)
             _write_log(result, out_dir, "sim2", schedule[position][2])
@@ -541,7 +545,9 @@ def extract_safe_set(table: GainTable, cfg: PipelineConfig,
                      out_dir=None) -> tuple[SweepResult, SafePolyhedron]:
     """Sweep the command grid through the tuned table and hull the survivors."""
     grid = cfg.sweep_grid()
-    sweep = sweep_commands(table, sim_config(), grid, cfg.root_seed().derive(_STREAM_SWEEP),
+    plant = sim_config()
+    _check_segment(cfg, plant)
+    sweep = sweep_commands(table, plant, grid, cfg.root_seed().derive(_STREAM_SWEEP),
                            segment_duration=cfg.objective.segment_duration)
     if len(sweep.safe_points) < 4:
         raise SafeSetError(
@@ -558,30 +564,18 @@ def extract_safe_set(table: GainTable, cfg: PipelineConfig,
     return sweep, poly
 
 
-def _correction_black_box(gait: GaitParameter, table: GainTable,
-                          poly: SafePolyhedron, cfg: PipelineConfig,
-                          plant: PlantConfig, run_seed: SeedSpec):
-    """Evaluate one free correction vector on the real plant.
+def _correction_observation(traj, gait: GaitParameter, poly: SafePolyhedron,
+                            cfg: PipelineConfig) -> tuple:
+    """A real episode as a correction run's (cost, h_value, fell).
 
     The constraint observation is the safe-region violation of the converged
     gait; falls report a fixed positive violation instead.
     """
-    profile = learning_profile(gait)
-    start = stepping_start(gait)
-    counter = itertools.count()
-
-    def black_box(c):
-        idx = next(counter)
-        corrected = apply_corrections(table, [(gait, correction_from_vector(c))])
-        traj = run_episode(plant, corrected, profile, start,
-                           run_seed.derive(_EPISODE_KEY, idx))
-        cost = evaluate_cost(traj, gait, cfg.objective)
-        if traj.fell:
-            return cost, 0.5, True
-        stats = converged_stats(traj, cfg.objective.segment_duration)
-        return cost, constraint_value(poly, stats.p_c), False
-
-    return black_box
+    cost = evaluate_cost(traj, gait, cfg.objective)
+    if traj.fell:
+        return cost, 0.5, True
+    stats = converged_stats(traj, cfg.objective.segment_duration)
+    return cost, constraint_value(poly, stats.p_c), False
 
 
 def learn_real(table: GainTable, poly: SafePolyhedron, cfg: PipelineConfig,
@@ -591,20 +585,22 @@ def learn_real(table: GainTable, poly: SafePolyhedron, cfg: PipelineConfig,
 
     The zero correction is always evaluated first, so the returned table can
     never do worse than the uncorrected one under the same evaluation
-    stream. Returns the corrected table and the (gait, correction) pairs.
+    stream. The p_real runs form one constrained level, run in lockstep.
+    Returns the corrected table and the (gait, correction) pairs.
     """
     plant = real_config() if plant is None else plant
+    _check_segment(cfg, plant)
     root = cfg.root_seed()
+    runs = [(gait, root.derive(_STREAM_REAL, i), cfg.correction_box(lookup(table, gait)),
+             np.zeros(6)) for i, gait in enumerate(cfg.p_real)]
+    results = _run_level(
+        "correction", runs, cfg.i3, cfg.init_counts[2], cfg.constraint, plant,
+        lambda gait, c: apply_corrections(table, [(gait, correction_from_vector(c))]),
+        lambda gait, traj: _correction_observation(traj, gait, poly, cfg))
     corrections = []
     h_positive = 0
     h_total = 0
-
-    for i, gait in enumerate(cfg.p_real):
-        run_seed = root.derive(_STREAM_REAL, i)
-        box = cfg.correction_box(lookup(table, gait))
-        black_box = _correction_black_box(gait, table, poly, cfg, plant, run_seed)
-        result = _run_bo("correction", gait, black_box, box, run_seed, cfg.i3,
-                         cfg.init_counts[2], first=np.zeros(6), spec=cfg.constraint)
+    for (gait, _, box, _), result in zip(runs, results):
         corr = correction_from_vector(from_unit(result.best_x, box))
         corrections.append((gait, corr))
         h_positive += sum(1 for ev in result.history
@@ -636,11 +632,7 @@ def baseline_table(cfg: PipelineConfig) -> GainTable:
     lo = box.lower + 0.25 * box.widths
     shape = (len(cfg.vx_nodes), len(cfg.vy_nodes), len(cfg.h_nodes))
     values = np.zeros(shape + (9,))
-    for a in range(shape[0]):
-        for b in range(shape[1]):
-            for c in range(shape[2]):
-                gains = lo + 0.5 * box.widths * rng.random(6)
-                values[a, b, c, :6] = gains
+    values[..., :6] = lo + 0.5 * box.widths * rng.random(shape + (6,))
     return GainTable(cfg.vx_nodes, cfg.vy_nodes, cfg.h_nodes, values)
 
 
@@ -711,6 +703,7 @@ def benchmark(table_a: GainTable, table_b: GainTable, cfg: PipelineConfig,
               plant: PlantConfig, out_dir=None,
               labels: tuple = ("tuned", "baseline")) -> BenchmarkReport:
     """Sweep both tables over the command grid with identical noise streams."""
+    _check_segment(cfg, plant)
     grid = cfg.sweep_grid()
     seed = cfg.root_seed().derive(_STREAM_BENCH)
     sweep_a = sweep_commands(table_a, plant, grid, seed,

@@ -411,6 +411,21 @@ class TestExitCodes:
         assert "\n" not in err.strip()
         assert not out.exists()
 
+    @pytest.mark.parametrize("segment, message", [
+        (0.1, "shorter than one step"),
+        (100.0, "needs 250 samples"),
+    ])
+    def test_unsatisfiable_segment_duration_exits_2(self, tmp_path, capsys, segment,
+                                                    message):
+        # a 20 s episode at dt=0.4 has 51 samples: no segment of these lengths fits
+        cfg = write_config(tmp_path, {"objective": {"segment_duration": segment}})
+        out = tmp_path / "out"
+        assert main(["learn-sim", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: segment_duration") and message in err
+        assert "\n" not in err.strip()
+        assert not out.exists()
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["learn-sim", "--config", write_config(tmp_path), "--seed", "-1",
                      "--output-dir", str(tmp_path / "out")]) == 2

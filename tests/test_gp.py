@@ -352,6 +352,13 @@ class TestNonFiniteKernel:
             assert outcome(fit_hyper, X, y, [hyper]) == outcome(reference_fit_hyper, X, y,
                                                                  [hyper])
 
+    @pytest.mark.parametrize("signal_std", [1e-170, 1e-160])
+    def test_underflowing_jitter_start_rejected_at_construction(self, signal_std):
+        # signal_std**2 is 0 or subnormal, so the jitter start 1e-10 * signal_std**2
+        # and its cap are both 0; fit would retry forever
+        with pytest.raises(ValueError, match="jitter start"):
+            Hyperparams(signal_std, np.array([0.3]), 0.0)
+
     def test_wrong_dimension_entry_after_a_valid_one_raises(self):
         # one lengthscale would broadcast over both dims if not checked per entry
         X = np.array([[0.1, 0.2], [0.5, 0.4], [0.9, 0.7]])

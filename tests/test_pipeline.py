@@ -1,6 +1,7 @@
 """Phase orchestration: configs, budgets, table assembly, and benchmarks."""
 
 import dataclasses
+import itertools
 import json
 import os
 
@@ -9,20 +10,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitbo.domain import ControlParams, GaitParameter, SeedSpec, from_unit
+import gaitbo.pipeline as pipeline
+from gaitbo.bo import optimize
+from gaitbo.domain import (ControlParams, GaitParameter, SeedSpec, correction_from_vector,
+                           from_unit)
 from gaitbo.errors import BlackBoxError, ConfigurationError, SafeSetError, SimulationError
+from gaitbo.objective import ObjectiveConfig, converged_stats, evaluate_cost
 from gaitbo.pipeline import (
+    _EPISODE_KEY,
+    _STREAM_BASELINE,
+    _STREAM_REAL,
     _STREAM_SIM1,
     _STREAM_SIM2,
     BenchmarkReport,
     PipelineConfig,
     TableBenchmark,
     _best_params,
+    _failure_names_gait,
     _fill_table,
     _gain_black_box,
-    _run_bo,
     _sim_levels,
     _sim_schedule,
+    _warm_design,
     _write_log,
     baseline_table,
     benchmark,
@@ -36,9 +45,9 @@ from gaitbo.pipeline import (
     real_budget,
     sim_budget,
 )
-from gaitbo.plant import real_config, sim_config
-from gaitbo.safeset import load_polyhedron
-from gaitbo.scheduler import GainTable, load_table, save_table
+from gaitbo.plant import learning_profile, real_config, sim_config, stepping_start
+from gaitbo.safeset import constraint_value, load_polyhedron
+from gaitbo.scheduler import GainTable, apply_corrections, load_table, lookup, save_table
 
 
 def tiny_config(**overrides):
@@ -222,6 +231,18 @@ class TestBaselineTable:
         b = baseline_table(desk_scale_config(seed=1))
         assert not np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("cfg", [desk_scale_config(3), full_scale_config(2)],
+                             ids=["desk", "full"])
+    def test_one_draw_matches_node_by_node_draws(self, cfg):
+        # the oracle draws each node's six gains in turn, in C order
+        box = cfg.gain_box
+        rng = cfg.root_seed().derive(_STREAM_BASELINE).generator()
+        lo = box.lower + 0.25 * box.widths
+        want = np.zeros((len(cfg.vx_nodes), len(cfg.vy_nodes), len(cfg.h_nodes), 9))
+        for node in np.ndindex(want.shape[:3]):
+            want[node][:6] = lo + 0.5 * box.widths * rng.random(6)
+        np.testing.assert_array_equal(baseline_table(cfg).values, want)
+
 
 class TestLearnSim:
     def test_nominal_node_matches_run_log(self, tmp_path):
@@ -274,6 +295,23 @@ class TestLearnSim:
         b = learn_sim(cfg)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("segment, message", [
+        (0.1, "shorter than one step of dt=0.4"),
+        (100.0, "needs 250 samples of dt=0.4, but a trajectory has 51"),
+    ])
+    def test_unsatisfiable_segment_rejected_before_any_episode(self, segment, message,
+                                                               tmp_path, monkeypatch):
+        # a 20 s episode at dt=0.4 has 51 samples; the segment needs 1 to 51
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(pipeline, "run_episode", no_episodes)
+        monkeypatch.setattr(pipeline, "run_episodes", no_episodes)
+        cfg = tiny_config(objective=ObjectiveConfig(segment_duration=segment))
+        with pytest.raises(ConfigurationError, match=message):
+            learn_sim(cfg, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimSchedule:
     """_sim_schedule fixes the order the sequential ranking gave, bit for bit."""
@@ -320,6 +358,20 @@ class TestSimSchedule:
             np.testing.assert_allclose(log[0]["x"], best, atol=1e-12)
 
 
+def reference_run_bo(what, gait, black_box, box, run_seed, iterations, init_count,
+                     first=None, spec=None):
+    """One gait's BO run through optimize, as the sequential phases ran it; a
+    failure names the phase's quantity and the gait.
+
+    Given a first design point, the rest of the initial design is drawn from
+    the run seed's stream 0; without one, optimize draws the whole design.
+    """
+    design = None if first is None else _warm_design(first, run_seed, box, init_count)
+    with _failure_names_gait(what, gait):
+        return optimize(black_box, box, iterations, init_count, spec=spec,
+                        initial_design=design, seed=run_seed)
+
+
 def reference_learn_sim(cfg, out_dir=None):
     """learn_sim as a sequential loop over _sim_schedule: one optimize call
     per run, each run's log written as it finishes."""
@@ -336,8 +388,8 @@ def reference_learn_sim(cfg, out_dir=None):
         first = None
         if parent is not None:
             first = np.concatenate([found[parent].kP, found[parent].kD])
-        result = _run_bo("gain", gait, _gain_black_box(gait, cfg, plant, run_seed), box,
-                         run_seed, iterations, init_count, first=first)
+        result = reference_run_bo("gain", gait, _gain_black_box(gait, cfg, plant, run_seed),
+                                  box, run_seed, iterations, init_count, first=first)
         params = _best_params(result, box)
         found.append(params)
         visited[(gait.vx, gait.vy, gait.h)] = params
@@ -346,6 +398,53 @@ def reference_learn_sim(cfg, out_dir=None):
     if out_dir is not None:
         save_table(table, os.path.join(out_dir, "gaintable_sim.json"))
     return table
+
+
+def reference_correction_black_box(gait, table, poly, cfg, plant, run_seed):
+    """One real run's black box as a closure: its own episode counter and one
+    pipeline.run_episode call per evaluation."""
+    profile = learning_profile(gait)
+    start = stepping_start(gait)
+    counter = itertools.count()
+
+    def black_box(c):
+        idx = next(counter)
+        corrected = apply_corrections(table, [(gait, correction_from_vector(c))])
+        traj = pipeline.run_episode(plant, corrected, profile, start,
+                                    run_seed.derive(_EPISODE_KEY, idx))
+        cost = evaluate_cost(traj, gait, cfg.objective)
+        if traj.fell:
+            return cost, 0.5, True
+        stats = converged_stats(traj, cfg.objective.segment_duration)
+        return cost, constraint_value(poly, stats.p_c), False
+
+    return black_box
+
+
+def reference_learn_real(table, poly, cfg, out_dir=None):
+    """learn_real as a sequential loop over p_real: one optimize call per
+    run, each run's log written as it finishes."""
+    plant = real_config()
+    root = cfg.root_seed()
+    corrections = []
+    for i, gait in enumerate(cfg.p_real):
+        run_seed = root.derive(_STREAM_REAL, i)
+        box = cfg.correction_box(lookup(table, gait))
+        black_box = reference_correction_black_box(gait, table, poly, cfg, plant, run_seed)
+        result = reference_run_bo("correction", gait, black_box, box, run_seed, cfg.i3,
+                                  cfg.init_counts[2], first=np.zeros(6), spec=cfg.constraint)
+        corrections.append((gait, correction_from_vector(from_unit(result.best_x, box))))
+        _write_log(result, out_dir, "real", gait)
+    corrected = apply_corrections(table, corrections)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        save_table(corrected, os.path.join(out_dir, "gaintable_real.json"))
+    return corrected, corrections
+
+
+def history_rows(history) -> list:
+    """A BO history as plain values, comparable with ==."""
+    return [(ev.x.tolist(), ev.cost, ev.h_value, ev.fell) for ev in history]
 
 
 def tree_bytes(root) -> dict:
@@ -400,8 +499,6 @@ class TestLockstep:
     ], ids=["desk-1-1", "multi_level-1-3", "multi_level-2-0", "multi_level-3-2"])
     def test_failing_episode_names_its_own_run(self, make_cfg, depth, slot, tmp_path,
                                                monkeypatch):
-        import gaitbo.pipeline as pipeline
-
         cfg = make_cfg()
         schedule = _sim_schedule(cfg)
         levels = _sim_levels(schedule)
@@ -452,14 +549,139 @@ class TestLockstep:
         assert tree_bytes(tmp_path / "lockstep") == want
 
 
+def three_real_runs_config(seed: int = 0):
+    """Desk with a third real gait, off the stepping line, and i3=12."""
+    return dataclasses.replace(
+        desk_scale_config(seed), i3=12,
+        p_real=(GaitParameter(0.0, 0.0, 1.0), GaitParameter(0.0, 0.0, 0.8),
+                GaitParameter(0.4, 0.0, 1.0)))
+
+
+class TestRealLockstep:
+    """The p_real runs form one constrained lockstep level and give the
+    sequential loop's artifacts."""
+
+    @staticmethod
+    def inputs(desk_run):
+        return (load_table(desk_run["paths"]["gaintable_sim"]),
+                load_polyhedron(desk_run["paths"]["safeset"]))
+
+    @staticmethod
+    def assert_same_as_sequential(table, poly, cfg, tmp_path) -> list:
+        """Check that learn_real writes reference_learn_real's bytes and
+        returns its corrections; return the run logs it wrote."""
+        got_table, got = learn_real(table, poly, cfg, out_dir=str(tmp_path / "lockstep"))
+        want_table, want = reference_learn_real(table, poly, cfg,
+                                                out_dir=str(tmp_path / "sequential"))
+        lockstep = tree_bytes(tmp_path / "lockstep")
+        assert len(lockstep) == len(cfg.p_real) + 1
+        assert lockstep == tree_bytes(tmp_path / "sequential")
+        np.testing.assert_array_equal(got_table.values, want_table.values)
+        assert [gait for gait, _ in got] == list(cfg.p_real) == [gait for gait, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            np.testing.assert_array_equal(a.deltaK, b.deltaK)
+            np.testing.assert_array_equal(a.deltaP, b.deltaP)
+        return [json.loads(data) for path, data in sorted(lockstep.items())
+                if path.startswith("runs")]
+
+    @pytest.mark.parametrize("cfg", [desk_scale_config(), three_real_runs_config(0),
+                                     three_real_runs_config(5)],
+                             ids=["desk", "three_runs-0", "three_runs-5"])
+    def test_same_logs_table_and_corrections_as_sequential_loop(self, cfg, desk_run,
+                                                                tmp_path):
+        table, poly = self.inputs(desk_run)
+        self.assert_same_as_sequential(table, poly, cfg, tmp_path)
+
+    def test_falls_match_sequential_loop(self, desk_cfg, desk_run, tmp_path):
+        # at 0.22 times the tuned gains, 8 of the second run's 10 episodes fall
+        table, poly = self.inputs(desk_run)
+        weak = GainTable(table.vx_nodes, table.vy_nodes, table.h_nodes,
+                         table.values * np.r_[[0.22] * 6, [1.0] * 3])
+        logs = self.assert_same_as_sequential(weak, poly, desk_cfg, tmp_path)
+        entries = [entry for log in logs for entry in log]
+        assert any(e["fell"] for e in entries) and not all(e["fell"] for e in entries)
+        assert all(e["h"] == 0.5 for e in entries if e["fell"])
+
+    @pytest.mark.parametrize("run, step", [(0, 0), (1, 6)],
+                             ids=["first_run-first_episode", "second_run-step_6"])
+    def test_failing_episode_names_its_own_run(self, run, step, desk_cfg, desk_run,
+                                               tmp_path, monkeypatch):
+        table, poly = self.inputs(desk_run)
+        target = desk_cfg.root_seed().derive(_STREAM_REAL, run).derive(_EPISODE_KEY, step)
+        failure = "plant state became non-finite at step 7"
+
+        # the sequential loop, failing at that run's episode
+        single = pipeline.run_episode
+
+        def failing_single(plant, table, profile, initial, seed):
+            if seed == target:
+                raise SimulationError(failure, step_index=7)
+            return single(plant, table, profile, initial, seed)
+
+        monkeypatch.setattr(pipeline, "run_episode", failing_single)
+        with pytest.raises(BlackBoxError) as sequential:
+            reference_learn_real(table, poly, desk_cfg)
+
+        # lockstep, the level's batch failing at that run's episode
+        batched = pipeline.run_episodes
+
+        def failing_batch(plant, tables, profiles, initials, seeds):
+            if target in seeds:
+                assert len(seeds) == len(desk_cfg.p_real)
+                raise SimulationError(failure, step_index=7,
+                                      episode_index=list(seeds).index(target))
+            return batched(plant, tables, profiles, initials, seeds)
+
+        monkeypatch.setattr(pipeline, "run_episodes", failing_batch)
+        with pytest.raises(BlackBoxError) as lockstep:
+            learn_real(table, poly, desk_cfg, out_dir=str(tmp_path / "lockstep"))
+        assert str(lockstep.value) == str(sequential.value)
+        gait = desk_cfg.p_real[run]
+        assert str(lockstep.value).startswith(
+            f"correction learning failed at gait ({gait.vx}, {gait.vy}, {gait.h}): "
+            "black box failed at x=[")
+        assert str(lockstep.value).endswith(failure)
+        assert len(lockstep.value.history) == step
+        assert history_rows(lockstep.value.history) == history_rows(sequential.value.history)
+        # a failed level writes no run log, not even for the runs that did not fail
+        assert not (tmp_path / "lockstep").exists()
+
+    def test_only_sim1_runs_call_optimize(self, desk_cfg, desk_run, monkeypatch):
+        """learn_sim calls optimize once per sim-1 gait; learn_real calls
+        neither optimize nor run_episode.
+
+        The benchmark's tracer reads the first bo.optimize span of a traced
+        run as the sim-1 run (runs[0] in bench/run.py), so sim-1 stays on
+        optimize until the tracer times levels instead.
+        """
+        table, poly = self.inputs(desk_run)
+        calls = []
+        real_optimize = pipeline.optimize
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real_optimize(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "optimize", counting)
+        learn_sim(desk_cfg)
+        assert calls == [desk_cfg.root_seed().derive(_STREAM_SIM1, i)
+                         for i in range(len(desk_cfg.p_sim1))]
+
+        def no_single_episode(*args, **kwargs):
+            raise AssertionError("learn_real ran an episode on its own")
+
+        calls.clear()
+        monkeypatch.setattr(pipeline, "run_episode", no_single_episode)
+        learn_real(table, poly, desk_cfg)
+        assert calls == []
+
+
 class TestBudgetConsumption:
     """The episodes a phase actually runs, counted at the plant, match its budget."""
 
     @staticmethod
     def count_episodes(monkeypatch):
         """One entry per episode, run alone or in a batch: the plant it ran on."""
-        import gaitbo.pipeline as pipeline
-
         plants = []
         single, batched = pipeline.run_episode, pipeline.run_episodes
 
