@@ -20,8 +20,8 @@ from scipy.special import ndtr
 
 from .domain import Box, SeedSpec, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError
-from .gp import (GPModel, _ModelStack, _posterior_moments, _stack_models,
-                 _stacked_moments, _std_ratio, default_hyper_grid, fit, fit_hyper)
+from .gp import (GPModel, _fit_best, _ModelStack, _posterior_moments, _stack_models,
+                 _stacked_moments, _std_ratio, default_hyper_grid, fit)
 
 __all__ = [
     "Evaluation",
@@ -378,8 +378,10 @@ class _BORun:
         costs = np.array([ev.cost for ev in self.history])
         refit = self._obj_hyper is None or (k - len(self.design)) % HYPER_REFIT_PERIOD == 0
         if refit:
-            self._obj_hyper = fit_hyper(U, costs, self._grid)
-        obj_model = fit(U, costs, self._obj_hyper)
+            obj_model = _fit_best(U, costs, self._grid)
+            self._obj_hyper = obj_model.hyper
+        else:
+            obj_model = fit(U, costs, self._obj_hyper)
 
         h_model = None
         if self.spec is not None:
@@ -388,8 +390,10 @@ class _BORun:
                 Uh = np.array([x for x, _ in observed])
                 hs = np.array([h for _, h in observed])
                 if refit or self._h_hyper is None:
-                    self._h_hyper = fit_hyper(Uh, hs, self._grid)
-                h_model = fit(Uh, hs, self._h_hyper)
+                    h_model = _fit_best(Uh, hs, self._grid)
+                    self._h_hyper = h_model.hyper
+                else:
+                    h_model = fit(Uh, hs, self._h_hyper)
         return obj_model, h_model, self.spec, float(costs.min()), self.seed.generator(1, k)
 
     def evaluate(self, x_orig: np.ndarray, observe) -> None:

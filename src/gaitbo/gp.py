@@ -213,11 +213,17 @@ def fit(X, y, hyper: Hyperparams, standardize: bool = True) -> GPModel:
     then refer to the standardized scale.
     """
     X, ys, y_mean, y_scale = _training_data(X, y, hyper.n_dims, standardize)
-    twice_scaled, sq_norms, K = _training_kernel(X, hyper)
-    L, alpha, jitter = _factorize(K, hyper.noise_std**2, hyper.signal_std**2, ys)
+    kernel = _training_kernel(X, hyper)
+    factors = _factorize(kernel[2], hyper.noise_std**2, hyper.signal_std**2, ys)
+    return _fitted(X, ys, y_mean, y_scale, hyper, kernel, factors)
+
+
+def _fitted(X, ys, y_mean, y_scale, hyper, kernel, factors) -> GPModel:
+    """The GPModel of _training_data's, _training_kernel's and _factorize's
+    results, over a copy of X and with every array marked read-only."""
     X = np.array(X)
-    X.setflags(write=False)
-    for arr in (ys, L, alpha, twice_scaled, sq_norms):
+    (twice_scaled, sq_norms, _), (L, alpha, jitter) = kernel, factors
+    for arr in (X, ys, L, alpha, twice_scaled, sq_norms):
         arr.setflags(write=False)
     return GPModel(X=X, y=ys, hyper=hyper, L=L, alpha=alpha,
                    y_mean=y_mean, y_scale=y_scale, jitter=jitter,
@@ -358,12 +364,21 @@ def fit_hyper(X, y, grid) -> Hyperparams:
     are validated and standardized once, and entries differing only in
     noise_std share one kernel.
     """
+    return _fit_best(X, y, grid).hyper
+
+
+def _fit_best(X, y, grid) -> GPModel:
+    """fit_hyper's search, returning fit(X, y, fit_hyper(X, y, grid)) bit for bit.
+
+    The chosen entry's model is assembled from the kernel and factorization
+    the search already made, so nothing is refitted.
+    """
     grid = list(grid)
     if not grid:
         raise ValueError("hyperparameter grid must be nonempty")
-    X, ys, _, _ = _training_data(X, y, grid[0].n_dims, standardize=True)
+    X, ys, y_mean, y_scale = _training_data(X, y, grid[0].n_dims, standardize=True)
     kernels = {}
-    best: Hyperparams | None = None
+    best = None  # the chosen entry and its factorization
     best_lml = -np.inf
     best_prod = np.inf
     failures = 0
@@ -371,22 +386,24 @@ def fit_hyper(X, y, grid) -> Hyperparams:
         _check_dims(X, hyper.n_dims)
         key = (hyper.lengthscales.tobytes(), hyper.signal_std)
         if key not in kernels:
-            kernels[key] = _training_kernel(X, hyper)[2]
+            kernels[key] = _training_kernel(X, hyper)
         try:
-            L, alpha, _ = _factorize(kernels[key], hyper.noise_std**2,
-                                     hyper.signal_std**2, ys)
+            factors = _factorize(kernels[key][2], hyper.noise_std**2,
+                                 hyper.signal_std**2, ys)
         except NumericalError:
             failures += 1
             continue
-        lml = _log_evidence(ys, alpha, L)
+        lml = _log_evidence(ys, factors[1], factors[0])
         prod = float(np.prod(hyper.lengthscales))
         if lml > best_lml or (lml == best_lml and prod < best_prod):
-            best, best_lml, best_prod = hyper, lml, prod
+            best, best_lml, best_prod = (hyper, factors), lml, prod
     if best is None:
         raise NumericalError(
             f"every hyperparameter candidate failed to factorize ({failures} failures)"
         )
-    return best
+    hyper, factors = best
+    kernel = kernels[(hyper.lengthscales.tobytes(), hyper.signal_std)]
+    return _fitted(X, ys, y_mean, y_scale, hyper, kernel, factors)
 
 
 def _std_ratio(model: GPModel, stds: np.ndarray) -> float:

@@ -209,10 +209,9 @@ class Trajectory:
                 raise ValueError(f"{name} must have shape ({n}, 3), got {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if n > 1:
-            gaps = np.diff(times)
-            if not np.allclose(gaps, self.dt, rtol=0.0, atol=1e-9):
-                raise ValueError("sample times must be uniformly spaced by dt")
+        # A NaN gap or dt fails the comparison too.
+        if not (abs(times[1:] - times[:-1] - self.dt) <= 1e-9).all():
+            raise ValueError("sample times must be uniformly spaced by dt")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
@@ -272,17 +271,19 @@ def run_episodes(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
     """Run a batch of closed-loop episodes in one array pass.
 
     Episode k runs under tables[k], following profiles[k] from initials[k]
-    with noise from seeds[k]; all profiles must share one duration. Gains are
-    looked up once per distinct table and command, and each episode draws its
-    whole noise block up front from its own stream, so every Trajectory
-    equals the one its episode gives alone, bit for bit. Every episode is
-    stepped to the end; falls and non-finite states are then found from the
-    recorded samples, and each trajectory is cut at its fall. If a state
-    turned non-finite before its episode fell, SimulationError is raised for
-    the first such episode in input order, with its index and the step it
-    failed at.
+    with noise from seeds[k]; all profiles must share one duration. Every
+    distinct table and command is resolved once, in one interpolation per
+    distinct table, and each episode draws its whole noise block up front
+    from its own stream, so every Trajectory equals the one its episode
+    gives alone, bit for bit. Resolved gains must be finite with nonnegative
+    kP and kD, as ControlParams requires; ValueError otherwise. Every
+    episode is stepped to the end; falls and non-finite states are then
+    found from the recorded samples, and each trajectory is cut at its fall.
+    If a state turned non-finite before its episode fell, SimulationError is
+    raised for the first such episode in input order, with its index and the
+    step it failed at.
     """
-    from .scheduler import lookup  # local import to avoid a module cycle
+    from .scheduler import _interpolate  # local import to avoid a module cycle
 
     tables, profiles = tuple(tables), tuple(profiles)
     initials, seeds = tuple(initials), tuple(seeds)
@@ -302,22 +303,45 @@ def run_episodes(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
     if any(p.total_duration != profiles[0].total_duration for p in profiles):
         raise ConfigurationError("episodes in one batch must share a profile duration")
 
+    # One row of points and resolved gains per distinct (table, command),
+    # keyed by (id(table), command); tables holds every table alive.
+    rows = {}
+    per_table = {}  # id(table) -> (table, its rows, their commands)
+    episode_rows = []  # per episode, the rows of its profile's commands
+    for table, profile in zip(tables, profiles):
+        own = []
+        for _, cmd in profile.entries:
+            key = (id(table), cmd)
+            if key not in rows:
+                rows[key] = len(rows)
+                _, at, commands = per_table.setdefault(id(table), (table, [], []))
+                at.append(rows[key])
+                commands.append((cmd.vx, cmd.vy, cmd.h))
+            own.append(rows[key])
+        episode_rows.append(own)
+    points = np.empty((len(rows), 3))
+    resolved = np.empty((len(rows), 9))
+    for table, at, commands in per_table.values():
+        points[at] = commands
+        resolved[at] = _interpolate(table, points[at])
+    if not np.all(np.isfinite(resolved)) or np.any(resolved[:, 0:6] < 0.0):
+        raise ValueError("looked-up gains must be finite with nonnegative kP and kD")
+
+    # Per sample and episode: the active command and its gains, filled once
+    # per distinct tuple of profile start times; per step: noise.
     times = np.arange(n_steps + 1) * cfg.dt
-    # Per sample and episode: the active command and its gains; per step: noise.
     p_des = np.empty((n_steps + 1, n, 3))
     gains = np.empty((n_steps + 1, n, 9))
+    starts = {}
+    for k, profile in enumerate(profiles):
+        starts.setdefault(tuple(start for start, _ in profile.entries), []).append(k)
+    for start_times, members in starts.items():
+        segment = np.searchsorted(start_times, times, side="right") - 1
+        at = np.array([episode_rows[k] for k in members])[:, segment].T
+        p_des[:, members] = points[at]
+        gains[:, members] = resolved[at]
     noise = np.empty((n_steps, n, 3))
-    resolved = {}  # keyed by (id(table), command); tables holds every table alive
-    for k, (table, profile, seed) in enumerate(zip(tables, profiles, seeds)):
-        commands = [cmd for _, cmd in profile.entries]
-        keys = [(id(table), cmd) for cmd in commands]
-        for key, cmd in zip(keys, commands):
-            if key not in resolved:
-                resolved[key] = lookup(table, cmd).as_vector()
-        segment = np.searchsorted([start for start, _ in profile.entries], times,
-                                  side="right") - 1
-        p_des[:, k] = np.array([cmd.as_array() for cmd in commands])[segment]
-        gains[:, k] = np.array([resolved[key] for key in keys])[segment]
+    for k, seed in enumerate(seeds):
         noise[:, k] = seed.generator().normal(0.0, cfg.noise_std, size=(n_steps, 3))
 
     p_hat = np.array([s.p_hat for s in initials])
@@ -360,14 +384,14 @@ def run_episodes(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
     return tuple(
         Trajectory(
             dt=cfg.dt,
-            times=times[:length[k]],
-            p_desired=p_des[:length[k], k],
-            p_hat=rec_p_hat[:length[k], k],
-            delta_g=rec_dg[:length[k], k],
-            fell=bool(fell[k]),
-            fall_time=float(times[length[k] - 1]) if fell[k] else None,
+            times=times[:end],
+            p_desired=p_des[:end, k],
+            p_hat=rec_p_hat[:end, k],
+            delta_g=rec_dg[:end, k],
+            fell=fell_k,
+            fall_time=float(times[end - 1]) if fell_k else None,
         )
-        for k in range(n)
+        for k, (end, fell_k) in enumerate(zip(length.tolist(), fell.tolist()))
     )
 
 

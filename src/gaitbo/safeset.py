@@ -162,6 +162,11 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
         if not isinstance(cmd, GaitParameter):
             raise ConfigurationError(f"sweep grid entries must be GaitParameter, got {cmd!r}")
 
+    # A stepping start depends on the height alone: one per height.
+    starts = {}
+    for cmd in grid:
+        if cmd.h not in starts:
+            starts[cmd.h] = stepping_start(cmd)
     feasible = []
     safe = []
     kept = []
@@ -170,7 +175,7 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
         trajectories = run_episodes(
             cfg, (table,) * len(chunk),
             [learning_profile(cmd) for cmd in chunk],
-            [stepping_start(cmd) for cmd in chunk],
+            [starts[cmd.h] for cmd in chunk],
             [seed.derive(first + k) for k in range(len(chunk))],
         )
         for cmd, traj in zip(chunk, trajectories):

@@ -99,40 +99,47 @@ class GainTable:
         return cls.filled((0.0,), (0.0,), (1.0,), params)
 
 
-def _cell_weight(nodes: tuple, q: float) -> tuple[int, float]:
-    """Lower node index and fractional weight for a clamped query on one axis."""
+def _axis_weights(nodes: tuple, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower node index and fractional weight of each clamped query on one axis."""
     if len(nodes) == 1:
-        return 0, 0.0
-    if q <= nodes[0]:
-        return 0, 0.0
-    if q >= nodes[-1]:
-        return len(nodes) - 2, 1.0
-    idx = int(np.searchsorted(nodes, q, side="right")) - 1
-    x0, x1 = nodes[idx], nodes[idx + 1]
-    return idx, (q - x0) / (x1 - x0)
+        return np.zeros(q.shape, dtype=np.intp), np.zeros(q.shape)
+    x = np.array(nodes)
+    idx = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(nodes) - 2)
+    x0, x1 = x[idx], x[idx + 1]
+    return idx, np.where(q <= x[0], 0.0, np.where(q >= x[-1], 1.0, (q - x0) / (x1 - x0)))
+
+
+def _corners(idx: np.ndarray, w: np.ndarray, n_nodes: int):
+    """(index, weight) of each cell corner along one axis; one on a single-node axis."""
+    if n_nodes == 1:
+        return ((idx, 1.0 - w),)
+    return ((idx, 1.0 - w), (idx + 1, w))
+
+
+def _interpolate(table: GainTable, points: np.ndarray) -> np.ndarray:
+    """Trilinear interpolation of node parameters at each (vx, vy, h) row of points.
+
+    Queries outside the grid are clamped to it. Corners are summed in
+    (i, j, k) order with weight (fx * fy) * fz; a zero-weight corner adds an
+    exact zero, since the sum starts at +0.0 and the values are finite. So
+    each row equals the row a lone query gives, bit for bit.
+    """
+    points = np.asarray(points, dtype=float)
+    (i, wx), (j, wy), (k, wz) = (_axis_weights(nodes, points[:, axis])
+                                 for axis, nodes in enumerate(table.axes))
+    v = table.values
+    out = np.zeros((points.shape[0], 9))
+    for ii, fx in _corners(i, wx, len(table.vx_nodes)):
+        for jj, fy in _corners(j, wy, len(table.vy_nodes)):
+            fxy = fx * fy
+            for kk, fz in _corners(k, wz, len(table.h_nodes)):
+                out += (fxy * fz)[:, None] * v[ii, jj, kk]
+    return out
 
 
 def lookup(table: GainTable, p: GaitParameter) -> ControlParams:
     """Trilinear interpolation of node parameters, clamped outside the grid."""
-    i, wx = _cell_weight(table.vx_nodes, p.vx)
-    j, wy = _cell_weight(table.vy_nodes, p.vy)
-    k, wz = _cell_weight(table.h_nodes, p.h)
-    i1 = min(i + 1, len(table.vx_nodes) - 1)
-    j1 = min(j + 1, len(table.vy_nodes) - 1)
-    k1 = min(k + 1, len(table.h_nodes) - 1)
-    v = table.values
-    out = np.zeros(9)
-    for ii, fx in ((i, 1.0 - wx), (i1, wx)):
-        if fx == 0.0:
-            continue
-        for jj, fy in ((j, 1.0 - wy), (j1, wy)):
-            if fy == 0.0:
-                continue
-            for kk, fz in ((k, 1.0 - wz), (k1, wz)):
-                if fz == 0.0:
-                    continue
-                out += (fx * fy * fz) * v[ii, jj, kk]
-    return ControlParams.from_vector(out)
+    return ControlParams.from_vector(_interpolate(table, [[p.vx, p.vy, p.h]])[0])
 
 
 def _node_index(nodes: tuple, q: float, axis: str) -> int:
@@ -205,8 +212,8 @@ def table_from_json_dict(data: dict) -> GainTable:
         vx = _axis_nodes(axes["vx"], "vx")
         vy = _axis_nodes(axes["vy"], "vy")
         h = _axis_nodes(axes["h"], "h")
-        entries = data["entries"]
-    except (KeyError, TypeError) as exc:
+        entries = list(data["entries"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed gain table document: {exc}") from exc
     values = np.full((len(vx), len(vy), len(h), 9), np.nan)
     for entry in entries:

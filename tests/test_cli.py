@@ -14,6 +14,7 @@ from gaitbo.cli import CliConfig, load_cli_config, main
 from gaitbo.domain import ControlParams
 from gaitbo.errors import ConfigurationError
 from gaitbo.pipeline import desk_scale_config, full_scale_config
+from gaitbo.safeset import convex_hull, save_polyhedron
 from gaitbo.scheduler import GainTable, load_table, save_table
 
 TINY = {
@@ -42,6 +43,13 @@ def zero_table_file(tmp_path):
     table = GainTable.constant(ControlParams(np.zeros(3), np.zeros(3), np.zeros(3)))
     path = tmp_path / "zero.json"
     save_table(table, path)
+    return str(path)
+
+
+def safe_set_file(tmp_path):
+    poly = convex_hull([[0.0, 0.0, 0.8], [0.4, 0.0, 0.8], [0.0, 0.2, 0.8], [0.0, 0.0, 1.0]])
+    path = tmp_path / "safeset.json"
+    save_polyhedron(poly, path)
     return str(path)
 
 
@@ -321,6 +329,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nonnegative" in err
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("command", ["simulate", "extract-safeset", "learn-real"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"entries": None}, "not iterable"),
+        ({"axes": {"vx": [0.0, 0.0], "vy": [0.0], "h": [1.0]}}, "increase strictly"),
+        ({"axes": {"vx": [], "vy": [0.0], "h": [1.0]}}, "at least one node"),
+    ])
+    def test_malformed_gain_table_exits_2(self, tmp_path, capsys, command, edit, message):
+        data = json.loads(Path(zero_table_file(tmp_path)).read_text())
+        data.update(edit)
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        args = {
+            "simulate": ["simulate", "--command", "0", "0", "1",
+                         "--out", str(out / "t.csv")],
+            "extract-safeset": ["extract-safeset", "--config", write_config(tmp_path),
+                                "--output-dir", str(out)],
+            "learn-real": ["learn-real", "--config", write_config(tmp_path),
+                           "--output-dir", str(out), "--safeset", safe_set_file(tmp_path)],
+        }[command]
+        assert main(args + ["--table", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed gain table document") and message in err
+        assert "\n" not in err.strip()
+        assert not out.exists()
 
     def test_safe_set_without_faces_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -10,6 +10,7 @@ from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
 from gaitbo.errors import NumericalError
 from gaitbo.gp import (
+    _fit_best,
     _posterior_moments,
     _stack_models,
     _stacked_moments,
@@ -314,6 +315,49 @@ class TestFitBitIdentity:
         assert got == (NumericalError,
                        "every hyperparameter candidate failed to factorize (15 failures)")
         assert got == outcome(reference_fit_hyper, X, y, grid)
+
+
+class TestFitBestModel:
+    """The search's model equals fit under the chosen hyperparameters, in every field."""
+
+    FIELDS = ("X",) + TestFitBitIdentity.FIELDS
+
+    def assert_same_model(self, got, want):
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        for name in self.FIELDS:
+            value = getattr(got, name)
+            assert np.array_equal(value, getattr(want, name)), name
+            assert type(value) is type(getattr(want, name)), name
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, name
+        assert got.hyper is want.hyper
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_points=st.integers(1, 100), n_dims=st.integers(1, 6),
+           n_duplicates=st.integers(0, 100),
+           shift=st.sampled_from([0.0, 0.0, 1e2, 1e3, 1e5, 1e7]),
+           constant=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
+    def test_matches_fit_of_the_choice(self, n_points, n_dims, n_duplicates, shift,
+                                       constant, data_seed):
+        rng = np.random.default_rng(data_seed)
+        X = shift + rng.random((n_points, n_dims))
+        copies = rng.integers(0, n_points, min(n_duplicates, n_points - 1))
+        X[rng.permutation(n_points)[:len(copies)]] = X[copies]
+        y = np.full(n_points, 2.5) if constant else rng.normal(0.0, 3.0, n_points)
+        for grid in (default_hyper_grid(n_dims), custom_grid(n_dims)):
+            got = outcome(_fit_best, X, y, grid)
+            chosen = outcome(fit_hyper, X, y, grid)
+            want = chosen if isinstance(chosen, tuple) else fit(X, y, chosen)
+            self.assert_same_model(got, want)
+
+    def test_model_does_not_alias_the_callers_inputs(self):
+        X = np.random.default_rng(8).random((12, 2))
+        y = np.sin(3.0 * X[:, 0])
+        model = _fit_best(X, y, default_hyper_grid(2))
+        X[0, 0] = 7.0
+        assert model.X[0, 0] != 7.0
 
 
 class TestNonFiniteKernel:

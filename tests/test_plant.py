@@ -24,6 +24,7 @@ from gaitbo.plant import (
     stepping_start,
 )
 from gaitbo.scheduler import GainTable, lookup
+from test_scheduler import reference_lookup
 
 
 def constant_table(kP, kD, deltaP=(0.0, 0.0, 0.0)):
@@ -188,6 +189,32 @@ class TestCommandProfile:
         assert stepping.entries == ((0.0, GaitParameter(0.0, 0.0, 1.0)),)
 
 
+class TestTrajectory:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), dt=st.sampled_from([0.4, 0.1, 1.0, np.nan]),
+           shifts=st.lists(st.sampled_from([0.0, 0.0, 5e-10, -5e-10, 1e-9, 2e-9, -3e-9,
+                                            0.4, np.nan, np.inf]), min_size=6, max_size=6))
+    def test_gap_check_matches_allclose(self, n, dt, shifts):
+        times = np.arange(n) * (0.4 if np.isnan(dt) else dt) + np.array(shifts[:n])
+        samples = np.zeros((n, 3))
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf
+                uniform = n == 1 or np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9)
+                traj = Trajectory(dt, times, samples, samples, samples, False, None)
+        except ValueError as exc:
+            assert not uniform and "uniformly spaced" in str(exc)
+        else:
+            assert uniform and len(traj) == n
+
+    def test_rejects_empty_and_misshapen_samples(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            Trajectory(0.4, [], np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)),
+                       False, None)
+        with pytest.raises(ValueError, match="p_hat must have shape"):
+            Trajectory(0.4, [0.0, 0.4], np.zeros((2, 3)), np.zeros((2, 2)),
+                       np.zeros((2, 3)), False, None)
+
+
 class TestRunEpisode:
     def test_sample_count_and_spacing(self):
         cfg = sim_config()
@@ -347,7 +374,7 @@ def reference_episode(cfg, table, profile, initial, seed):
     for i in range(n_steps + 1):
         t = i * cfg.dt
         cmd = reference_command_at(profile, t)
-        params = lookup(table, cmd)
+        params = reference_lookup(table, cmd)
         target = cmd.as_array()
         dg = params.kP * (target + params.deltaP - p) + params.kD * (np.zeros(3) - v / cfg.dt)
         times.append(t)
@@ -454,13 +481,15 @@ class TestBatchedRollout:
         import gaitbo.scheduler as scheduler
 
         calls = []
-        original = scheduler.lookup
+        batches = []
+        original = scheduler._interpolate
 
-        def counting(table, cmd):
-            calls.append((id(table), cmd))
-            return original(table, cmd)
+        def counting(table, points):
+            batches.append(id(table))
+            calls.extend((id(table), GaitParameter(*point)) for point in points)
+            return original(table, points)
 
-        monkeypatch.setattr(scheduler, "lookup", counting)
+        monkeypatch.setattr(scheduler, "_interpolate", counting)
         cfg = sim_config()
         commands = POOL[:4] * 2
         tables = [TABLES[k % 2] for k in range(len(commands))]
@@ -469,6 +498,20 @@ class TestBatchedRollout:
         assert set(calls) == {(id(table), cmd)
                               for table, c in zip(tables, commands)
                               for _, cmd in learning_profile(c).entries}
+        assert sorted(batches) == sorted({id(table) for table in tables})
+
+    @pytest.mark.parametrize("node, bad", [(0, -1.0), (3, np.inf), (8, np.nan)])
+    def test_resolved_gains_are_checked(self, node, bad):
+        cfg = sim_config()
+        table = constant_table([1.0] * 3, [0.3] * 3)
+        values = np.array(table.values)
+        values[..., node] = bad
+        object.__setattr__(table, "values", values)  # past GainTable's own checks
+        cmd = GaitParameter(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="finite with nonnegative kP and kD"):
+            run_episodes(cfg, (table, constant_table([1.0] * 3, [0.3] * 3)),
+                         (learning_profile(cmd),) * 2, (stepping_start(cmd),) * 2,
+                         (SeedSpec(0), SeedSpec(1)))
 
     def test_non_finite_state_raises_for_first_episode_in_input_order(self):
         cfg = disturbance_free(sim_config())

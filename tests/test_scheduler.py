@@ -14,6 +14,7 @@ from gaitbo.domain import ControlParams, GaitParameter, correction_from_vector
 from gaitbo.errors import ConfigurationError, GridNodeError
 from gaitbo.scheduler import (
     GainTable,
+    _interpolate,
     apply_corrections,
     load_table,
     lookup,
@@ -26,6 +27,46 @@ from gaitbo.scheduler import (
 VX = (-0.4, 0.0, 0.4)
 VY = (0.0,)
 H = (0.8, 1.0)
+
+
+def reference_cell_weight(nodes, q):
+    """Lower node index and fractional weight for a clamped query on one axis."""
+    if len(nodes) == 1:
+        return 0, 0.0
+    if q <= nodes[0]:
+        return 0, 0.0
+    if q >= nodes[-1]:
+        return len(nodes) - 2, 1.0
+    idx = int(np.searchsorted(nodes, q, side="right")) - 1
+    x0, x1 = nodes[idx], nodes[idx + 1]
+    return idx, (q - x0) / (x1 - x0)
+
+
+def reference_lookup(table, p):
+    """The scalar lookup the batched interpolation replaced, kept as its reference.
+
+    One query at a time: a clamped cell weight per axis, then the corners
+    with nonzero weight summed in (i, j, k) order.
+    """
+    i, wx = reference_cell_weight(table.vx_nodes, p.vx)
+    j, wy = reference_cell_weight(table.vy_nodes, p.vy)
+    k, wz = reference_cell_weight(table.h_nodes, p.h)
+    i1 = min(i + 1, len(table.vx_nodes) - 1)
+    j1 = min(j + 1, len(table.vy_nodes) - 1)
+    k1 = min(k + 1, len(table.h_nodes) - 1)
+    v = table.values
+    out = np.zeros(9)
+    for ii, fx in ((i, 1.0 - wx), (i1, wx)):
+        if fx == 0.0:
+            continue
+        for jj, fy in ((j, 1.0 - wy), (j1, wy)):
+            if fy == 0.0:
+                continue
+            for kk, fz in ((k, 1.0 - wz), (k1, wz)):
+                if fz == 0.0:
+                    continue
+                out += (fx * fy * fz) * v[ii, jj, kk]
+    return ControlParams.from_vector(out)
 
 
 def random_table(rng, vx=VX, vy=VY, h=H, scale=3.0):
@@ -146,6 +187,55 @@ class TestLookup:
         a = lookup(table, GaitParameter(0.1, -0.3, 0.9)).as_vector()
         b = lookup(table, GaitParameter(0.1, 0.3, 0.9)).as_vector()
         np.testing.assert_array_equal(a, b)
+
+
+def axis_query(nodes):
+    """A query on one axis: on a node, between two, or clamped on either side."""
+    lo, hi = nodes[0], nodes[-1]
+    return st.one_of(
+        st.sampled_from(nodes),
+        st.floats(lo, hi),
+        st.floats(lo - 5.0, lo),
+        st.floats(hi, hi + 5.0),
+    )
+
+
+class TestInterpolate:
+    """_interpolate rows equal the scalar reference lookup, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_reference_lookup(self, data):
+        def axis(low):
+            return st.lists(st.floats(low, 3.0), min_size=1, max_size=5,
+                            unique=True).map(sorted)
+
+        axes = (data.draw(axis(-3.0)), data.draw(axis(-3.0)), data.draw(axis(0.1)))
+        shape = tuple(len(a) for a in axes)
+        # Zeros of both signs among the values, and negative offsets.
+        gains = data.draw(arrays(float, shape + (6,),
+                                 elements=st.sampled_from([0.0, 1.5]) | st.floats(0.0, 50.0)))
+        offsets = data.draw(arrays(float, shape + (3,), elements=st.sampled_from(
+            [0.0, -0.0]) | st.floats(-2.0, 2.0)))
+        table = GainTable(*axes, np.concatenate([gains, offsets], axis=-1))
+        queries = data.draw(st.lists(st.tuples(
+            axis_query(axes[0]), axis_query(axes[1]),
+            axis_query(axes[2]).map(lambda h: max(h, 1e-3))), min_size=1, max_size=8))
+        rows = _interpolate(table, np.array(queries))
+        assert rows.shape == (len(queries), 9)
+        for row, query in zip(rows, queries):
+            want = reference_lookup(table, GaitParameter(*query)).as_vector()
+            assert row.tobytes() == want.tobytes()
+            assert lookup(table, GaitParameter(*query)).as_vector().tobytes() == want.tobytes()
+
+    def test_batch_rows_equal_lone_queries(self):
+        rng = np.random.default_rng(20)
+        table = random_table(rng, vx=(-1.0, -0.2, 0.5, 1.0), vy=(-0.3, 0.0, 0.3),
+                             h=(0.7, 0.85, 1.0))
+        points = rng.uniform([-1.5, -0.5, 0.5], [1.5, 0.5, 1.2], (200, 3))
+        rows = _interpolate(table, points)
+        for row, point in zip(rows, points):
+            assert row.tobytes() == _interpolate(table, point[None]).tobytes()
 
 
 class TestUpsert:
