@@ -11,6 +11,7 @@ rows of every run still refining.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .domain import Box, SeedSpec, from_unit, to_unit
-from .errors import BlackBoxError, ConfigurationError
+from .errors import BlackBoxError, ConfigurationError, SimulationError
 from .gp import (GPModel, _fit_best, _ModelStack, _posterior_moments, _stack_models,
                  _stacked_moments, _std_ratio, default_hyper_grid, fit)
 
@@ -356,63 +357,53 @@ class _BORun:
         self.design = design
         self.history: list[Evaluation] = []
         self._grid = default_hyper_grid(box.n_dims)
-        self._obj_hyper = None
-        self._h_hyper = None
-
-    @property
-    def done(self) -> bool:
-        return len(self.history) >= self.iterations
-
-    @property
-    def in_design(self) -> bool:
-        return len(self.history) < len(self.design)
-
-    def design_point(self) -> np.ndarray:
-        return self.design[len(self.history)]
+        self._hyper: dict = {}  # the last searched hyperparameters, by modelled quantity
 
     def proposal_inputs(self) -> tuple:
         """propose's arguments for the next point: the models fitted to the
         history, the constraint spec, the best cost and the step's generator."""
         k = len(self.history)
-        U = np.array([ev.x for ev in self.history])
-        costs = np.array([ev.cost for ev in self.history])
-        refit = self._obj_hyper is None or (k - len(self.design)) % HYPER_REFIT_PERIOD == 0
-        if refit:
-            obj_model = _fit_best(U, costs, self._grid)
-            self._obj_hyper = obj_model.hyper
-        else:
-            obj_model = fit(U, costs, self._obj_hyper)
+        refit = (k - len(self.design)) % HYPER_REFIT_PERIOD == 0
 
+        def model(name: str, U, y) -> GPModel:
+            if refit or name not in self._hyper:
+                found = _fit_best(U, y, self._grid)
+                self._hyper[name] = found.hyper
+                return found
+            return fit(U, y, self._hyper[name])
+
+        costs = np.array([ev.cost for ev in self.history])
+        obj_model = model("cost", np.array([ev.x for ev in self.history]), costs)
         h_model = None
         if self.spec is not None:
-            observed = [(ev.x, ev.h_value) for ev in self.history if ev.h_value is not None]
+            observed = [ev for ev in self.history if ev.h_value is not None]
             if observed:
-                Uh = np.array([x for x, _ in observed])
-                hs = np.array([h for _, h in observed])
-                if refit or self._h_hyper is None:
-                    h_model = _fit_best(Uh, hs, self._grid)
-                    self._h_hyper = h_model.hyper
-                else:
-                    h_model = fit(Uh, hs, self._h_hyper)
+                h_model = model("h", np.array([ev.x for ev in observed]),
+                                np.array([ev.h_value for ev in observed]))
         return obj_model, h_model, self.spec, float(costs.min()), self.seed.generator(1, k)
+
+    def failure(self, message: str) -> BlackBoxError:
+        """A BlackBoxError carrying the history so far."""
+        return BlackBoxError(message, tuple(self.history))
 
     def evaluate(self, x_orig: np.ndarray, observe) -> None:
         """Record the observation observe() gives at the original-units x_orig.
 
-        A failure of observe other than BlackBoxError, and a non-finite cost,
-        raise BlackBoxError carrying the history so far.
+        A failure of observe other than BlackBoxError, and a non-finite cost
+        or constraint observation, raise BlackBoxError carrying the history
+        so far.
         """
         try:
             cost, h_value, fell = _parse_observation(observe())
         except BlackBoxError:
             raise
         except Exception as exc:
-            err = BlackBoxError(f"black box failed at x={x_orig}: {exc}",
-                                tuple(self.history))
-            raise err from exc
+            raise self.failure(f"black box failed at x={x_orig}: {exc}") from exc
         if not np.isfinite(cost):
-            raise BlackBoxError(f"black box returned non-finite cost at x={x_orig}",
-                                tuple(self.history))
+            raise self.failure(f"black box returned non-finite cost at x={x_orig}")
+        if h_value is not None and not np.isfinite(h_value):
+            raise self.failure(
+                f"black box returned non-finite constraint observation at x={x_orig}")
         self.history.append(Evaluation(to_unit(x_orig, self.box), cost, h_value, fell))
 
     def result(self) -> BOResult:
@@ -426,6 +417,34 @@ class _BORun:
         )
 
 
+def _drive_level(runs: list, evaluate_batch, names_failure=contextlib.nullcontext) -> list:
+    """The ask/tell loop of BO runs that share one budget, advanced together.
+
+    Each step asks every run for its next original-units point: its design
+    point, or, for the runs past their design, one _propose_level call.
+    evaluate_batch(xs) returns one zero-argument observer per run, and each
+    run is told its observation in run order. A SimulationError of the batch
+    is that of the run its episode_index names. Every failure of run i is
+    raised inside names_failure(i). Returns each run's result, which equals
+    that of its own optimize call.
+    """
+    for k in range(runs[0].iterations):
+        proposed = iter(_propose_level([run.proposal_inputs() for run in runs
+                                        if k >= len(run.design)]))
+        xs = [run.design[k] if k < len(run.design) else from_unit(next(proposed), run.box)
+              for run in runs]
+        try:
+            observers = evaluate_batch(xs)
+        except SimulationError as exc:
+            i = exc.episode_index
+            with names_failure(i):
+                raise runs[i].failure(f"black box failed at x={xs[i]}: {exc}") from exc
+        for i, (run, x, observe) in enumerate(zip(runs, xs, observers)):
+            with names_failure(i):
+                run.evaluate(x, observe)
+    return [run.result() for run in runs]
+
+
 def optimize(black_box, box: Box, iterations: int, init_count: int,
              spec: ConstraintSpec | None = None, initial_design=None,
              seed: SeedSpec = SeedSpec(0)) -> BOResult:
@@ -437,13 +456,7 @@ def optimize(black_box, box: Box, iterations: int, init_count: int,
     evaluation, never a model prediction.
     """
     run = _BORun(box, iterations, init_count, spec, initial_design, seed)
-    while not run.done:
-        if run.in_design:
-            x = run.design_point()
-        else:
-            x = from_unit(propose(*run.proposal_inputs()), box)
-        run.evaluate(x, lambda: black_box(np.array(x)))
-    return run.result()
+    return _drive_level([run], lambda xs: [lambda: black_box(np.array(xs[0]))])[0]
 
 
 def result_to_log_entries(result: BOResult) -> list[dict]:

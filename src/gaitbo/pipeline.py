@@ -14,6 +14,7 @@ a whole run is reproducible artifact-for-artifact.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bo import BOResult, ConstraintSpec, _BORun, _propose_level, optimize, write_run_log
+from .bo import BOResult, ConstraintSpec, _BORun, _drive_level, optimize, write_run_log
 from .domain import (
     Box,
     ControlParams,
@@ -34,7 +35,7 @@ from .domain import (
     from_unit,
 )
 from .errors import BlackBoxError, ConfigurationError, GridNodeError, SafeSetError
-from .errors import DegenerateGeometryError, SimulationError
+from .errors import DegenerateGeometryError
 from .objective import ObjectiveConfig, _segment_samples, converged_stats, evaluate_cost
 from .plant import (
     EPISODE_DURATION,
@@ -447,12 +448,11 @@ def _run_level(what: str, runs: list, iterations: int, init_count: int,
     (gait, run seed, box, first design point), and the runs share the budget,
     the init count and the constraint spec.
 
-    Every run takes its next evaluation at each step: the proposals come
-    from one _propose_level call and the episodes from one run_episodes
-    call, each run's seeded by its own evaluation index. An episode at x runs
-    the table episode_table(gait, x) and is read as observe(gait, traj).
-    Each run's results equal those of its own optimize call; a failure names
-    the phase's quantity (what) and the run's gait.
+    Each step of bo._drive_level takes one run_episodes call, each run's
+    episode seeded by its own evaluation index. An episode at x runs the
+    table episode_table(gait, x) and is read as observe(gait, traj). Each
+    run's results equal those of its own optimize call; a failure names the
+    phase's quantity (what) and the run's gait.
     """
     gaits = [gait for gait, _, _, _ in runs]
     bo_runs = [_BORun(box, iterations, init_count, spec, seed=run_seed,
@@ -460,27 +460,15 @@ def _run_level(what: str, runs: list, iterations: int, init_count: int,
                for _, run_seed, box, first in runs]
     profiles = [learning_profile(gait) for gait in gaits]
     starts = [stepping_start(gait) for gait in gaits]
-    while not all(run.done for run in bo_runs):  # the runs share one budget
-        proposed = iter(_propose_level([run.proposal_inputs() for run in bo_runs
-                                        if not run.in_design]))
-        xs = [run.design_point() if run.in_design else from_unit(next(proposed), run.box)
-              for run in bo_runs]
+
+    def episodes(xs) -> list:
         tables = [episode_table(gait, x) for gait, x in zip(gaits, xs)]
         seeds = [run.seed.derive(_EPISODE_KEY, len(run.history)) for run in bo_runs]
-        try:
-            trajectories = run_episodes(plant, tables, profiles, starts, seeds)
-        except SimulationError as exc:
-            failed = exc.episode_index
+        trajectories = run_episodes(plant, tables, profiles, starts, seeds)
+        return [functools.partial(observe, gait, traj)
+                for gait, traj in zip(gaits, trajectories)]
 
-            def rethrow():
-                raise exc
-
-            with _failure_names_gait(what, gaits[failed]):
-                bo_runs[failed].evaluate(xs[failed], rethrow)  # raises
-        for gait, run, x, traj in zip(gaits, bo_runs, xs, trajectories):
-            with _failure_names_gait(what, gait):
-                run.evaluate(x, lambda: observe(gait, traj))
-    return [run.result() for run in bo_runs]
+    return _drive_level(bo_runs, episodes, lambda i: _failure_names_gait(what, gaits[i]))
 
 
 def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = None,

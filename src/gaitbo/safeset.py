@@ -127,19 +127,15 @@ class SafePolyhedron:
                     raise ValueError(f"face references vertex {i} outside the vertex list")
 
         centroid = vertices.mean(axis=0)
-        for face in faces:
-            anchor = vertices[face.anchor_index]
-            if np.dot(centroid - anchor, face.inward_normal) <= 0.0:
-                raise ValueError("every inward normal must point toward the centroid")
-        anchors = np.array([vertices[f.anchor_index] for f in faces])
-        normals = np.array([f.inward_normal for f in faces])
-        hs = []
-        for v in vertices:
-            hs.append(max(float(np.dot(a - v, n)) for a, n in zip(anchors, normals)))
-        if max(hs) > 1e-9:
-            raise ValueError(f"a vertex violates the face planes by {max(hs):.3e}")
-        centroid_h = max(float(np.dot(a - centroid, n)) for a, n in zip(anchors, normals))
-        if centroid_h >= 0.0:
+        anchors = vertices[[face.anchor_index for face in faces]]
+        normals = np.array([face.inward_normal for face in faces])
+        if np.any(np.sum((centroid - anchors) * normals, axis=1) <= 0.0):
+            raise ValueError("every inward normal must point toward the centroid")
+        # the farthest any vertex lies behind any face plane
+        worst = np.sum((anchors - vertices[:, None, :]) * normals, axis=2).max()
+        if worst > 1e-9:
+            raise ValueError(f"a vertex violates the face planes by {worst:.3e}")
+        if np.sum((anchors - centroid) * normals, axis=1).max() >= 0.0:
             raise ValueError("the centroid must lie strictly inside the polyhedron")
 
     @property

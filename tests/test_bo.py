@@ -1,5 +1,7 @@
 """Acquisition functions and the optimization loop on synthetic problems."""
 
+import contextlib
+import functools
 import json
 import math
 
@@ -22,12 +24,14 @@ from gaitbo.bo import (
     propose,
     result_to_log_entries,
     write_run_log,
+    _BORun,
+    _drive_level,
     _propose_level,
     _refine_together,
     _stacked_scores,
 )
 from gaitbo.domain import Box, SeedSpec, from_unit
-from gaitbo.errors import BlackBoxError, ConfigurationError
+from gaitbo.errors import BlackBoxError, ConfigurationError, SimulationError
 from gaitbo.gp import (Hyperparams, _stack_models, _std_ratio, default_hyper_grid, fit,
                        posterior_batch)
 
@@ -430,6 +434,29 @@ class TestOptimize:
             optimize(flaky, box, iterations=10, init_count=6, seed=SeedSpec(4))
         assert len(info.value.history) == 3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", [1, 5], ids=["design_step", "proposal_step"])
+    def test_non_finite_constraint_observation_carries_history(self, bad, at):
+        box = Box([0.0], [1.0])
+
+        def f(x):
+            return float(x[0]), float(x[0]) - 0.5, False
+
+        calls = []
+
+        def spoiled(x):
+            calls.append(x)
+            cost, h, fell = f(x)
+            return cost, (bad if len(calls) == at + 1 else h), fell
+
+        with pytest.raises(BlackBoxError, match="non-finite constraint observation") as info:
+            optimize(spoiled, box, iterations=8, init_count=3, spec=ConstraintSpec(),
+                     seed=SeedSpec(8))
+        clean = optimize(f, box, iterations=8, init_count=3, spec=ConstraintSpec(),
+                         seed=SeedSpec(8))
+        assert len(calls) == at + 1
+        assert history_rows(info.value.history) == history_rows(clean.history[:at])
+
     def test_fell_and_h_are_recorded(self):
         box = Box([0.0], [1.0])
 
@@ -456,6 +483,82 @@ class TestOptimize:
             np.array([ev.x for ev in a.history]),
             np.array([ev.x for ev in b.history]),
         )
+
+
+def history_rows(history) -> list:
+    return [(ev.x.tolist(), ev.cost, ev.h_value, ev.fell) for ev in history]
+
+
+class TestDriveLevel:
+    """Runs that _drive_level advances together each give their own
+    optimize result."""
+
+    BOX = Box([-1.0, 0.0], [1.0, 2.0])
+    ITERATIONS, INIT_COUNT = 10, 3
+
+    @staticmethod
+    def bowl(x):
+        return float((x[0] - 0.2) ** 2 + (x[1] - 1.1) ** 2)
+
+    @staticmethod
+    def ridge(x):
+        return float(abs(x[0] + 0.4) + (x[1] - 0.5) ** 2)
+
+    @staticmethod
+    def capped(x):
+        return float(-x[0] - x[1]), float(x[0] + x[1] - 1.5), False
+
+    def cases(self) -> list:
+        """(black box, optimize keywords) of a warm-design, a drawn-design
+        and a constrained run."""
+        return [
+            (self.bowl, dict(initial_design=[np.array([0.0, 1.0]), np.array([0.5, 0.5])],
+                             seed=SeedSpec(11))),
+            (self.ridge, dict(seed=SeedSpec(12))),
+            (self.capped, dict(spec=ConstraintSpec(), seed=SeedSpec(13))),
+        ]
+
+    def level(self) -> list:
+        return [_BORun(self.BOX, self.ITERATIONS, self.INIT_COUNT, **kw)
+                for _, kw in self.cases()]
+
+    def alone(self) -> list:
+        return [optimize(f, self.BOX, self.ITERATIONS, self.INIT_COUNT, **kw)
+                for f, kw in self.cases()]
+
+    def observers(self, xs) -> list:
+        return [functools.partial(f, np.array(x)) for (f, _), x in zip(self.cases(), xs)]
+
+    def test_each_run_gets_its_own_optimize_result(self):
+        got = _drive_level(self.level(), self.observers)
+        for result, want in zip(got, self.alone()):
+            assert history_rows(result.history) == history_rows(want.history)
+            np.testing.assert_array_equal(result.best_x, want.best_x)
+            np.testing.assert_array_equal(result.best_cost_trace, want.best_cost_trace)
+        assert any(ev.h_value is not None for ev in got[2].history)
+
+    def test_batch_failure_raises_the_named_runs_error(self):
+        runs = self.level()
+        failure = "plant state became non-finite at step 7"
+
+        def evaluate_batch(xs):
+            if len(runs[0].history) == 6:
+                raise SimulationError(failure, step_index=7, episode_index=1)
+            return self.observers(xs)
+
+        @contextlib.contextmanager
+        def names_run(i):
+            try:
+                yield
+            except BlackBoxError as exc:
+                raise BlackBoxError(f"run {i}: {exc}", exc.history) from exc
+
+        with pytest.raises(BlackBoxError) as info:
+            _drive_level(runs, evaluate_batch, names_run)
+        assert str(info.value).startswith("run 1: black box failed at x=[")
+        assert str(info.value).endswith(failure)
+        assert isinstance(info.value.__cause__.__cause__, SimulationError)
+        assert history_rows(info.value.history) == history_rows(self.alone()[1].history[:6])
 
 
 class TestConstrainedOptimize:

@@ -1,8 +1,10 @@
 """Phase orchestration: configs, budgets, table assembly, and benchmarks."""
 
+import copy
 import dataclasses
 import itertools
 import json
+import logging
 import os
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaitbo.bo as bo
 import gaitbo.pipeline as pipeline
 from gaitbo.bo import optimize
 from gaitbo.domain import (ControlParams, GaitParameter, SeedSpec, correction_from_vector,
@@ -768,6 +771,70 @@ class TestLearnReal:
             assert best <= zero_cost
             # every real evaluation carries a recorded constraint observation
             assert all(e["h"] is not None for e in entries)
+
+
+class TestSafetyConstraint:
+    """Desk learn_real inside a hull tighter than the desk one: the hull of the
+    full-scale sweep over a table of gains drawn uniformly over the gain box,
+    seeded as the benchmark's full_sweep workload seeds it."""
+
+    @pytest.fixture(scope="class")
+    def tight_hull(self):
+        cfg = full_scale_config(0)
+        box = cfg.gain_box
+        shape = (len(cfg.vx_nodes), len(cfg.vy_nodes), len(cfg.h_nodes))
+        values = np.zeros(shape + (9,))
+        values[..., :6] = box.lower + box.widths * np.random.default_rng(0).random(shape + (6,))
+        sweep, poly = extract_safe_set(
+            GainTable(cfg.vx_nodes, cfg.vy_nodes, cfg.h_nodes, values), cfg)
+        assert len(sweep.feasible_commands) / len(sweep.grid) == pytest.approx(0.883, abs=5e-4)
+        return poly
+
+    def test_constrained_proposals_clear_the_feasibility_threshold(
+            self, tight_hull, desk_cfg, desk_run, monkeypatch, caplog):
+        table = load_table(desk_run["paths"]["gaintable_sim"])
+        steps = []
+        candidate_step = bo._candidate_step
+
+        def recording(obj_model, h_model, spec, best, rng):
+            # the same draw the step makes, from a copy of its generator
+            candidates = copy.deepcopy(rng).random((bo.N_CANDIDATES, obj_model.X.shape[1]))
+            x, ratio = candidate_step(obj_model, h_model, spec, best, rng)
+            steps.append((h_model, spec, candidates, x))
+            return x, ratio
+
+        monkeypatch.setattr(bo, "_candidate_step", recording)
+        with caplog.at_level(logging.WARNING, logger="gaitbo.bo"):
+            learn_real(table, tight_hull, desk_cfg)
+        proposals = desk_cfg.i3 - desk_cfg.init_counts[2]
+        assert len(steps) == len(desk_cfg.p_real) * proposals
+        fallbacks = 0
+        for h_model, spec, candidates, x in steps:
+            assert h_model is not None and spec == desk_cfg.constraint
+            pf = bo._feasibility_values(h_model, candidates)
+            (row,) = np.flatnonzero(np.all(candidates == x, axis=1))
+            if np.any(pf >= 1.0 - spec.tolerance):
+                assert pf[row] >= 1.0 - spec.tolerance
+            else:
+                fallbacks += 1
+                assert pf[row] == pf.max()
+        assert fallbacks < len(steps)
+        assert fallbacks == sum("no candidate clears" in r.getMessage() for r in caplog.records)
+
+    def test_zero_correction_first_and_never_beaten(self, tight_hull, desk_cfg, desk_run,
+                                                    tmp_path):
+        table = load_table(desk_run["paths"]["gaintable_sim"])
+        _, corrections = learn_real(table, tight_hull, desk_cfg, out_dir=str(tmp_path))
+        for gait, corr in corrections:
+            box = desk_cfg.correction_box(lookup(table, gait))
+            entries = json.loads((tmp_path / "runs" / "real" / gait_run_name(gait)
+                                  / "log.json").read_text())
+            assert np.array_equal(from_unit(np.array(entries[0]["x"]), box), np.zeros(6))
+            best = min(entries, key=lambda e: e["cost"])
+            assert best["cost"] <= entries[0]["cost"]
+            want = correction_from_vector(from_unit(np.array(best["x"]), box))
+            np.testing.assert_array_equal(corr.deltaK, want.deltaK)
+            np.testing.assert_array_equal(corr.deltaP, want.deltaP)
 
 
 class TestBenchmark:

@@ -224,6 +224,14 @@ class TestPolyhedronValidation:
         with pytest.raises(ValueError, match="centroid"):
             SafePolyhedron(poly.vertices, (flipped,) + poly.faces[1:], poly.gamma)
 
+    def test_rejects_vertex_past_a_face_plane(self):
+        poly = convex_hull(CUBE)
+        vertices = poly.vertices.copy()
+        corner = int(np.flatnonzero(np.all(vertices == 0.0, axis=1))[0])
+        vertices[corner, 0] = -0.01  # behind the planes of the x = 0 faces
+        with pytest.raises(ValueError, match="a vertex violates the face planes by 1.000e-02"):
+            SafePolyhedron(vertices, poly.faces, poly.gamma)
+
     def test_rejects_non_unit_normal(self):
         with pytest.raises(ValueError, match="unit length"):
             type(convex_hull(TETRA).faces[0])((0, 1, 2), [0.5, 0.5, 0.5], 0)
