@@ -313,8 +313,8 @@ def _parse_observation(raw) -> tuple[float, float | None, bool]:
             cost, h = raw
             fell = False
         else:
-            raise BlackBoxError(f"black box returned a {len(raw)}-tuple; expected "
-                                "(cost, h_value, fell)")
+            raise ValueError(f"black box returned a {len(raw)}-tuple; expected "
+                             "(cost, h_value, fell)")
         return float(cost), (None if h is None else float(h)), bool(fell)
     return float(raw), None, False
 
@@ -389,9 +389,9 @@ class _BORun:
     def evaluate(self, x_orig: np.ndarray, observe) -> None:
         """Record the observation observe() gives at the original-units x_orig.
 
-        A failure of observe other than BlackBoxError, and a non-finite cost
-        or constraint observation, raise BlackBoxError carrying the history
-        so far.
+        A failure of observe other than BlackBoxError, an observation of the
+        wrong shape, and a non-finite cost or constraint observation raise
+        BlackBoxError carrying the history so far.
         """
         try:
             cost, h_value, fell = _parse_observation(observe())

@@ -45,7 +45,6 @@ __all__ = ["CliConfig", "load_cli_config", "main"]
 _PIPELINE_KEYS = {f.name for f in dataclasses.fields(PipelineConfig)}
 _CLI_KEYS = {"scale", "output_dir", "plant", "verbose"}
 _GAIT_SETS = {"p_sim1", "p_sim2", "p_real"}
-_AXIS_KEYS = {"vx_nodes", "vy_nodes", "h_nodes", "sweep_vx", "sweep_vy", "sweep_h"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,16 +120,10 @@ def load_cli_config(path=None, seed=None, output_dir=None, plant=None,
         for key, value in data.items():
             if key in _GAIT_SETS:
                 merged[key] = _gait_list(value, key)
-            elif key in _AXIS_KEYS:
-                merged[key] = tuple(float(v) for v in value)
             elif key == "objective":
                 merged[key] = ObjectiveConfig(**value)
             elif key == "constraint":
                 merged[key] = ConstraintSpec(**value)
-            elif key == "init_counts":
-                merged[key] = tuple(value)
-            elif key in ("kp_bounds", "kd_bounds"):
-                merged[key] = tuple(float(v) for v in value)
             else:
                 merged[key] = value
         if seed is not None:

@@ -23,7 +23,6 @@ from .scheduler import GainTable
 
 __all__ = [
     "SweepResult",
-    "Face",
     "SafePolyhedron",
     "sweep_commands",
     "convex_hull",
@@ -51,56 +50,48 @@ class SweepResult:
     """
 
     feasible_commands: tuple
-    safe_points: tuple
     grid: tuple
-    stats: tuple = ()
+    stats: tuple
 
     def __post_init__(self):
         feasible = tuple(self.feasible_commands)
-        safe = tuple(self.safe_points)
-        grid = tuple(self.grid)
         stats = tuple(self.stats)
-        if len(feasible) != len(safe):
-            raise ValueError("feasible commands and safe points must pair up")
-        if stats and len(stats) != len(feasible):
+        if len(stats) != len(feasible):
             raise ValueError("converged stats must pair up with feasible commands")
         object.__setattr__(self, "feasible_commands", feasible)
-        object.__setattr__(self, "safe_points", safe)
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "stats", stats)
 
+    @property
+    def safe_points(self) -> tuple:
+        return tuple(s.p_c for s in self.stats)
 
-@dataclass(frozen=True)
-class Face:
-    """A triangulated hull face: vertex indices, inward unit normal, anchor."""
 
-    vertex_indices: tuple
-    inward_normal: np.ndarray
-    anchor_index: int
+def _plane_depths(anchor_points, normals, points) -> np.ndarray:
+    """How far each point lies behind each face plane, shape (points, faces).
 
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.vertex_indices)
-        if len(idx) != 3:
-            raise ValueError(f"faces are triangles, got {len(idx)} vertices")
-        normal = np.array(self.inward_normal, dtype=float)
-        if normal.shape != (3,):
-            raise ValueError("face normal must be a 3-vector")
-        if abs(np.linalg.norm(normal) - 1.0) > _UNIT_TOL:
-            raise ValueError(f"face normal must have unit length, got {np.linalg.norm(normal)}")
-        normal.setflags(write=False)
-        object.__setattr__(self, "vertex_indices", idx)
-        object.__setattr__(self, "inward_normal", normal)
-        object.__setattr__(self, "anchor_index", int(self.anchor_index))
-        if self.anchor_index not in idx:
-            raise ValueError("anchor must be one of the face's vertices")
+    The depth of point x behind face i is (anchor_points[i] - x) . normals[i],
+    so it is positive outside that plane when the normal points inward. Each
+    is one stacked 3-term product, which rounds as np.dot of the two vectors
+    does, whatever the number of points asked at once.
+    """
+    gaps = anchor_points - np.asarray(points, dtype=float)[:, None, :]
+    return np.matmul(gaps[..., None, :], normals[:, :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
 class SafePolyhedron:
-    """A convex safe region in gait-parameter space."""
+    """A convex safe region in gait-parameter space, held as face arrays.
+
+    Face i is the triangle of vertex indices faces[i]. Its plane passes
+    through vertex anchors[i], which is one of those three, and normals[i] is
+    its inward unit normal.
+    """
 
     vertices: np.ndarray
-    faces: tuple
+    faces: np.ndarray
+    normals: np.ndarray
+    anchors: np.ndarray
     gamma: float = 1.0
 
     def __post_init__(self):
@@ -111,32 +102,45 @@ class SafePolyhedron:
             )
         if not np.all(np.isfinite(vertices)):
             raise ValueError("vertices must be finite")
-        faces = tuple(self.faces)
-        if len(faces) < 4:
-            raise ValueError(f"polyhedron needs at least 4 faces, got {len(faces)}")
+        faces = np.array(self.faces, dtype=int)
+        normals = np.array(self.normals, dtype=float)
+        anchors = np.array(self.anchors, dtype=int)
+        count = len(faces)
+        if count < 4:
+            raise ValueError(f"polyhedron needs at least 4 faces, got {count}")
+        if faces.shape != (count, 3):
+            raise ValueError(f"faces are triangles of vertex indices, got shape {faces.shape}")
+        if normals.shape != (count, 3):
+            raise ValueError(f"need one 3-vector normal per face, got shape {normals.shape}")
+        if anchors.shape != (count,):
+            raise ValueError(f"need one anchor per face, got shape {anchors.shape}")
         if not (0.0 < float(self.gamma) <= 1.0):
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-        vertices.setflags(write=False)
+        norms = np.linalg.norm(normals, axis=1)
+        off = ~(abs(norms - 1.0) <= _UNIT_TOL)  # a NaN norm is off too
+        if np.any(off):
+            raise ValueError(f"face normal must have unit length, got {norms[off][0]}")
+        if not np.all(np.any(faces == anchors[:, None], axis=1)):
+            raise ValueError("anchor must be one of the face's vertices")
+        outside = faces[(faces < 0) | (faces >= len(vertices))]
+        if outside.size:
+            raise ValueError(f"face references vertex {outside[0]} outside the vertex list")
+        for array in (vertices, faces, normals, anchors):
+            array.setflags(write=False)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "gamma", float(self.gamma))
 
-        for face in faces:
-            for i in face.vertex_indices:
-                if not (0 <= i < vertices.shape[0]):
-                    raise ValueError(f"face references vertex {i} outside the vertex list")
-
-        centroid = vertices.mean(axis=0)
-        anchors = vertices[[face.anchor_index for face in faces]]
-        normals = np.array([face.inward_normal for face in faces])
-        if np.any(np.sum((centroid - anchors) * normals, axis=1) <= 0.0):
+        depths = _plane_depths(vertices[anchors], normals,
+                               np.vstack([vertices.mean(axis=0), vertices]))
+        if np.any(depths[0] >= 0.0):
             raise ValueError("every inward normal must point toward the centroid")
         # the farthest any vertex lies behind any face plane
-        worst = np.sum((anchors - vertices[:, None, :]) * normals, axis=2).max()
+        worst = depths[1:].max()
         if worst > 1e-9:
             raise ValueError(f"a vertex violates the face planes by {worst:.3e}")
-        if np.sum((anchors - centroid) * normals, axis=1).max() >= 0.0:
-            raise ValueError("the centroid must lie strictly inside the polyhedron")
 
     @property
     def centroid(self) -> np.ndarray:
@@ -164,7 +168,6 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
         if cmd.h not in starts:
             starts[cmd.h] = stepping_start(cmd)
     feasible = []
-    safe = []
     kept = []
     for first in range(0, len(grid), _SWEEP_CHUNK):
         chunk = grid[first:first + _SWEEP_CHUNK]
@@ -176,11 +179,9 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
         )
         for cmd, traj in zip(chunk, trajectories):
             if not traj.fell:
-                stats = converged_stats(traj, segment_duration)
                 feasible.append(cmd)
-                safe.append(stats.p_c)
-                kept.append(stats)
-    return SweepResult(tuple(feasible), tuple(safe), grid, tuple(kept))
+                kept.append(converged_stats(traj, segment_duration))
+    return SweepResult(tuple(feasible), grid, tuple(kept))
 
 
 def convex_hull(points, gamma: float = 1.0) -> SafePolyhedron:
@@ -206,27 +207,23 @@ def convex_hull(points, gamma: float = 1.0) -> SafePolyhedron:
             f"points do not span a 3-D volume: {exc}"
         ) from exc
 
-    vertex_ids = [int(i) for i in hull.vertices]
-    position = {orig: pos for pos, orig in enumerate(vertex_ids)}
-    vertices = pts[vertex_ids]
+    position = np.empty(len(pts), dtype=int)
+    position[hull.vertices] = np.arange(len(hull.vertices))
+    faces = position[hull.simplices]
+    vertices = pts[hull.vertices]
     centroid = vertices.mean(axis=0)
     shrunk = centroid + gamma * (vertices - centroid)
-    shrunk_centroid = shrunk.mean(axis=0)
 
-    faces = []
-    for simplex in hull.simplices:
-        ids = tuple(position[int(i)] for i in simplex)
-        v0, v1, v2 = (shrunk[i] for i in ids)
-        normal = np.cross(v1 - v0, v2 - v0)
-        norm = np.linalg.norm(normal)
-        if norm <= 0.0:
-            raise DegenerateGeometryError("hull produced a zero-area face")
-        normal = normal / norm
-        if np.dot(shrunk_centroid - v0, normal) < 0.0:
-            normal = -normal
-        faces.append(Face(ids, normal, ids[0]))
-
-    return SafePolyhedron(shrunk, tuple(faces), gamma)
+    corners = shrunk[faces]
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    norms = np.sqrt(np.matmul(normals[:, None, :], normals[:, :, None])[:, 0, 0])
+    if np.any(norms <= 0.0):
+        raise DegenerateGeometryError("hull produced a zero-area face")
+    normals = normals / norms[:, None]
+    # orient each normal toward the shrunk centroid, which lies behind no face
+    behind = _plane_depths(corners[:, 0], normals, shrunk.mean(axis=0)[None])[0] > 0.0
+    normals[behind] = -normals[behind]
+    return SafePolyhedron(shrunk, faces, normals, faces[:, 0], gamma)
 
 
 def constraint_value(poly: SafePolyhedron, p) -> float:
@@ -238,11 +235,7 @@ def constraint_value(poly: SafePolyhedron, p) -> float:
     x = p.as_array() if isinstance(p, GaitParameter) else np.asarray(p, dtype=float)
     if x.shape != (3,):
         raise ValueError(f"query point must be a 3-vector, got shape {x.shape}")
-    best = -np.inf
-    for face in poly.faces:
-        anchor = poly.vertices[face.anchor_index]
-        best = max(best, float(np.dot(anchor - x, face.inward_normal)))
-    return best
+    return float(_plane_depths(poly.vertices[poly.anchors], poly.normals, x[None]).max())
 
 
 def contains(poly: SafePolyhedron, p) -> bool:
@@ -253,15 +246,9 @@ def contains(poly: SafePolyhedron, p) -> bool:
 def polyhedron_to_json_dict(poly: SafePolyhedron) -> dict:
     return {
         "gamma": float(poly.gamma),
-        "vertices": [[float(c) for c in v] for v in poly.vertices],
-        "faces": [
-            {
-                "v": list(face.vertex_indices),
-                "n": [float(c) for c in face.inward_normal],
-                "anchor": int(face.anchor_index),
-            }
-            for face in poly.faces
-        ],
+        "vertices": poly.vertices.tolist(),
+        "faces": [{"v": v, "n": n, "anchor": a} for v, n, a in
+                  zip(poly.faces.tolist(), poly.normals.tolist(), poly.anchors.tolist())],
     }
 
 
@@ -269,12 +256,10 @@ def polyhedron_from_json_dict(data: dict) -> SafePolyhedron:
     try:
         gamma = float(data["gamma"])
         vertices = np.asarray(data["vertices"], dtype=float)
-        faces = tuple(
-            Face(tuple(f["v"]), np.asarray(f["n"], dtype=float), int(f["anchor"]))
-            for f in data["faces"]
-        )
-        return SafePolyhedron(vertices, faces, gamma)
-    except (KeyError, TypeError, ValueError) as exc:
+        faces = data["faces"]
+        return SafePolyhedron(vertices, [f["v"] for f in faces], [f["n"] for f in faces],
+                              [f["anchor"] for f in faces], gamma)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed safe-set document: {exc}") from exc
 
 

@@ -434,6 +434,27 @@ class TestOptimize:
             optimize(flaky, box, iterations=10, init_count=6, seed=SeedSpec(4))
         assert len(info.value.history) == 3
 
+    @pytest.mark.parametrize("at", [2, 5], ids=["design_step", "proposal_step"])
+    def test_wrongly_sized_observation_carries_history(self, at):
+        box = Box([0.0], [1.0])
+
+        def f(x):
+            return float(x[0]), float(x[0]) - 0.5, False
+
+        calls = []
+
+        def oversized(x):
+            calls.append(x)
+            return f(x) + ((0.0,) if len(calls) == at + 1 else ())
+
+        with pytest.raises(BlackBoxError, match="returned a 4-tuple") as info:
+            optimize(oversized, box, iterations=8, init_count=3, spec=ConstraintSpec(),
+                     seed=SeedSpec(8))
+        clean = optimize(f, box, iterations=8, init_count=3, spec=ConstraintSpec(),
+                         seed=SeedSpec(8))
+        assert len(calls) == at + 1
+        assert history_rows(info.value.history) == history_rows(clean.history[:at])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("at", [1, 5], ids=["design_step", "proposal_step"])
     def test_non_finite_constraint_observation_carries_history(self, bad, at):

@@ -371,6 +371,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and "faces" in err
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", [float("nan"), 0.0, 0.0], "unit length"),
+        ("n", [float("inf"), 0.0, 0.0], "unit length"),
+        ("n", [1.0, 0.0], "shape"),
+        ("v", [0, 1, float("inf")], "infinity"),
+    ])
+    def test_malformed_safe_set_face_exits_2(self, tmp_path, capsys, field, value, message):
+        data = json.loads(Path(safe_set_file(tmp_path)).read_text())
+        data["faces"][0][field] = value
+        bad = tmp_path / "bad_safeset.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["learn-real", "--config", write_config(tmp_path), "--output-dir", str(out),
+                     "--table", zero_table_file(tmp_path), "--safeset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed safe-set document") and message in err
+        assert "\n" not in err.strip()
+        assert not out.exists()
+
     def test_truncated_safe_set_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "safeset.json"
         bad.write_text("{")
@@ -440,6 +459,20 @@ class TestExitCodes:
         cfg.write_text(json.dumps(TINY)[:-1] + ", " + text + "}")
         out = tmp_path / "out"
         assert main(["learn-sim", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "\n" not in err.strip()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("vx_nodes", 5, "vx_nodes"),
+        ("init_counts", "ab", "init_counts"),
+        ("kp_bounds", [0], "unpack"),
+    ])
+    def test_wrongly_shaped_config_value_exits_2(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "out"
+        assert main(["learn-sim", "--config", write_config(tmp_path, {key: value}),
+                     "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "\n" not in err.strip()

@@ -49,7 +49,7 @@ from gaitbo.pipeline import (
     sim_budget,
 )
 from gaitbo.plant import learning_profile, real_config, sim_config, stepping_start
-from gaitbo.safeset import constraint_value, load_polyhedron
+from gaitbo.safeset import constraint_value, convex_hull, load_polyhedron
 from gaitbo.scheduler import GainTable, apply_corrections, load_table, lookup, save_table
 
 
@@ -773,6 +773,57 @@ class TestLearnReal:
             assert all(e["h"] is not None for e in entries)
 
 
+def constrained_steps(hull, cfg, table, monkeypatch, caplog) -> tuple[int, int]:
+    """Run desk learn_real inside hull and check every constrained proposal.
+
+    A step whose candidates include one clearing pf >= 1 - tolerance under
+    its own model proposes such a candidate; a step with none falls back to
+    the most feasible candidate and logs a warning. Returns the number of
+    fallbacks and of proposal steps.
+    """
+    steps = []
+    candidate_step = bo._candidate_step
+
+    def recording(obj_model, h_model, spec, best, rng):
+        # the same draw the step makes, from a copy of its generator
+        candidates = copy.deepcopy(rng).random((bo.N_CANDIDATES, obj_model.X.shape[1]))
+        x, ratio = candidate_step(obj_model, h_model, spec, best, rng)
+        steps.append((h_model, spec, candidates, x))
+        return x, ratio
+
+    monkeypatch.setattr(bo, "_candidate_step", recording)
+    with caplog.at_level(logging.WARNING, logger="gaitbo.bo"):
+        learn_real(table, hull, cfg)
+    proposals = cfg.i3 - cfg.init_counts[2]
+    assert len(steps) == len(cfg.p_real) * proposals
+    fallbacks = 0
+    for h_model, spec, candidates, x in steps:
+        assert h_model is not None and spec == cfg.constraint
+        pf = bo._feasibility_values(h_model, candidates)
+        (row,) = np.flatnonzero(np.all(candidates == x, axis=1))
+        if np.any(pf >= 1.0 - spec.tolerance):
+            assert pf[row] >= 1.0 - spec.tolerance
+        else:
+            fallbacks += 1
+            assert pf[row] == pf.max()
+    assert fallbacks == sum("no candidate clears" in r.getMessage() for r in caplog.records)
+    return fallbacks, len(steps)
+
+
+def check_zero_correction_first_and_never_beaten(hull, cfg, table, out_dir):
+    _, corrections = learn_real(table, hull, cfg, out_dir=str(out_dir))
+    for gait, corr in corrections:
+        box = cfg.correction_box(lookup(table, gait))
+        entries = json.loads((out_dir / "runs" / "real" / gait_run_name(gait)
+                              / "log.json").read_text())
+        assert np.array_equal(from_unit(np.array(entries[0]["x"]), box), np.zeros(6))
+        best = min(entries, key=lambda e: e["cost"])
+        assert best["cost"] <= entries[0]["cost"]
+        want = correction_from_vector(from_unit(np.array(best["x"]), box))
+        np.testing.assert_array_equal(corr.deltaK, want.deltaK)
+        np.testing.assert_array_equal(corr.deltaP, want.deltaP)
+
+
 class TestSafetyConstraint:
     """Desk learn_real inside a hull tighter than the desk one: the hull of the
     full-scale sweep over a table of gains drawn uniformly over the gain box,
@@ -793,48 +844,37 @@ class TestSafetyConstraint:
     def test_constrained_proposals_clear_the_feasibility_threshold(
             self, tight_hull, desk_cfg, desk_run, monkeypatch, caplog):
         table = load_table(desk_run["paths"]["gaintable_sim"])
-        steps = []
-        candidate_step = bo._candidate_step
-
-        def recording(obj_model, h_model, spec, best, rng):
-            # the same draw the step makes, from a copy of its generator
-            candidates = copy.deepcopy(rng).random((bo.N_CANDIDATES, obj_model.X.shape[1]))
-            x, ratio = candidate_step(obj_model, h_model, spec, best, rng)
-            steps.append((h_model, spec, candidates, x))
-            return x, ratio
-
-        monkeypatch.setattr(bo, "_candidate_step", recording)
-        with caplog.at_level(logging.WARNING, logger="gaitbo.bo"):
-            learn_real(table, tight_hull, desk_cfg)
-        proposals = desk_cfg.i3 - desk_cfg.init_counts[2]
-        assert len(steps) == len(desk_cfg.p_real) * proposals
-        fallbacks = 0
-        for h_model, spec, candidates, x in steps:
-            assert h_model is not None and spec == desk_cfg.constraint
-            pf = bo._feasibility_values(h_model, candidates)
-            (row,) = np.flatnonzero(np.all(candidates == x, axis=1))
-            if np.any(pf >= 1.0 - spec.tolerance):
-                assert pf[row] >= 1.0 - spec.tolerance
-            else:
-                fallbacks += 1
-                assert pf[row] == pf.max()
-        assert fallbacks < len(steps)
-        assert fallbacks == sum("no candidate clears" in r.getMessage() for r in caplog.records)
+        fallbacks, steps = constrained_steps(tight_hull, desk_cfg, table, monkeypatch, caplog)
+        assert fallbacks < steps
 
     def test_zero_correction_first_and_never_beaten(self, tight_hull, desk_cfg, desk_run,
                                                     tmp_path):
         table = load_table(desk_run["paths"]["gaintable_sim"])
-        _, corrections = learn_real(table, tight_hull, desk_cfg, out_dir=str(tmp_path))
-        for gait, corr in corrections:
-            box = desk_cfg.correction_box(lookup(table, gait))
-            entries = json.loads((tmp_path / "runs" / "real" / gait_run_name(gait)
-                                  / "log.json").read_text())
-            assert np.array_equal(from_unit(np.array(entries[0]["x"]), box), np.zeros(6))
-            best = min(entries, key=lambda e: e["cost"])
-            assert best["cost"] <= entries[0]["cost"]
-            want = correction_from_vector(from_unit(np.array(best["x"]), box))
-            np.testing.assert_array_equal(corr.deltaK, want.deltaK)
-            np.testing.assert_array_equal(corr.deltaP, want.deltaP)
+        check_zero_correction_first_and_never_beaten(tight_hull, desk_cfg, table, tmp_path)
+
+
+class TestBindingSafetyConstraint:
+    """The same checks inside the desk sweep's hull shrunk to 0.7 about its
+    centroid, where the constraint binds: some proposal steps find no
+    candidate that clears the feasibility threshold, and others do."""
+
+    @pytest.fixture(scope="class")
+    def binding_hull(self, desk_cfg, desk_run):
+        table = load_table(desk_run["paths"]["gaintable_sim"])
+        sweep, _ = extract_safe_set(table, desk_cfg)
+        return convex_hull(sweep.safe_points, 0.7)
+
+    def test_some_but_not_all_proposals_fall_back(self, binding_hull, desk_cfg, desk_run,
+                                                  monkeypatch, caplog):
+        table = load_table(desk_run["paths"]["gaintable_sim"])
+        fallbacks, steps = constrained_steps(binding_hull, desk_cfg, table, monkeypatch,
+                                             caplog)
+        assert 0 < fallbacks < steps
+
+    def test_zero_correction_first_and_never_beaten(self, binding_hull, desk_cfg, desk_run,
+                                                    tmp_path):
+        table = load_table(desk_run["paths"]["gaintable_sim"])
+        check_zero_correction_first_and_never_beaten(binding_hull, desk_cfg, table, tmp_path)
 
 
 class TestBenchmark:

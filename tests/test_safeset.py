@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from gaitbo.domain import ControlParams, GaitParameter, SeedSpec
 from gaitbo.errors import ConfigurationError, DegenerateGeometryError
@@ -111,9 +112,8 @@ class TestConstraintValue:
     def test_step_along_outward_normal_leaves_the_region(self):
         rng = np.random.default_rng(1)
         poly = convex_hull(rng.random((30, 3)))
-        for face in poly.faces:
-            anchor = poly.vertices[face.anchor_index]
-            outside = anchor - 0.1 * face.inward_normal
+        for anchor, normal in zip(poly.anchors, poly.normals):
+            outside = poly.vertices[anchor] - 0.1 * normal
             assert constraint_value(poly, outside) >= 0.1 - 1e-9
 
     def test_all_input_points_inside_unshrunk_hull(self):
@@ -154,9 +154,9 @@ LATTICE_POINTS = st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=4, max_
 COORDS = st.tuples(*[st.floats(-12.0, 12.0)] * 3)
 
 
-def lattice_hull(points, scale):
+def lattice_hull(points, scale, gamma=1.0):
     try:
-        return convex_hull(np.array(points, dtype=float) * scale)
+        return convex_hull(np.array(points, dtype=float) * scale, gamma)
     except DegenerateGeometryError:
         assume(False)
 
@@ -188,6 +188,68 @@ class TestConstraintValueProperties:
         assert contains(poly, query) == in_hull_oracle(poly.vertices / scale, query / scale)
 
 
+def reference_convex_hull(pts, gamma=1.0):
+    """The hull one simplex at a time: (vertices, faces, normals, anchors)."""
+    hull = ConvexHull(pts)
+    vertex_ids = [int(i) for i in hull.vertices]
+    position = {orig: pos for pos, orig in enumerate(vertex_ids)}
+    vertices = pts[vertex_ids]
+    centroid = vertices.mean(axis=0)
+    shrunk = centroid + gamma * (vertices - centroid)
+    shrunk_centroid = shrunk.mean(axis=0)
+    faces, normals = [], []
+    for simplex in hull.simplices:
+        ids = [position[int(i)] for i in simplex]
+        v0, v1, v2 = (shrunk[i] for i in ids)
+        normal = np.cross(v1 - v0, v2 - v0)
+        normal = normal / np.linalg.norm(normal)
+        if np.dot(shrunk_centroid - v0, normal) < 0.0:
+            normal = -normal
+        faces.append(ids)
+        normals.append(normal)
+    faces = np.array(faces)
+    return shrunk, faces, np.array(normals), faces[:, 0]
+
+
+def reference_constraint_value(poly, p) -> float:
+    """The largest depth behind a face plane, one np.dot per face."""
+    x = p.as_array() if isinstance(p, GaitParameter) else np.asarray(p, dtype=float)
+    best = -np.inf
+    for anchor, normal in zip(poly.anchors, poly.normals):
+        best = max(best, float(np.dot(poly.vertices[anchor] - x, normal)))
+    return best
+
+
+# Hulls of random real points of any spread, and queries drawn around them.
+REAL_POINTS = st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=4, max_size=40)
+
+
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(points=REAL_POINTS, scale=st.floats(1e-3, 1e3), shift=st.floats(-5.0, 5.0),
+           gamma=st.floats(0.05, 1.0))
+    def test_hull_arrays_equal_the_per_simplex_hull(self, points, scale, shift, gamma):
+        pts = np.array(points) * scale + shift
+        poly = lattice_hull(pts, 1.0, gamma)
+        want = reference_convex_hull(pts, gamma)
+        for got, expected in zip((poly.vertices, poly.faces, poly.normals, poly.anchors), want):
+            assert got.dtype.kind == expected.dtype.kind
+            np.testing.assert_array_equal(got, expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(points=REAL_POINTS, scale=st.floats(1e-3, 1e3), gamma=st.floats(0.05, 1.0),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           far=COORDS, reach=st.sampled_from([1.0, 1e3, 1e6]))
+    def test_h_equals_the_per_face_loop(self, points, scale, gamma, weights, far, reach):
+        poly = lattice_hull(np.array(points) * scale, 1.0, gamma)
+        w = np.array(weights) + 1e-3
+        on_faces = [(w / w.sum()) @ poly.vertices[face] for face in poly.faces]
+        queries = (list(poly.vertices) + on_faces + [np.array(far) * scale * reach]
+                   + [GaitParameter(*np.abs(v) + 0.1) for v in poly.vertices])
+        for x in queries:
+            assert constraint_value(poly, x) == reference_constraint_value(poly, x)
+
+
 class TestShrink:
     def test_gamma_scales_vertices_about_centroid(self):
         poly = convex_hull(CUBE, gamma=0.9)
@@ -209,20 +271,20 @@ class TestShrink:
         assert not contains(shrunk, [0.0, 0.0, 0.0])
 
     def test_gamma_bounds(self):
+        poly = convex_hull(CUBE)
         with pytest.raises(ValueError):
-            SafePolyhedron(convex_hull(CUBE).vertices, convex_hull(CUBE).faces, 0.0)
+            SafePolyhedron(poly.vertices, poly.faces, poly.normals, poly.anchors, 0.0)
         with pytest.raises(ValueError):
-            SafePolyhedron(convex_hull(CUBE).vertices, convex_hull(CUBE).faces, 1.2)
+            SafePolyhedron(poly.vertices, poly.faces, poly.normals, poly.anchors, 1.2)
 
 
 class TestPolyhedronValidation:
     def test_rejects_flipped_normal(self):
         poly = convex_hull(TETRA)
-        bad_face = poly.faces[0]
-        flipped = type(bad_face)(bad_face.vertex_indices, -bad_face.inward_normal,
-                                 bad_face.anchor_index)
+        normals = poly.normals.copy()
+        normals[0] = -normals[0]
         with pytest.raises(ValueError, match="centroid"):
-            SafePolyhedron(poly.vertices, (flipped,) + poly.faces[1:], poly.gamma)
+            SafePolyhedron(poly.vertices, poly.faces, normals, poly.anchors, poly.gamma)
 
     def test_rejects_vertex_past_a_face_plane(self):
         poly = convex_hull(CUBE)
@@ -230,18 +292,23 @@ class TestPolyhedronValidation:
         corner = int(np.flatnonzero(np.all(vertices == 0.0, axis=1))[0])
         vertices[corner, 0] = -0.01  # behind the planes of the x = 0 faces
         with pytest.raises(ValueError, match="a vertex violates the face planes by 1.000e-02"):
-            SafePolyhedron(vertices, poly.faces, poly.gamma)
+            SafePolyhedron(vertices, poly.faces, poly.normals, poly.anchors, poly.gamma)
 
     def test_rejects_non_unit_normal(self):
+        poly = convex_hull(TETRA)
+        normals = poly.normals.copy()
+        normals[0] = [0.5, 0.5, 0.5]
         with pytest.raises(ValueError, match="unit length"):
-            type(convex_hull(TETRA).faces[0])((0, 1, 2), [0.5, 0.5, 0.5], 0)
+            SafePolyhedron(poly.vertices, poly.faces, normals, poly.anchors, poly.gamma)
 
     def test_rejects_out_of_range_vertex_index(self):
         poly = convex_hull(TETRA)
-        face = poly.faces[0]
-        bad = type(face)((0, 1, 9), face.inward_normal, 0)
+        faces = poly.faces.copy()
+        faces[0] = (0, 1, 9)
+        anchors = poly.anchors.copy()
+        anchors[0] = 0
         with pytest.raises(ValueError, match="outside the vertex list"):
-            SafePolyhedron(poly.vertices, (bad,) + poly.faces[1:], poly.gamma)
+            SafePolyhedron(poly.vertices, faces, poly.normals, anchors, poly.gamma)
 
 
 class TestJsonRoundTrip:
@@ -275,10 +342,8 @@ class TestJsonRoundTrip:
         np.testing.assert_array_equal(loaded.vertices, poly.vertices)
         assert loaded.gamma == poly.gamma
         assert len(loaded.faces) == len(poly.faces)
-        for got, want in zip(loaded.faces, poly.faces):
-            assert got.vertex_indices == want.vertex_indices
-            assert got.anchor_index == want.anchor_index
-            np.testing.assert_array_equal(got.inward_normal, want.inward_normal)
+        for name in ("faces", "anchors", "normals"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(poly, name))
 
     def test_rejects_malformed_document(self):
         with pytest.raises(ConfigurationError):
@@ -292,6 +357,21 @@ class TestJsonRoundTrip:
     def test_rejects_invalid_polyhedron_as_configuration_error(self, edit):
         doc = polyhedron_to_json_dict(convex_hull(TETRA))
         doc.update(edit)
+        with pytest.raises(ConfigurationError, match="malformed safe-set document"):
+            polyhedron_from_json_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", [float("nan"), 0.0, 0.0]),  # once loaded, and h then skipped the face
+        ("n", [float("inf"), 0.0, 0.0]),
+        ("n", [1.0, 0.0]),
+        ("v", [0, 1, float("inf")]),
+        ("v", [0, 1, 10**30]),
+        ("v", [0, 1]),
+        ("anchor", float("nan")),
+    ])
+    def test_rejects_bad_face_as_configuration_error(self, field, value):
+        doc = polyhedron_to_json_dict(convex_hull(TETRA))
+        doc["faces"][0][field] = value
         with pytest.raises(ConfigurationError, match="malformed safe-set document"):
             polyhedron_from_json_dict(doc)
 
