@@ -426,9 +426,9 @@ def _drive_level(runs: list, evaluate_batch, names_failure=contextlib.nullcontex
     run is told its observation in run order. A SimulationError of the batch
     is that of the run its episode_index names. Every failure of run i is
     raised inside names_failure(i). Returns each run's result, which equals
-    that of its own optimize call.
+    that of its own optimize call; an empty level returns [].
     """
-    for k in range(runs[0].iterations):
+    for k in range(runs[0].iterations if runs else 0):
         proposed = iter(_propose_level([run.proposal_inputs() for run in runs
                                         if k >= len(run.design)]))
         xs = [run.design[k] if k < len(run.design) else from_unit(next(proposed), run.box)

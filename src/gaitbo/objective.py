@@ -74,6 +74,20 @@ def _segment_samples(segment_duration: float, dt: float, n_samples: int) -> int:
     return k
 
 
+def _segment_stats(segments: np.ndarray) -> list:
+    """The ConvergedStats of each of m stacked trailing segments, (k, m, 3).
+
+    Each reduction runs over axis 0 in sample order, so every episode's
+    statistics equal those of its own (k, 3) segment bit for bit.
+    """
+    return [
+        ConvergedStats(GaitParameter(*mean), GaitParameter(*low), GaitParameter(*high))
+        for mean, low, high in zip(segments.mean(axis=0).tolist(),
+                                   segments.min(axis=0).tolist(),
+                                   segments.max(axis=0).tolist())
+    ]
+
+
 def converged_stats(traj: Trajectory, segment_duration: float = 5.0) -> ConvergedStats:
     """Statistics of the observed gait over the trailing segment.
 
@@ -81,12 +95,8 @@ def converged_stats(traj: Trajectory, segment_duration: float = 5.0) -> Converge
     """
     if traj.fell:
         raise ConfigurationError("fallen trajectory has no converged segment")
-    segment = traj.p_hat[-_segment_samples(segment_duration, traj.dt, len(traj)):]
-    return ConvergedStats(
-        p_c=GaitParameter.from_array(segment.mean(axis=0)),
-        p_c_min=GaitParameter.from_array(segment.min(axis=0)),
-        p_c_max=GaitParameter.from_array(segment.max(axis=0)),
-    )
+    k = _segment_samples(segment_duration, traj.dt, len(traj))
+    return _segment_stats(traj.p_hat[-k:, None])[0]
 
 
 def evaluate_cost(traj: Trajectory, p_desired: GaitParameter, cfg: ObjectiveConfig) -> float:

@@ -14,6 +14,7 @@ three consecutive steps, or the height drops below min_height.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +73,14 @@ class PlantConfig:
             raise ValueError("rate decay a must satisfy |a_i| < 1")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.dt <= 0.0:
+        # Written so that NaN fails each check too.
+        if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if np.any(self.noise_std < 0.0):
             raise ValueError("noise_std must be nonnegative")
-        if self.fall_band_width <= 0.0:
+        if not self.fall_band_width > 0.0:
             raise ValueError("fall_band_width must be positive")
-        if self.min_height <= 0.0:
+        if not self.min_height > 0.0:
             raise ValueError("min_height must be positive")
 
 
@@ -161,6 +163,10 @@ class CommandProfile:
         entries = tuple((float(t), cmd) for t, cmd in self.entries)
         if not entries:
             raise ConfigurationError("command profile needs at least one entry")
+        duration = float(self.total_duration)
+        for t in (*(t for t, _ in entries), duration):
+            if not math.isfinite(t):
+                raise ConfigurationError(f"command profile times must be finite, got {t}")
         if entries[0][0] != 0.0:
             raise ConfigurationError(
                 f"first command must start at t=0, got t={entries[0][0]}"
@@ -173,7 +179,6 @@ class CommandProfile:
         for _, cmd in entries:
             if not isinstance(cmd, GaitParameter):
                 raise ConfigurationError(f"commands must be GaitParameter, got {cmd!r}")
-        duration = float(self.total_duration)
         if duration < entries[-1][0]:
             raise ConfigurationError(
                 f"total_duration {duration} ends before the last command at {entries[-1][0]}"
@@ -267,21 +272,28 @@ def step(
     return p_hat + v_new, v_new, u_new
 
 
-def run_episodes(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
-    """Run a batch of closed-loop episodes in one array pass.
+def _noise(seeds, n_steps: int, noise_std: np.ndarray) -> np.ndarray:
+    """Each episode's whole noise block from its own stream, (n_steps, n, 3).
 
-    Episode k runs under tables[k], following profiles[k] from initials[k]
-    with noise from seeds[k]; all profiles must share one duration. Every
-    distinct table and command is resolved once, in one interpolation per
-    distinct table, and each episode draws its whole noise block up front
-    from its own stream, so every Trajectory equals the one its episode
-    gives alone, bit for bit. Resolved gains must be finite with nonnegative
-    kP and kD, as ControlParams requires; ValueError otherwise. Every
-    episode is stepped to the end; falls and non-finite states are then
-    found from the recorded samples, and each trajectory is cut at its fall.
-    If a state turned non-finite before its episode fell, SimulationError is
-    raised for the first such episode in input order, with its index and the
-    step it failed at.
+    Episode k's block equals the (n_steps, 3) Generator.normal draw with loc
+    0.0 and scale noise_std from seeds[k].generator(), bit for bit: that
+    draws loc + scale * z per sample in C order from the same stream, and
+    the leading 0.0 + keeps its +0.0 where noise_std * z is -0.0.
+    """
+    z = np.empty((len(seeds), n_steps, 3))
+    for k, seed in enumerate(seeds):
+        seed.generator().standard_normal(out=z[k])
+    return (0.0 + noise_std * z).transpose(1, 0, 2)
+
+
+def _rollout(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
+    """The arrays of run_episodes' batch, before any Trajectory is built.
+
+    Returns (times, p_desired, p_hat, delta_g, length, fell): the
+    n_steps + 1 sample times, the per-sample commands, recorded states and
+    regulator outputs, each (n_steps + 1, n, 3), and per episode its
+    trajectory's length in samples and whether it fell. Samples past an
+    episode's length are those of a fallen episode stepped on.
     """
     from .scheduler import _interpolate  # local import to avoid a module cycle
 
@@ -340,9 +352,7 @@ def run_episodes(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
         at = np.array([episode_rows[k] for k in members])[:, segment].T
         p_des[:, members] = points[at]
         gains[:, members] = resolved[at]
-    noise = np.empty((n_steps, n, 3))
-    for k, seed in enumerate(seeds):
-        noise[:, k] = seed.generator().normal(0.0, cfg.noise_std, size=(n_steps, 3))
+    noise = _noise(seeds, n_steps, cfg.noise_std)
 
     p_hat = np.array([s.p_hat for s in initials])
     v_hat = np.array([s.v_hat for s in initials])
@@ -381,13 +391,33 @@ def run_episodes(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
             f"plant state became non-finite at step {step_index}", step_index=step_index,
             episode_index=int(failed[0]),
         )
+    return times, p_des, rec_p_hat, rec_dg, length, fell
+
+
+def run_episodes(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
+    """Run a batch of closed-loop episodes in one array pass.
+
+    Episode k runs under tables[k], following profiles[k] from initials[k]
+    with noise from seeds[k]; all profiles must share one duration. Every
+    distinct table and command is resolved once, in one interpolation per
+    distinct table, and each episode draws its whole noise block up front
+    from its own stream, so every Trajectory equals the one its episode
+    gives alone, bit for bit. Resolved gains must be finite with nonnegative
+    kP and kD, as ControlParams requires; ValueError otherwise. Every
+    episode is stepped to the end; falls and non-finite states are then
+    found from the recorded samples, and each trajectory is cut at its fall.
+    If a state turned non-finite before its episode fell, SimulationError is
+    raised for the first such episode in input order, with its index and the
+    step it failed at.
+    """
+    times, p_des, p_hat, dg, length, fell = _rollout(cfg, tables, profiles, initials, seeds)
     return tuple(
         Trajectory(
             dt=cfg.dt,
             times=times[:end],
             p_desired=p_des[:end, k],
-            p_hat=rec_p_hat[:end, k],
-            delta_g=rec_dg[:end, k],
+            p_hat=p_hat[:end, k],
+            delta_g=dg[:end, k],
             fell=fell_k,
             fall_time=float(times[end - 1]) if fell_k else None,
         )

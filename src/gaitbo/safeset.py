@@ -17,8 +17,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .domain import GaitParameter, SeedSpec
 from .errors import ConfigurationError, DegenerateGeometryError
-from .objective import converged_stats
-from .plant import PlantConfig, learning_profile, run_episodes, stepping_start
+from .objective import _segment_samples, _segment_stats
+from .plant import PlantConfig, _rollout, learning_profile, stepping_start
 from .scheduler import GainTable
 
 __all__ = [
@@ -171,16 +171,19 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
     kept = []
     for first in range(0, len(grid), _SWEEP_CHUNK):
         chunk = grid[first:first + _SWEEP_CHUNK]
-        trajectories = run_episodes(
+        times, _, p_hat, _, _, fell = _rollout(
             cfg, (table,) * len(chunk),
             [learning_profile(cmd) for cmd in chunk],
             [starts[cmd.h] for cmd in chunk],
             [seed.derive(first + k) for k in range(len(chunk))],
         )
-        for cmd, traj in zip(chunk, trajectories):
-            if not traj.fell:
-                feasible.append(cmd)
-                kept.append(converged_stats(traj, segment_duration))
+        # An episode that did not fall holds every sample; a chunk in which
+        # every episode fell has no segment to fit, so it is not checked.
+        completed = np.flatnonzero(~fell)
+        if completed.size:
+            k = _segment_samples(segment_duration, cfg.dt, len(times))
+            feasible.extend(chunk[i] for i in completed.tolist())
+            kept.extend(_segment_stats(p_hat[-k:, completed]))
     return SweepResult(tuple(feasible), grid, tuple(kept))
 
 

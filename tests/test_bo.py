@@ -558,6 +558,12 @@ class TestDriveLevel:
             np.testing.assert_array_equal(result.best_cost_trace, want.best_cost_trace)
         assert any(ev.h_value is not None for ev in got[2].history)
 
+    def test_empty_level_returns_no_results(self):
+        def evaluate_batch(xs):
+            raise AssertionError("an empty level runs no batch")
+
+        assert _drive_level([], evaluate_batch) == []
+
     def test_batch_failure_raises_the_named_runs_error(self):
         runs = self.level()
         failure = "plant state became non-finite at step 7"

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from gaitbo.cli import CliConfig, load_cli_config, main
 from gaitbo.domain import ControlParams
 from gaitbo.errors import ConfigurationError
-from gaitbo.pipeline import desk_scale_config, full_scale_config
+from gaitbo.pipeline import desk_scale_config, full_scale_config, real_budget
 from gaitbo.safeset import convex_hull, save_polyhedron
-from gaitbo.scheduler import GainTable, load_table, save_table
+from gaitbo.scheduler import GainTable, load_table, save_table, table_to_json_dict
 
 TINY = {
     "seed": 0,
@@ -42,6 +42,13 @@ def write_config(tmp_path, extra=None, name="cfg.json"):
 def zero_table_file(tmp_path):
     table = GainTable.constant(ControlParams(np.zeros(3), np.zeros(3), np.zeros(3)))
     path = tmp_path / "zero.json"
+    save_table(table, path)
+    return str(path)
+
+
+def firm_table_file(tmp_path):
+    table = GainTable.constant(ControlParams([2.0, 2.0, 2.0], [0.5, 0.5, 0.5], [0.1, 0.0, 0.0]))
+    path = tmp_path / "firm.json"
     save_table(table, path)
     return str(path)
 
@@ -220,6 +227,17 @@ class TestCommands:
             assert main([cmd, "--config", cfg, "--output-dir", out]) == 0, cmd
         report = json.loads((Path(out) / "benchmark.json").read_text())
         assert report["table_a"]["label"] == "tuned"
+
+    def test_learn_real_without_real_gaits_writes_the_input_table(self, tmp_path):
+        cfg = write_config(tmp_path, {"p_real": []})
+        assert real_budget(load_cli_config(cfg).pipeline) == 0
+        out = tmp_path / "out"
+        table = firm_table_file(tmp_path)
+        assert main(["learn-real", "--config", cfg, "--output-dir", str(out),
+                     "--table", table, "--safeset", safe_set_file(tmp_path)]) == 0
+        assert (table_to_json_dict(load_table(out / "gaintable_real.json"))
+                == table_to_json_dict(load_table(table)))
+        assert not (out / "runs").exists()
 
     def test_benchmark_against_zero_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitbo.domain import GaitParameter
 from gaitbo.errors import ConfigurationError
-from gaitbo.objective import ObjectiveConfig, converged_stats, evaluate_cost
+from gaitbo.objective import (
+    ConvergedStats,
+    ObjectiveConfig,
+    _segment_samples,
+    _segment_stats,
+    converged_stats,
+    evaluate_cost,
+)
 from gaitbo.plant import Trajectory
 
 DT = 0.4
@@ -65,6 +74,59 @@ class TestConvergedStats:
         traj = make_traj(np.tile([0.1, 0.0, 1.0], (10, 1)), dt=0.5)
         stats = converged_stats(traj, 2.0)
         assert stats.p_c.vx == pytest.approx(0.1)
+
+
+def reference_converged_stats(traj: Trajectory, segment_duration: float = 5.0) -> ConvergedStats:
+    """converged_stats as one trajectory's own mean, min and max."""
+    if traj.fell:
+        raise ConfigurationError("fallen trajectory has no converged segment")
+    segment = traj.p_hat[-_segment_samples(segment_duration, traj.dt, len(traj)):]
+    return ConvergedStats(
+        p_c=GaitParameter.from_array(segment.mean(axis=0)),
+        p_c_min=GaitParameter.from_array(segment.min(axis=0)),
+        p_c_max=GaitParameter.from_array(segment.max(axis=0)),
+    )
+
+
+def stats_bytes(stats: ConvergedStats) -> tuple:
+    return tuple(p.as_array().tobytes() for p in (stats.p_c, stats.p_c_min, stats.p_c_max))
+
+
+def random_samples(rng, shape, scale):
+    """Gait samples of mixed magnitude with positive heights."""
+    rows = rng.normal(size=shape) * scale * rng.choice([1e-3, 1.0, 1e3], size=shape[:-1] + (1,))
+    rows[..., 2] = np.abs(rows[..., 2]) + scale
+    return rows
+
+
+class TestStatisticsKernel:
+    """The stacked kernel gives each segment's statistics bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 60), extra=st.integers(0, 20),
+           scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e3, 1e150]))
+    def test_converged_stats_equals_reference(self, seed, k, extra, scale):
+        rng = np.random.default_rng(seed)
+        traj = make_traj(random_samples(rng, (k + extra, 3), scale), dt=1.0)
+        got = converged_stats(traj, float(k))
+        assert stats_bytes(got) == stats_bytes(reference_converged_stats(traj, float(k)))
+        assert got == reference_converged_stats(traj, float(k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 60), extra=st.integers(0, 20),
+           width=st.integers(1, 140), scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e3, 1e150]))
+    def test_stacked_segments_equal_each_alone(self, seed, k, extra, width, scale):
+        # Stacked as the sweep stacks them: the trailing samples of a subset
+        # of a time-major batch.
+        rng = np.random.default_rng(seed)
+        batch = random_samples(rng, (k + extra, width, 3), scale)
+        kept = np.flatnonzero(rng.random(width) < 0.7)
+        stacked = _segment_stats(batch[-k:, kept])
+        assert len(stacked) == kept.size
+        for stats, j in zip(stacked, kept.tolist()):
+            alone = reference_converged_stats(make_traj(batch[:, j], dt=1.0), float(k))
+            assert stats_bytes(stats) == stats_bytes(alone)
+            assert stats == alone
 
 
 class TestEvaluateCost:

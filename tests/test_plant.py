@@ -1,5 +1,6 @@
 """Plant dynamics, regulator law, fall detection, and episode determinism."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from gaitbo.plant import (
     CommandProfile,
     PlantState,
     Trajectory,
+    _noise,
     disturbance_free,
     learning_profile,
     real_config,
@@ -157,6 +159,37 @@ class TestStep:
                 assert rows[0][k].tobytes() == (p_hat[k] + v_new).tobytes()
 
 
+class TestPlantConfigChecks:
+    @pytest.mark.parametrize("field, message", [
+        ("dt", "dt must be positive"),
+        ("fall_band_width", "fall_band_width must be positive"),
+        ("min_height", "min_height must be positive"),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
+    def test_rejects_nan_and_non_positive_scalars(self, field, message, value):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sim_config(), **{field: value})
+
+
+class TestNoise:
+    @settings(max_examples=300, deadline=None)
+    @given(entropy=st.integers(0, 2**32), streams=st.lists(st.integers(0, 2**20), min_size=1,
+                                                           max_size=3),
+           n_steps=st.integers(1, 80),
+           std=st.lists(st.sampled_from([0.0, 1e-300, 0.002, 0.01, 1.0, 1e300]),
+                        min_size=3, max_size=3))
+    def test_draw_equals_generator_normal_bit_for_bit(self, entropy, streams, n_steps, std):
+        # A zero std turns a negative draw into -0.0 before the 0.0 is added,
+        # and normal gives +0.0 there; tiny and huge stds test the extremes.
+        std = np.array(std)
+        seeds = [SeedSpec(entropy, stream) for stream in streams]
+        noise = _noise(seeds, n_steps, std)
+        assert noise.shape == (n_steps, len(seeds), 3)
+        for k, seed in enumerate(seeds):
+            want = seed.generator().normal(0.0, std, size=(n_steps, 3))
+            assert np.ascontiguousarray(noise[:, k]).tobytes() == want.tobytes()
+
+
 class TestCommandProfile:
     def test_command_switching(self):
         p0 = GaitParameter(0, 0, 1.0)
@@ -177,6 +210,18 @@ class TestCommandProfile:
             CommandProfile(((0.0, p), (30.0, p)), 20.0)
         with pytest.raises(ConfigurationError):
             CommandProfile((), 20.0)
+
+    @pytest.mark.parametrize("entries, duration", [
+        (((0.0, 1.0), (np.nan, 0.9)), 20.0),
+        (((0.0, 1.0),), np.nan),
+        (((0.0, 1.0), (np.inf, 0.9)), np.inf),
+        (((0.0, 1.0),), np.inf),
+        (((0.0, 1.0), (-np.inf, 0.9)), 20.0),
+    ])
+    def test_rejects_non_finite_times(self, entries, duration):
+        entries = tuple((t, GaitParameter(0.0, 0.0, h)) for t, h in entries)
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            CommandProfile(entries, duration)
 
     def test_learning_profile_shape(self):
         cmd = GaitParameter(0.4, -0.1, 0.9)

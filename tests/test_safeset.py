@@ -465,6 +465,18 @@ class TestSweep:
             tuple(p.as_array().tobytes() for p in (s.p_c, s.p_c_min, s.p_c_max))
             for _, s in expected]
 
+    def test_fallen_chunk_does_not_check_the_segment(self, monkeypatch):
+        # The segment only has to fit in the trajectories of completed runs:
+        # a chunk in which every episode falls never checks it.
+        zero = GainTable.constant(ControlParams(np.zeros(3), np.zeros(3), np.zeros(3)))
+        monkeypatch.setattr(safeset, "_SWEEP_CHUNK", 2)
+        result = sweep_commands(zero, sim_config(), self.GRID, SeedSpec(0),
+                                segment_duration=100.0)
+        assert result.feasible_commands == () and result.stats == ()
+        with pytest.raises(ConfigurationError, match="needs 250 samples"):
+            sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(0),
+                           segment_duration=100.0)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep_commands(firm_table(), sim_config(), (), SeedSpec(0))
