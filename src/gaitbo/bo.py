@@ -3,10 +3,10 @@
 All internal search happens on the unit cube; callers supply a Box and the
 black box is evaluated in original units. Proposals come from a seeded
 candidate sweep followed by coordinate-descent refinement. Each proposal
-computes the candidates' posterior once; refinement scores the moves a sweep
-has left in one posterior call, each row rounded as if scored on its own.
-Runs that advance together can pool those calls: one stacked call scores the
-rows of every run still refining.
+computes the candidates' posterior once. The runs of a level refine together
+in one loop: each round builds the rows every run still refining has left in
+its sweep, scores them all in one stacked posterior call, each row rounded as
+if scored on its own, and reads every run's decision from that one result.
 """
 
 from __future__ import annotations
@@ -107,28 +107,30 @@ class BOResult:
             raise ValueError("best-cost trace must be nonincreasing")
 
 
-def _phi(z):
-    return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
-
-
 def _ei_positive(improve, std):
     """Expected improvement for a positive std, given improve = best - mean."""
     z = improve / std
-    return improve * ndtr(z) + std * _phi(z)
+    return improve * ndtr(z) + std * (np.exp(-0.5 * np.square(z)) / _SQRT_2PI)
 
 
-def _ei_values(means: np.ndarray, stds: np.ndarray, best: float) -> np.ndarray:
+def _ei_values(means: np.ndarray, stds: np.ndarray, best) -> np.ndarray:
     """Vectorized expected improvement below best, minimization convention."""
-    means = np.asarray(means, dtype=float)
-    stds = np.asarray(stds, dtype=float)
     improve = best - means
     if stds.min() > 0.0:
         return _ei_positive(improve, stds)
     out = np.maximum(improve, 0.0)
     positive = stds > 0.0
-    if np.any(positive):
-        out[positive] = _ei_positive(improve[positive], stds[positive])
+    out[positive] = _ei_positive(improve[positive], stds[positive])
     return out
+
+
+def _check_moments(**values) -> None:
+    """ValueError for a NaN value or a negative std."""
+    for name, value in values.items():
+        if np.isnan(value):
+            raise ValueError(f"{name} must not be NaN")
+    if values["std"] < 0.0:
+        raise ValueError(f"std must be nonnegative, got {values['std']}")
 
 
 def expected_improvement(mean: float, std: float, best: float) -> float:
@@ -136,8 +138,7 @@ def expected_improvement(mean: float, std: float, best: float) -> float:
 
     With zero predictive std this degenerates to max(best - mean, 0).
     """
-    if std < 0.0:
-        raise ValueError(f"std must be nonnegative, got {std}")
+    _check_moments(mean=mean, std=std, best=best)
     improve = best - mean
     if std > 0.0:
         return float(_ei_positive(improve, std))
@@ -146,8 +147,7 @@ def expected_improvement(mean: float, std: float, best: float) -> float:
 
 def feasibility_from_moments(mean: float, std: float) -> float:
     """Probability that a Gaussian constraint belief lands at or below zero."""
-    if std < 0.0:
-        raise ValueError(f"std must be nonnegative, got {std}")
+    _check_moments(mean=mean, std=std)
     if std == 0.0:
         return 1.0 if mean <= 0.0 else 0.0
     return float(ndtr((0.0 - mean) / std))
@@ -161,81 +161,67 @@ def _feasibility_values(h_model: GPModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked_scores(stack: _ModelStack, owner: np.ndarray, X: np.ndarray,
-                    ratio, best) -> np.ndarray:
-    """The refinement score at each row of X under its own model of the stack,
-    with ratio and best given per row; each row scores as it would alone."""
-    means, stds = _stacked_moments(stack, owner, X)
-    return _ei_values(means, stds * ratio, best)
+def _refine_level(stack: _ModelStack, starts, ratios, bests) -> list:
+    """Coordinate-descent ascent of EI from each start inside the unit cube,
+    the runs advanced together; returns each run's final point.
 
-
-def _refinement_search(x0: np.ndarray):
-    """Greedy coordinate-descent ascent of a score inside the unit cube.
-
-    A generator: it yields 2-D blocks of rows, is sent back their scores, and
-    returns the final point. Each step sweeps every coordinate in both
-    directions, keeping each move that beats the best score so far; a sweep
-    without improvement halves the step size. The moves a sweep has left are
-    yielded as one block from the current point; after an accepted move the
-    rest are yielded again from the new point, so the search is the
-    one-move-at-a-time search, with a block per accepted move.
+    Run j climbs model j's EI below bests[j], its stds scaled by ratios[j].
+    Each sweep tries each coordinate up, then down, keeping each move that
+    beats the best score so far; a sweep without improvement halves the step.
+    Each round scores, in one stacked posterior call, the moves every run has
+    left in its sweep from its current point (its start with the first
+    round), so each run is the one-move-at-a-time search.
     """
-    point = np.array(x0, dtype=float).tolist()
-    n_moves = 2 * len(point)  # move m shifts coordinate m // 2, up for even m
-    step = REFINE_STEP_SIZE
-    best = None
-    for _ in range(REFINE_STEPS):
-        improved = False
-        first = 0
-        while first < n_moves:
-            moves, rows = [], []
-            for m in range(first, n_moves):
-                d = m >> 1
-                moved = min(max(point[d] + (-step if m & 1 else step), 0.0), 1.0)
-                if moved != point[d]:
-                    row = point.copy()
-                    row[d] = moved
-                    moves.append(m)
-                    rows.append(row)
-            if best is None:  # the start point is scored with the first sweep
-                best, *scores = (yield np.array([point] + rows)).tolist()
-            elif rows:
-                scores = (yield np.array(rows)).tolist()
-            else:
-                break
-            first = n_moves
-            for m, row, val in zip(moves, rows, scores):
-                if val > best:
-                    point, best = row, val
-                    improved = True
-                    first = m + 1
+    ratios, bests = np.asarray(ratios), np.asarray(bests)
+    n_moves = 2 * len(starts[0])  # move m shifts coordinate m // 2, up for even m
+    # each run's search: point, step, best score (None until the start point is
+    # scored), sweeps done, first move the sweep has left, whether it improved
+    states = {j: [x.tolist(), REFINE_STEP_SIZE, None, 0, 0, False]
+              for j, x in enumerate(starts)}
+    points = [None] * len(starts)
+    while states:
+        rows, owner, blocks = [], [], []
+        for j, state in list(states.items()):
+            point, step, top, sweep, first, improved = state
+            head, moves = len(rows), []
+            if top is None:
+                rows.append(point)
+            while sweep < REFINE_STEPS:
+                for m in range(first, n_moves):
+                    d = m >> 1
+                    moved = min(max(point[d] + (-step if m & 1 else step), 0.0), 1.0)
+                    if moved != point[d]:
+                        row = point.copy()
+                        row[d] = moved
+                        moves.append(m)
+                        rows.append(row)
+                if moves or top is None:
                     break
-        if not improved:
-            step *= 0.5
-    return np.array(point)
-
-
-def _refine_together(starts, score_blocks) -> list:
-    """A _refinement_search from each start, the searches advanced together.
-
-    Each round, the blocks of every search still running are scored in one
-    score_blocks(owner, rows) call, owner[r] being the index of the search
-    that yielded row r. Returns each search's final point.
-    """
-    searches = [_refinement_search(x0) for x0 in starts]
-    blocks = {i: next(search) for i, search in enumerate(searches)}
-    points = [None] * len(searches)
-    while blocks:
-        owner = np.repeat(list(blocks), [len(rows) for rows in blocks.values()])
-        scores = score_blocks(owner, np.concatenate(list(blocks.values())))
-        start = 0
-        for i, rows in list(blocks.items()):
-            block, start = scores[start:start + len(rows)], start + len(rows)
-            try:
-                blocks[i] = searches[i].send(block)
-            except StopIteration as stop:
-                points[i] = stop.value
-                del blocks[i]
+                if not improved:  # the sweep is over
+                    step *= 0.5
+                sweep, first, improved = sweep + 1, 0, False
+            if sweep == REFINE_STEPS:
+                points[j] = np.array(states.pop(j)[0])
+                continue
+            state[1:] = step, top, sweep, first, improved
+            owner += [j] * (len(rows) - head)
+            blocks.append((state, head, moves))
+        if not blocks:
+            break
+        # one run's model selected by a slice broadcasts instead of being gathered
+        owner = slice(owner[0], owner[0] + 1) if len(blocks) == 1 else np.array(owner)
+        means, stds = _stacked_moments(stack, owner, np.array(rows))
+        scores = _ei_values(means, stds * ratios[owner], bests[owner]).tolist()
+        for state, k, moves in blocks:
+            point, step, top, sweep, first, improved = state
+            if top is None:
+                top, k = scores[k], k + 1
+            first = n_moves
+            for k, m in enumerate(moves, k):
+                if scores[k] > top:
+                    point, top, first, improved = rows[k], scores[k], m + 1, True
+                    break
+            state[:] = point, step, top, sweep, first, improved
     return points
 
 
@@ -281,27 +267,20 @@ def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | 
 def _propose_level(problems) -> list:
     """propose on each tuple of its arguments, the runs refining together.
 
-    Each run takes its own candidate step. Then every round, the blocks of
-    all runs still refining are scored in one stacked posterior call, each
-    row against its own run's model, so each point is the one the run would
-    get alone, bit for bit.
+    Each run takes its own candidate step; the runs left to refine go through
+    one _refine_level, so each point is the one the run would get alone, bit
+    for bit.
     """
     points, refining = [], []
     for obj_model, h_model, spec, best, rng in problems:
         x, ratio = _candidate_step(obj_model, h_model, spec, best, rng)
         if ratio is not None:
-            refining.append((len(points), obj_model, ratio, best))
+            refining.append((len(points), x, obj_model, ratio, best))
         points.append(x)
-    if not refining:
-        return points
-    stack = _stack_models(model for _, model, _, _ in refining)
-    ratios = np.array([ratio for _, _, ratio, _ in refining])
-    bests = np.array([best for _, _, _, best in refining])
-    refined = _refine_together(
-        [points[i] for i, _, _, _ in refining],
-        lambda owner, rows: _stacked_scores(stack, owner, rows, ratios[owner], bests[owner]))
-    for (i, _, _, _), x in zip(refining, refined):
-        points[i] = x
+    if refining:
+        index, starts, models, ratios, bests = zip(*refining)
+        for i, x in zip(index, _refine_level(_stack_models(models), starts, ratios, bests)):
+            points[i] = x
     return points
 
 

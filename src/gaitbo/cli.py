@@ -152,6 +152,19 @@ def _load_table(path: str):
     return table_from_json_dict(_read_json(path, "gain table"))
 
 
+def _check_output(path: str, directory: bool) -> None:
+    """Reject an output path that cannot be written, before anything runs: a
+    file path that names a directory, or a directory (a file's, for a file
+    path) that is an existing file or lies under one. Nothing is created."""
+    if not directory and os.path.isdir(path):
+        raise ConfigurationError(f"output file {path} is a directory")
+    head = path if directory else os.path.dirname(path)
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigurationError(f"cannot write to {path}: {head} is not a directory")
+
+
 def _cmd_learn_sim(cli: CliConfig, args) -> int:
     table_path = os.path.join(cli.output_dir, "gaintable_sim.json")
     learn_sim(cli.pipeline, out_dir=cli.output_dir)
@@ -206,14 +219,13 @@ def _cmd_simulate(cli: CliConfig, args) -> int:
     seed = SeedSpec(cli.pipeline.seed)
     traj = run_episode(plant, table, learning_profile(command),
                        stepping_start(command), seed)
-    out = args.out or os.path.join(cli.output_dir, "trajectory.csv")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    write_csv(traj, out)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    write_csv(traj, args.out)
     cost = evaluate_cost(traj, command, cli.pipeline.objective)
     if traj.fell:
         print(f"fell at t={traj.fall_time:g}s")
     print(f"cost {cost:.6g}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -287,6 +299,11 @@ def main(argv=None) -> int:
             level=logging.INFO if cli.verbose else logging.WARNING,
             format="%(message)s",
         )
+        if args.subcommand == "simulate":
+            args.out = args.out or os.path.join(cli.output_dir, "trajectory.csv")
+            _check_output(args.out, directory=False)
+        else:
+            _check_output(cli.output_dir, directory=True)
         return _HANDLERS[args.subcommand](cli, args)
     except (ConfigurationError, RangeError, GridNodeError) as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)

@@ -13,6 +13,7 @@ posterior is.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,17 +278,22 @@ def _stack_models(models) -> _ModelStack:
     )
 
 
-def _stacked_moments(stack: _ModelStack, owner: np.ndarray,
+def _stacked_moments(stack: _ModelStack, owner,
                      Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_posterior_moments at each row of Xq on its own, bit for bit, in one call.
 
-    Row r is scored against model owner[r] of the stack, whose arrays are
-    gathered per row. The cross-kernel and mean products are stacked,
+    Row r is scored against model owner[r] of the stack: owner is an index
+    array, gathering the models' arrays per row, or a slice naming one model,
+    whose arrays broadcast. The cross-kernel and mean products are stacked,
     one (n, d) @ (d, 1) and one (1, n) @ (n, 1) per row, which round like the
     one-row products; plain 2-D products do not. The triangular solve takes
-    one LAPACK call per row, against that row's own factor, because a
-    multi-column solve rounds differently.
+    one in-place LAPACK call per row, against that row's own factor, because
+    a multi-column solve rounds differently.
     """
+    if isinstance(owner, slice):
+        factors = itertools.repeat(stack.L[owner.start])
+    else:
+        factors = map(stack.L.__getitem__, owner.tolist())
     B = Xq / stack.lengthscales[owner]
     sq = np.add(stack.scaled_sq_norms[owner], np.add.reduce(B**2, axis=1)[:, None, None])
     np.subtract(sq, np.matmul(stack.twice_scaled_X[owner], B[:, :, None]), out=sq)
@@ -297,14 +303,12 @@ def _stacked_moments(stack: _ModelStack, owner: np.ndarray,
     signal_var = stack.signal_var[owner]
     Ks = np.multiply(sq, signal_var[:, None, None], out=sq)  # (rows, n, 1)
     mean_s = np.matmul(Ks.transpose(0, 2, 1), stack.alpha[owner])[:, 0, 0]
-    columns = []
-    for k, m in zip(Ks, owner.tolist()):
-        v, info = _trtrs(stack.L[m], k, 1)  # lower
+    for k, L in zip(Ks, factors):  # flags passed by position: f2py parses them faster
+        _, info = _trtrs(L, k, 1, 0, 0, len(k), 1)  # lower, lda, in place: k is a view of Ks
         if info != 0:
             raise NumericalError(f"triangular solve failed (LAPACK info {info})")
-        columns.append(v)
     # each row's solution contiguous, so its squared sum pairs up as in the one-row call
-    V = np.concatenate(columns).reshape(len(columns), -1)
+    V = Ks.reshape(len(Ks), -1)
     var = signal_var - np.add.reduce(V**2, axis=1)
     np.maximum(var, 0.0, out=var)
     y_scale = stack.y_scale[owner]

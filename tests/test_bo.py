@@ -1,6 +1,7 @@
 """Acquisition functions and the optimization loop on synthetic problems."""
 
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -26,14 +27,14 @@ from gaitbo.bo import (
     write_run_log,
     _BORun,
     _drive_level,
+    _ei_values,
     _propose_level,
-    _refine_together,
-    _stacked_scores,
+    _refine_level,
 )
 from gaitbo.domain import Box, SeedSpec, from_unit
 from gaitbo.errors import BlackBoxError, ConfigurationError, SimulationError
-from gaitbo.gp import (Hyperparams, _stack_models, _std_ratio, default_hyper_grid, fit,
-                       posterior_batch)
+from gaitbo.gp import (Hyperparams, _stack_models, _stacked_moments, _std_ratio,
+                       default_hyper_grid, fit, posterior_batch)
 
 
 def reference_ei(mean, std, best):
@@ -92,12 +93,75 @@ def _refinement_scores(model, X, ratio, best):
 
     Each row scores bit for bit as it would on its own.
     """
-    return _stacked_scores(_stack_models((model,)), np.zeros(len(X), int), X, ratio, best)
+    means, stds = _stacked_moments(_stack_models((model,)), slice(0, 1), X)
+    return _ei_values(means, stds * ratio, best)
 
 
-def _coordinate_refine(x0, score_rows):
-    """_refinement_search from x0, each block scored by score_rows."""
-    return _refine_together([x0], lambda _, rows: score_rows(rows))[0]
+def _refinement_search(x0):
+    """Greedy coordinate-descent ascent of a score inside the unit cube, the
+    oracle of bo._refine_level.
+
+    A generator: it yields 2-D blocks of rows, is sent back their scores, and
+    returns the final point. Each step sweeps every coordinate in both
+    directions, keeping each move that beats the best score so far; a sweep
+    without improvement halves the step size. The moves a sweep has left are
+    yielded as one block from the current point; after an accepted move the
+    rest are yielded again from the new point, so the search is the
+    one-move-at-a-time search, with a block per accepted move.
+    """
+    point = np.array(x0, dtype=float).tolist()
+    n_moves = 2 * len(point)  # move m shifts coordinate m // 2, up for even m
+    step = REFINE_STEP_SIZE
+    best = None
+    for _ in range(REFINE_STEPS):
+        improved = False
+        first = 0
+        while first < n_moves:
+            moves, rows = [], []
+            for m in range(first, n_moves):
+                d = m >> 1
+                moved = min(max(point[d] + (-step if m & 1 else step), 0.0), 1.0)
+                if moved != point[d]:
+                    row = point.copy()
+                    row[d] = moved
+                    moves.append(m)
+                    rows.append(row)
+            if best is None:  # the start point is scored with the first sweep
+                best, *scores = (yield np.array([point] + rows)).tolist()
+            elif rows:
+                scores = (yield np.array(rows)).tolist()
+            else:
+                break
+            first = n_moves
+            for m, row, val in zip(moves, rows, scores):
+                if val > best:
+                    point, best = row, val
+                    improved = True
+                    first = m + 1
+                    break
+        if not improved:
+            step *= 0.5
+    return np.array(point)
+
+
+def oracle_refine(x0, score_rows):
+    """_refinement_search from x0, each block scored by score_rows; returns
+    the final point and the sizes of the blocks scored."""
+    search = _refinement_search(x0)
+    sizes = []
+    try:
+        rows = next(search)
+        while True:
+            sizes.append(len(rows))
+            rows = search.send(score_rows(rows))
+    except StopIteration as stop:
+        return stop.value, sizes
+
+
+def _coordinate_refine(x0, model, ratio, best):
+    """_refine_level from x0 alone on model."""
+    return _refine_level(_stack_models((model,)), [np.asarray(x0, dtype=float)],
+                         [ratio], [best])[0]
 
 
 def reference_propose(obj_model, h_model, spec, best, rng):
@@ -155,6 +219,12 @@ class TestExpectedImprovement:
         with pytest.raises(ValueError):
             expected_improvement(0.0, -0.1, 0.0)
 
+    @pytest.mark.parametrize("args", [(0.3, math.nan, 0.5), (math.nan, 1.0, 0.5),
+                                      (0.3, 1.0, math.nan), (0.3, 0.0, math.nan)])
+    def test_rejects_nan(self, args):
+        with pytest.raises(ValueError, match="NaN"):
+            expected_improvement(*args)
+
 
 class TestFeasibility:
     def test_zero_mean_is_a_coin_flip(self):
@@ -167,6 +237,15 @@ class TestFeasibility:
         assert feasibility_from_moments(-0.01, 0.0) == 1.0
         assert feasibility_from_moments(0.0, 0.0) == 1.0
         assert feasibility_from_moments(0.01, 0.0) == 0.0
+
+    @pytest.mark.parametrize("args", [(0.3, math.nan), (math.nan, 1.0), (math.nan, 0.0)])
+    def test_rejects_nan(self, args):
+        with pytest.raises(ValueError, match="NaN"):
+            feasibility_from_moments(*args)
+
+    def test_rejects_negative_std(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            feasibility_from_moments(0.0, -0.1)
 
     def test_symmetric_model_gives_half(self):
         # h observations symmetric about zero, query at the symmetry point
@@ -265,9 +344,11 @@ class TestProposeBitIdentity:
         best = float(model.y_mean - rng.uniform(0.0, 2.0) * model.y_scale)
         ratio = float(rng.uniform(1.0, 5.0))
         x0 = np.array(start[:n_dims])
-        got = _coordinate_refine(x0, lambda X: _refinement_scores(model, X, ratio, best))
+        got = _coordinate_refine(x0, model, ratio, best)
         want = reference_refine(np.array(x0), one_point_score(model, ratio, best))
         np.testing.assert_array_equal(got, want)
+        oracle, _ = oracle_refine(x0, lambda X: _refinement_scores(model, X, ratio, best))
+        np.testing.assert_array_equal(oracle, want)
 
     @pytest.mark.parametrize("constrained", [False, True])
     @pytest.mark.parametrize("grid_index", range(len(default_hyper_grid(1))))
@@ -315,9 +396,9 @@ class TestLevelScoring:
         X = np.concatenate(blocks)
         order = rng.permutation(len(X))  # rows of the models interleaved
         got = np.empty(len(X))
-        got[order] = _stacked_scores(_stack_models(models), owner[order], X[order],
-                                     np.array(ratios)[owner[order]],
-                                     np.array(bests)[owner[order]])
+        means, stds = _stacked_moments(_stack_models(models), owner[order], X[order])
+        got[order] = _ei_values(means, stds * np.array(ratios)[owner[order]],
+                                np.array(bests)[owner[order]])
         start = 0
         for model, ratio, best, block in zip(models, ratios, bests, blocks):
             want = _refinement_scores(model, block, ratio, best)
@@ -355,6 +436,77 @@ class TestLevelScoring:
         for g, a, w in zip(got, alone, want):
             np.testing.assert_array_equal(g, a)
             np.testing.assert_array_equal(g, w)
+
+
+class TestRefineLevel:
+    """_refine_level gives each run the oracle search's point, bit for bit,
+    and scores its rows in the rounds the oracle searches take together."""
+
+    CUBE_COORDS = [0.0, 1.0, 0.01, 0.97, 0.5, 1.0 - 2.0**-40]
+
+    @staticmethod
+    def level_and_oracles(models, starts, ratios, bests):
+        """The level's points and the row count of each of its scoring calls,
+        and each run's oracle search: its point and block sizes."""
+        calls = []
+
+        def counted(stack, owner, X):
+            calls.append(len(X))
+            return _stacked_moments(stack, owner, X)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("gaitbo.bo._stacked_moments", counted)
+            got = _refine_level(_stack_models(models), starts, ratios, bests)
+        oracles = [oracle_refine(x0, lambda X, m=m, r=r, b=b: _refinement_scores(m, X, r, b))
+                   for m, x0, r, b in zip(models, starts, ratios, bests)]
+        return got, calls, oracles
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_runs=st.integers(1, 5), n_points=st.integers(1, 40), n_dims=st.integers(1, 6),
+           data_seed=st.integers(0, 2**32 - 1),
+           coords=st.lists(st.sampled_from(CUBE_COORDS), min_size=30, max_size=30),
+           random_starts=st.booleans())
+    def test_matches_per_run_oracle_searches(self, n_runs, n_points, n_dims, data_seed,
+                                             coords, random_starts):
+        # Starts on faces and corners make moves clamp or fall away as no-ops;
+        # incumbents from far below to above the model's mean make runs accept
+        # different numbers of moves, so they leave the level in different rounds.
+        rng = np.random.default_rng(data_seed)
+        models = random_models(rng, n_runs, n_points, n_dims)
+        ratios = [float(r) for r in rng.uniform(1.0, 20.0, n_runs)]
+        bests = [float(m.y_mean + rng.uniform(-4.0, 1.0) * m.y_scale) for m in models]
+        starts = [rng.random(n_dims) if random_starts else np.array(coords[6 * j:][:n_dims])
+                  for j in range(n_runs)]
+        got, calls, oracles = self.level_and_oracles(models, starts, ratios, bests)
+        assert len(got) == n_runs
+        for point, (want, _) in zip(got, oracles):
+            np.testing.assert_array_equal(point, want)
+        sizes = [sizes for _, sizes in oracles]
+        assert len(calls) == max(len(s) for s in sizes)
+        assert calls == [sum(s[k] for s in sizes if k < len(s)) for k in range(len(calls))]
+
+    def test_runs_leave_the_level_in_different_rounds(self):
+        rng = np.random.default_rng(5)
+        models = random_models(rng, 3, 20, 3)
+        bests = [float(m.y_mean + shift * m.y_scale) for m, shift in zip(models, (-3, 0, 1))]
+        starts = [np.zeros(3), np.ones(3), np.full(3, 0.5)]
+        got, calls, oracles = self.level_and_oracles(models, starts, [1.0, 2.0, 5.0], bests)
+        assert len({len(sizes) for _, sizes in oracles}) == 3
+        for point, (want, _) in zip(got, oracles):
+            np.testing.assert_array_equal(point, want)
+
+    def test_zero_std_row_takes_the_clipped_improvement(self):
+        # An unjittered one-point model has std exactly 0 at its training
+        # input, so the start's EI there is max(best - mean, 0).
+        model = fit(np.array([[0.25, 0.5]]), np.array([0.5]), Hyperparams(1.0, [0.5, 0.5], 0.0))
+        exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"))
+        X = np.array([[0.25, 0.5], [0.3, 0.5]])
+        means, stds = _stacked_moments(_stack_models((exact,)), slice(0, 1), X)
+        assert stds[0] == 0.0 and stds[1] > 0.0
+        assert _refinement_scores(exact, X, 1.0, 0.9)[0] == max(0.9 - means[0], 0.0)
+        got = _coordinate_refine(X[0], exact, 1.0, 0.9)
+        want, _ = oracle_refine(X[0], lambda rows: _refinement_scores(exact, rows, 1.0, 0.9))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestOptimize:

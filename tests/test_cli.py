@@ -322,6 +322,38 @@ class TestExitCodes:
         assert "\n" not in err.strip()
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["learn-sim", "--output-dir", "{file}"],
+        ["learn-sim", "--output-dir", "{file}/sub"],
+        ["learn-sim", "--output-dir", "{file}/../sub"],
+        ["extract-safeset", "--output-dir", "{file}", "--table", "{table}"],
+        ["learn-real", "--output-dir", "{file}/sub", "--table", "{table}"],
+        ["benchmark", "--output-dir", "{file}", "--table", "{table}"],
+        ["simulate", "--table", "{table}", "--command", "0", "0", "1", "--out", "{dir}"],
+        ["simulate", "--table", "{table}", "--command", "0", "0", "1",
+         "--out", "{file}/x.csv"],
+        ["simulate", "--table", "{table}", "--command", "0", "0", "1",
+         "--output-dir", "{file}"],
+    ])
+    def test_unwritable_output_path_exits_2_before_any_episode(self, tmp_path, capsys,
+                                                               monkeypatch, argv):
+        def no_episode(*args):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr("gaitbo.plant._rollout", no_episode)
+        monkeypatch.setattr("gaitbo.safeset._rollout", no_episode)
+        cfg = write_config(tmp_path)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        paths = {"file": str(tmp_path / "afile"), "dir": str(tmp_path / "adir"),
+                 "table": firm_table_file(tmp_path)}
+        before = sorted(tmp_path.rglob("*"))
+        assert main([arg.format(**paths) for arg in argv] + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "\n" not in err.strip()
+        assert str(tmp_path) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_nan_axis_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sweep_h": [0.8, float("nan")]})
         assert main(["learn-sim", "--config", cfg,

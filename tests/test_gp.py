@@ -558,6 +558,45 @@ class TestPointwiseMoments:
             assert mean == want_mean[0]
             assert std == want_std[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_models=st.integers(1, 4), n_points=st.integers(1, 100),
+           n_dims=st.integers(1, 6), n_rows=st.integers(1, 13),
+           noise_free=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
+    def test_slice_rows_match_one_row_calls(self, n_models, n_points, n_dims, n_rows,
+                                            noise_free, data_seed):
+        # A slice names one model of the stack for every row, whose arrays
+        # broadcast; rows at training inputs of a noise-free model included.
+        rng = np.random.default_rng(data_seed)
+        grid = default_hyper_grid(n_dims)
+        models = []
+        for _ in range(n_models):
+            hyper = grid[int(rng.integers(len(grid)))]
+            if noise_free:
+                hyper = Hyperparams(hyper.signal_std, hyper.lengthscales, 0.0)
+            models.append(fit(rng.random((n_points, n_dims)),
+                              rng.normal(0.0, 1.0, n_points), hyper))
+        j = int(rng.integers(n_models))
+        model = models[j]
+        Xq = np.concatenate([rng.random((n_rows, n_dims)), model.X[:3]])
+        means, stds = _stacked_moments(_stack_models(models), slice(j, j + 1), Xq)
+        assert means.shape == stds.shape == (len(Xq),)
+        for x, mean, std in zip(Xq, means, stds):
+            want_mean, want_std = _posterior_moments(model, x[None, :])
+            assert mean == want_mean[0]
+            assert std == want_std[0]
+
+    def test_slice_row_with_zero_std(self):
+        # An unjittered one-point model has a std of exactly 0 at its input,
+        # whose coordinates and lengthscales make the kernel there exactly 1.
+        model = fit(np.array([[0.25, 0.5]]), np.array([2.0]), Hyperparams(1.0, [0.5, 0.5], 0.0))
+        exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"))
+        Xq = np.array([[0.25, 0.5], [0.5, 0.5]])
+        means, stds = _stacked_moments(_stack_models((exact,)), slice(0, 1), Xq)
+        assert stds[0] == 0.0 and stds[1] > 0.0
+        for x, mean, std in zip(Xq, means, stds):
+            want_mean, want_std = _posterior_moments(exact, x[None, :])
+            assert (mean, std) == (want_mean[0], want_std[0])
+
     def test_failed_triangular_solve_raises(self):
         model = fit(np.array([[0.2], [0.7]]), np.array([0.0, 1.0]),
                     Hyperparams(1.0, np.array([0.3]), 1e-2))
@@ -566,6 +605,8 @@ class TestPointwiseMoments:
         singular = dataclasses.replace(model, L=L)
         with pytest.raises(NumericalError, match="triangular solve"):
             _pointwise_moments(singular, np.array([[0.4], [0.5]]))
+        with pytest.raises(NumericalError, match="triangular solve"):
+            _stacked_moments(_stack_models((singular,)), slice(0, 1), np.array([[0.4]]))
 
 
 class TestLogMarginalLikelihood:
