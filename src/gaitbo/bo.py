@@ -125,10 +125,10 @@ def _ei_values(means: np.ndarray, stds: np.ndarray, best) -> np.ndarray:
 
 
 def _check_moments(**values) -> None:
-    """ValueError for a NaN value or a negative std."""
+    """ValueError for a NaN or infinite value, or a negative std."""
     for name, value in values.items():
-        if np.isnan(value):
-            raise ValueError(f"{name} must not be NaN")
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, not NaN or infinite, got {value}")
     if values["std"] < 0.0:
         raise ValueError(f"std must be nonnegative, got {values['std']}")
 

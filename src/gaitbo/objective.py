@@ -2,6 +2,8 @@
 
 Statistics are taken over the trailing segment of a trajectory, long enough
 for transients to settle: the last floor(segment_duration / dt) samples.
+The sweep and every BO evaluation read the rollout's arrays through
+_learning_segments, and reduce the stacked segments row by row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .domain import GaitParameter, _matrix3
 from .errors import ConfigurationError
-from .plant import Trajectory
+from .plant import PlantConfig, Trajectory, _rollout, learning_profile, stepping_start
 
 __all__ = ["ObjectiveConfig", "ConvergedStats", "converged_stats", "evaluate_cost"]
 
@@ -74,6 +76,26 @@ def _segment_samples(segment_duration: float, dt: float, n_samples: int) -> int:
     return k
 
 
+def _learning_segments(plant: PlantConfig, tables, gaits, seeds,
+                       segment_duration: float) -> tuple:
+    """Each gait's learning episode under its table, all in one rollout.
+
+    Episode k follows learning_profile(gaits[k]) from the stepping start at
+    its height, under tables[k] with noise from seeds[k]. Returns (fell,
+    segments): whether each episode fell, and the trailing segments of the
+    completed ones in order, stacked as (samples, completed, 3). With no
+    episode completed there is no segment to fit, so none is checked.
+    """
+    # A stepping start depends on the height alone: one per height.
+    starts = {h: stepping_start(g) for h, g in {gait.h: gait for gait in gaits}.items()}
+    times, _, p_hat, _, _, fell = _rollout(plant, tables, [learning_profile(g) for g in gaits],
+                                           [starts[g.h] for g in gaits], seeds)
+    completed = ~fell
+    k = (_segment_samples(segment_duration, plant.dt, len(times)) if completed.any()
+         else len(times))
+    return fell, p_hat[-k:, completed]
+
+
 def _segment_stats(segments: np.ndarray) -> list:
     """The ConvergedStats of each of m stacked trailing segments, (k, m, 3).
 
@@ -99,6 +121,20 @@ def converged_stats(traj: Trajectory, segment_duration: float = 5.0) -> Converge
     return _segment_stats(traj.p_hat[-k:, None])[0]
 
 
+def _quadratic_form(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # Stacked products over trailing unit axes round like v @ w @ v on each row.
+    return np.matmul(np.matmul(v[:, None, :], w), v[:, :, None])[:, 0, 0]
+
+
+def _segment_costs(segments, targets, cfg: ObjectiveConfig) -> np.ndarray:
+    """The cost of each of m completed episodes from its trailing segment in
+    segments, (k, m, 3), and its commanded gait in targets, (m, 3): on each
+    row err @ w1 @ err + osc @ w2 @ osc, rounded as that row alone would be."""
+    err = segments.mean(axis=0) - targets
+    osc = segments.max(axis=0) - segments.min(axis=0)
+    return _quadratic_form(err, cfg.w1) + _quadratic_form(osc, cfg.w2)
+
+
 def evaluate_cost(traj: Trajectory, p_desired: GaitParameter, cfg: ObjectiveConfig) -> float:
     """Weighted squared tracking error plus weighted squared oscillation span.
 
@@ -108,7 +144,5 @@ def evaluate_cost(traj: Trajectory, p_desired: GaitParameter, cfg: ObjectiveConf
     """
     if traj.fell:
         return float(cfg.fall_penalty)
-    stats = converged_stats(traj, cfg.segment_duration)
-    err = stats.p_c.as_array() - p_desired.as_array()
-    osc = stats.p_c_max.as_array() - stats.p_c_min.as_array()
-    return float(err @ cfg.w1 @ err + osc @ cfg.w2 @ osc)
+    k = _segment_samples(cfg.segment_duration, traj.dt, len(traj))
+    return float(_segment_costs(traj.p_hat[-k:, None], p_desired.as_array()[None], cfg)[0])

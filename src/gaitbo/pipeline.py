@@ -8,14 +8,13 @@ plant, constrained to keep the converged gait inside that region. A
 benchmark compares any two tables on identical sweeps.
 
 All randomness descends from one integer seed through named substreams, so
-a whole run is reproducible artifact-for-artifact.
+a whole run is reproducible artifact-for-artifact. The sweep and every BO
+evaluation read episodes from the rollout's arrays, building no Trajectory.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
-import itertools
 import json
 import logging
 import math
@@ -36,18 +35,10 @@ from .domain import (
 )
 from .errors import BlackBoxError, ConfigurationError, GridNodeError, SafeSetError
 from .errors import DegenerateGeometryError
-from .objective import ObjectiveConfig, _segment_samples, converged_stats, evaluate_cost
-from .plant import (
-    EPISODE_DURATION,
-    PlantConfig,
-    learning_profile,
-    real_config,
-    run_episode,
-    run_episodes,
-    sim_config,
-    stepping_start,
-)
-from .safeset import SafePolyhedron, SweepResult, constraint_value, convex_hull, save_polyhedron, sweep_commands
+from .objective import ObjectiveConfig, _learning_segments, _segment_costs, _segment_samples
+from .plant import EPISODE_DURATION, PlantConfig, real_config, sim_config
+from .safeset import (SafePolyhedron, SweepResult, _plane_depths, convex_hull,
+                      save_polyhedron, sweep_commands)
 from .scheduler import GainTable, _axis_nodes, _node_indices, apply_corrections, lookup, save_table
 
 __all__ = [
@@ -311,25 +302,33 @@ def _gain_params(x: np.ndarray) -> ControlParams:
     return ControlParams(x[:3], x[3:6], np.zeros(3))
 
 
-def _gain_observation(traj, gait: GaitParameter, cfg: PipelineConfig) -> tuple:
-    """A learning episode as a gain run's (cost, h_value, fell)."""
-    return evaluate_cost(traj, gait, cfg.objective), None, traj.fell
+def _learning_observations(cfg: PipelineConfig, plant: PlantConfig, tables, gaits, seeds,
+                           poly: SafePolyhedron | None = None) -> list:
+    """Each gait's learning episode under its table, all in one rollout, as a
+    BO run's (cost, h_value, fell). h_value is None without a safe set poly;
+    with one it is constraint_value of the converged gait, or 0.5 for a fall.
+    """
+    fell, segments = _learning_segments(plant, tables, gaits, seeds,
+                                        cfg.objective.segment_duration)
+    completed = ~fell
+    costs = np.full(len(gaits), cfg.objective.fall_penalty)
+    costs[completed] = _segment_costs(
+        segments, np.array([g.as_array() for g in gaits])[completed], cfg.objective)
+    if poly is None:
+        return [(cost, None, down) for cost, down in zip(costs.tolist(), fell.tolist())]
+    h_values = np.full(len(gaits), 0.5)
+    h_values[completed] = _plane_depths(poly.vertices[poly.anchors], poly.normals,
+                                        segments.mean(axis=0)).max(axis=1)
+    return list(zip(costs.tolist(), h_values.tolist(), fell.tolist()))
 
 
 def _gain_black_box(gait: GaitParameter, cfg: PipelineConfig, plant: PlantConfig,
                     run_seed: SeedSpec):
-    """Evaluate one 6-vector of gains by running a learning episode."""
-    profile = learning_profile(gait)
-    start = stepping_start(gait)
-    counter = itertools.count()
-
-    def black_box(x):
-        idx = next(counter)
-        traj = run_episode(plant, GainTable.constant(_gain_params(x)), profile, start,
-                           run_seed.derive(_EPISODE_KEY, idx))
-        return _gain_observation(traj, gait, cfg)
-
-    return black_box
+    """Evaluate one 6-vector of gains by running a learning episode, the
+    i-th seeded from the run seed's episode substream at i."""
+    seeds = (run_seed.derive(_EPISODE_KEY, i) for i in range(cfg.i1))
+    return lambda x: _learning_observations(
+        cfg, plant, [GainTable.constant(_gain_params(x))], [gait], [next(seeds)])[0]
 
 
 @contextlib.contextmanager
@@ -442,31 +441,29 @@ def _sim_levels(schedule: list) -> list:
 
 
 def _run_level(what: str, runs: list, iterations: int, init_count: int,
-               spec: ConstraintSpec | None, plant: PlantConfig, episode_table,
-               observe) -> list:
+               cfg: PipelineConfig, plant: PlantConfig, episode_table,
+               poly: SafePolyhedron | None = None) -> list:
     """The BO runs of one level in lockstep; runs lists each run's
     (gait, run seed, box, first design point), and the runs share the budget,
-    the init count and the constraint spec.
+    the init count and the safe set poly, constrained by cfg.constraint if given.
 
-    Each step of bo._drive_level takes one run_episodes call, each run's
-    episode seeded by its own evaluation index. An episode at x runs the
-    table episode_table(gait, x) and is read as observe(gait, traj). Each
-    run's results equal those of its own optimize call; a failure names the
-    phase's quantity (what) and the run's gait.
+    Each step of bo._drive_level reads every run's episode from one
+    _learning_observations call, each seeded by its run's evaluation index;
+    an episode at x runs the table episode_table(gait, x). Each run's results
+    equal those of its own optimize call; a failure names the phase's
+    quantity (what) and the run's gait.
     """
     gaits = [gait for gait, _, _, _ in runs]
+    spec = None if poly is None else cfg.constraint
     bo_runs = [_BORun(box, iterations, init_count, spec, seed=run_seed,
                       initial_design=_warm_design(first, run_seed, box, init_count))
                for _, run_seed, box, first in runs]
-    profiles = [learning_profile(gait) for gait in gaits]
-    starts = [stepping_start(gait) for gait in gaits]
 
     def episodes(xs) -> list:
         tables = [episode_table(gait, x) for gait, x in zip(gaits, xs)]
         seeds = [run.seed.derive(_EPISODE_KEY, len(run.history)) for run in bo_runs]
-        trajectories = run_episodes(plant, tables, profiles, starts, seeds)
-        return [functools.partial(observe, gait, traj)
-                for gait, traj in zip(gaits, trajectories)]
+        return [lambda obs=obs: obs
+                for obs in _learning_observations(cfg, plant, tables, gaits, seeds, poly)]
 
     return _drive_level(bo_runs, episodes, lambda i: _failure_names_gait(what, gaits[i]))
 
@@ -506,10 +503,8 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
             _, index, gait, parent, _ = schedule[position]
             runs.append((gait, root.derive(_STREAM_SIM2, index), box,
                          np.concatenate([found[parent].kP, found[parent].kD])))
-        level_results = _run_level(
-            "gain", runs, cfg.i2, cfg.init_counts[1], None, plant,
-            lambda gait, x: GainTable.constant(_gain_params(x)),
-            lambda gait, traj: _gain_observation(traj, gait, cfg))
+        level_results = _run_level("gain", runs, cfg.i2, cfg.init_counts[1], cfg, plant,
+                                   lambda gait, x: GainTable.constant(_gain_params(x)))
         for position, result in zip(level, level_results):
             results[position] = result
             found[position] = _best_params(result, box)
@@ -552,20 +547,6 @@ def extract_safe_set(table: GainTable, cfg: PipelineConfig,
     return sweep, poly
 
 
-def _correction_observation(traj, gait: GaitParameter, poly: SafePolyhedron,
-                            cfg: PipelineConfig) -> tuple:
-    """A real episode as a correction run's (cost, h_value, fell).
-
-    The constraint observation is the safe-region violation of the converged
-    gait; falls report a fixed positive violation instead.
-    """
-    cost = evaluate_cost(traj, gait, cfg.objective)
-    if traj.fell:
-        return cost, 0.5, True
-    stats = converged_stats(traj, cfg.objective.segment_duration)
-    return cost, constraint_value(poly, stats.p_c), False
-
-
 def learn_real(table: GainTable, poly: SafePolyhedron, cfg: PipelineConfig,
                out_dir=None, plant: PlantConfig | None = None,
                ) -> tuple[GainTable, list]:
@@ -582,9 +563,8 @@ def learn_real(table: GainTable, poly: SafePolyhedron, cfg: PipelineConfig,
     runs = [(gait, root.derive(_STREAM_REAL, i), cfg.correction_box(lookup(table, gait)),
              np.zeros(6)) for i, gait in enumerate(cfg.p_real)]
     results = _run_level(
-        "correction", runs, cfg.i3, cfg.init_counts[2], cfg.constraint, plant,
-        lambda gait, c: apply_corrections(table, [(gait, correction_from_vector(c))]),
-        lambda gait, traj: _correction_observation(traj, gait, poly, cfg))
+        "correction", runs, cfg.i3, cfg.init_counts[2], cfg, plant,
+        lambda gait, c: apply_corrections(table, [(gait, correction_from_vector(c))]), poly)
     corrections = []
     h_positive = 0
     h_total = 0

@@ -17,8 +17,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .domain import GaitParameter, SeedSpec
 from .errors import ConfigurationError, DegenerateGeometryError
-from .objective import _segment_samples, _segment_stats
-from .plant import PlantConfig, _rollout, learning_profile, stepping_start
+from .objective import _learning_segments, _segment_stats
+from .plant import PlantConfig
 from .scheduler import GainTable
 
 __all__ = [
@@ -79,6 +79,17 @@ def _plane_depths(anchor_points, normals, points) -> np.ndarray:
     return np.matmul(gaps[..., None, :], normals[:, :, None])[..., 0, 0]
 
 
+def _vertex_indices(values, name: str) -> np.ndarray:
+    """values as an int array; ValueError for a boolean or fractional entry,
+    which the cast to int alone would turn into an index."""
+    indices = np.array(values, dtype=int)
+    given = np.array(values, dtype=object).ravel().tolist()
+    if any(isinstance(v, (bool, np.bool_)) or v != i
+           for v, i in zip(given, indices.ravel().tolist())):
+        raise ValueError(f"{name} must be whole-number vertex indices, not booleans or fractions")
+    return indices
+
+
 @dataclass(frozen=True)
 class SafePolyhedron:
     """A convex safe region in gait-parameter space, held as face arrays.
@@ -102,9 +113,9 @@ class SafePolyhedron:
             )
         if not np.all(np.isfinite(vertices)):
             raise ValueError("vertices must be finite")
-        faces = np.array(self.faces, dtype=int)
+        faces = _vertex_indices(self.faces, "faces")
         normals = np.array(self.normals, dtype=float)
-        anchors = np.array(self.anchors, dtype=int)
+        anchors = _vertex_indices(self.anchors, "anchors")
         count = len(faces)
         if count < 4:
             raise ValueError(f"polyhedron needs at least 4 faces, got {count}")
@@ -137,7 +148,6 @@ class SafePolyhedron:
                                np.vstack([vertices.mean(axis=0), vertices]))
         if np.any(depths[0] >= 0.0):
             raise ValueError("every inward normal must point toward the centroid")
-        # the farthest any vertex lies behind any face plane
         worst = depths[1:].max()
         if worst > 1e-9:
             raise ValueError(f"a vertex violates the face planes by {worst:.3e}")
@@ -162,28 +172,15 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
         if not isinstance(cmd, GaitParameter):
             raise ConfigurationError(f"sweep grid entries must be GaitParameter, got {cmd!r}")
 
-    # A stepping start depends on the height alone: one per height.
-    starts = {}
-    for cmd in grid:
-        if cmd.h not in starts:
-            starts[cmd.h] = stepping_start(cmd)
     feasible = []
     kept = []
     for first in range(0, len(grid), _SWEEP_CHUNK):
         chunk = grid[first:first + _SWEEP_CHUNK]
-        times, _, p_hat, _, _, fell = _rollout(
-            cfg, (table,) * len(chunk),
-            [learning_profile(cmd) for cmd in chunk],
-            [starts[cmd.h] for cmd in chunk],
-            [seed.derive(first + k) for k in range(len(chunk))],
-        )
-        # An episode that did not fall holds every sample; a chunk in which
-        # every episode fell has no segment to fit, so it is not checked.
-        completed = np.flatnonzero(~fell)
-        if completed.size:
-            k = _segment_samples(segment_duration, cfg.dt, len(times))
-            feasible.extend(chunk[i] for i in completed.tolist())
-            kept.extend(_segment_stats(p_hat[-k:, completed]))
+        fell, segments = _learning_segments(
+            cfg, (table,) * len(chunk), chunk,
+            [seed.derive(first + k) for k in range(len(chunk))], segment_duration)
+        feasible.extend(cmd for cmd, down in zip(chunk, fell.tolist()) if not down)
+        kept.extend(_segment_stats(segments))
     return SweepResult(tuple(feasible), grid, tuple(kept))
 
 

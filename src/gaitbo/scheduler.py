@@ -106,7 +106,8 @@ def _axis_weights(nodes: tuple, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.array(nodes)
     idx = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(nodes) - 2)
     x0, x1 = x[idx], x[idx + 1]
-    return idx, np.where(q <= x[0], 0.0, np.where(q >= x[-1], 1.0, (q - x0) / (x1 - x0)))
+    inside = np.clip(q, x[0], x[-1])  # far outside a narrow cell the ratio would overflow
+    return idx, np.where(q <= x[0], 0.0, np.where(q >= x[-1], 1.0, (inside - x0) / (x1 - x0)))
 
 
 def _corners(idx: np.ndarray, w: np.ndarray, n_nodes: int):
@@ -145,7 +146,7 @@ def lookup(table: GainTable, p: GaitParameter) -> ControlParams:
 def _node_index(nodes: tuple, q: float, axis: str) -> int:
     diffs = [abs(n - q) for n in nodes]
     idx = int(np.argmin(diffs))
-    if diffs[idx] > _NODE_TOL:
+    if not diffs[idx] <= _NODE_TOL:  # a NaN coordinate is off every node too
         raise GridNodeError(
             f"{axis}={q} is not a grid node (nearest node is {axis}={nodes[idx]})"
         )
@@ -215,7 +216,8 @@ def table_from_json_dict(data: dict) -> GainTable:
         entries = list(data["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed gain table document: {exc}") from exc
-    values = np.full((len(vx), len(vy), len(h), 9), np.nan)
+    values = np.zeros((len(vx), len(vy), len(h), 9))
+    filled = np.zeros(values.shape[:3], dtype=bool)
     for entry in entries:
         try:
             p = [float(c) for c in entry["p"]]
@@ -229,11 +231,12 @@ def table_from_json_dict(data: dict) -> GainTable:
         if len(p) != 3 or vec.shape != (9,):
             raise ConfigurationError(f"gain table entry has wrong arity: {entry!r}")
         i, j, k = _node_indices((vx, vy, h), p)
-        if not np.any(np.isnan(values[i, j, k])):
+        if filled[i, j, k]:
             raise ConfigurationError(f"duplicate gain table entry at p={p}")
+        filled[i, j, k] = True
         values[i, j, k] = vec
-    if np.any(np.isnan(values)):
-        missing = int(np.isnan(values[..., 0]).sum())
+    if not filled.all():
+        missing = int((~filled).sum())
         raise ConfigurationError(f"gain table document is incomplete: {missing} nodes missing")
     try:
         return GainTable(vx, vy, h, values)

@@ -225,6 +225,15 @@ class TestExpectedImprovement:
         with pytest.raises(ValueError, match="NaN"):
             expected_improvement(*args)
 
+    @pytest.mark.parametrize("args", [(math.inf, 1.0, 0.5), (-math.inf, 1.0, 0.5),
+                                      (0.3, math.inf, 0.5), (0.3, 1.0, math.inf),
+                                      (0.3, 1.0, -math.inf), (math.inf, math.inf, 0.5),
+                                      (0.3, 0.0, math.inf)])
+    def test_rejects_infinity(self, args):
+        # inf - inf and inf * ndtr(-inf) would make the result NaN
+        with pytest.raises(ValueError, match="finite"):
+            expected_improvement(*args)
+
 
 class TestFeasibility:
     def test_zero_mean_is_a_coin_flip(self):
@@ -241,6 +250,12 @@ class TestFeasibility:
     @pytest.mark.parametrize("args", [(0.3, math.nan), (math.nan, 1.0), (math.nan, 0.0)])
     def test_rejects_nan(self, args):
         with pytest.raises(ValueError, match="NaN"):
+            feasibility_from_moments(*args)
+
+    @pytest.mark.parametrize("args", [(math.inf, math.inf), (math.inf, 1.0),
+                                      (-math.inf, 1.0), (0.0, math.inf)])
+    def test_rejects_infinity(self, args):
+        with pytest.raises(ValueError, match="finite"):
             feasibility_from_moments(*args)
 
     def test_rejects_negative_std(self):

@@ -341,7 +341,7 @@ class TestExitCodes:
             raise AssertionError("an episode ran")
 
         monkeypatch.setattr("gaitbo.plant._rollout", no_episode)
-        monkeypatch.setattr("gaitbo.safeset._rollout", no_episode)
+        monkeypatch.setattr("gaitbo.objective._rollout", no_episode)
         cfg = write_config(tmp_path)
         (tmp_path / "afile").write_text("")
         (tmp_path / "adir").mkdir()
@@ -367,6 +367,26 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "height" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entries: entries[0]["kD"].__setitem__(1, float("nan")), "must be finite"),
+        (lambda entries: entries.insert(0, dict(entries[0], kP=[float("nan")] * 3)),
+         "duplicate gain table entry"),
+        (lambda entries: entries[0].__setitem__("p", [float("nan"), 0.0, 1.0]),
+         "not a grid node"),
+    ], ids=["nan_gain", "duplicate_after_nan", "nan_node"])
+    def test_nan_gain_table_exits_2(self, tmp_path, capsys, edit, message):
+        data = json.loads(Path(zero_table_file(tmp_path)).read_text())
+        edit(data["entries"])
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--table", str(bad), "--command", "0", "0", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "incomplete" not in err
+        assert "\n" not in err.strip()
         assert not out.exists()
 
     def test_negative_gain_table_exits_2(self, tmp_path, capsys):
@@ -426,6 +446,8 @@ class TestExitCodes:
         ("n", [float("inf"), 0.0, 0.0], "unit length"),
         ("n", [1.0, 0.0], "shape"),
         ("v", [0, 1, float("inf")], "infinity"),
+        ("v", [0, 1, 2.5], "whole-number vertex indices"),
+        ("anchor", True, "whole-number vertex indices"),
     ])
     def test_malformed_safe_set_face_exits_2(self, tmp_path, capsys, field, value, message):
         data = json.loads(Path(safe_set_file(tmp_path)).read_text())

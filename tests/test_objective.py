@@ -10,6 +10,7 @@ from gaitbo.errors import ConfigurationError
 from gaitbo.objective import (
     ConvergedStats,
     ObjectiveConfig,
+    _segment_costs,
     _segment_samples,
     _segment_stats,
     converged_stats,
@@ -127,6 +128,44 @@ class TestStatisticsKernel:
             alone = reference_converged_stats(make_traj(batch[:, j], dt=1.0), float(k))
             assert stats_bytes(stats) == stats_bytes(alone)
             assert stats == alone
+
+
+class TestCostKernel:
+    """The stacked cost kernel gives each row the literal formula's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 60), width=st.integers(1, 140),
+           scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e100]),
+           w1=st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3),
+           w2=st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3))
+    def test_rows_equal_the_literal_formula(self, seed, k, width, scale, w1, w2):
+        rng = np.random.default_rng(seed)
+        segments = random_samples(rng, (k, width, 3), scale)
+        targets = random_samples(rng, (width, 3), scale)
+        cfg = ObjectiveConfig(w1=w1, w2=w2)
+        got = _segment_costs(segments, targets, cfg)
+        assert got.shape == (width,)
+        for j in range(width):
+            segment = np.array(segments[:, j])
+            err = segment.mean(axis=0) - targets[j]
+            osc = segment.max(axis=0) - segment.min(axis=0)
+            want = err @ cfg.w1 @ err + osc @ cfg.w2 @ osc
+            assert got[j].tobytes() == np.float64(want).tobytes()
+
+    def test_evaluate_cost_is_the_one_row_case(self):
+        rng = np.random.default_rng(7)
+        cfg = ObjectiveConfig(w1=[1.0, 0.7, 1.3], w2=[0.5, 0.4, 0.6])
+        segments = random_samples(rng, (12, 30, 3), 1.0)
+        targets = random_samples(rng, (30, 3), 1.0)
+        got = _segment_costs(segments, targets, cfg)
+        for j in range(30):
+            cost = evaluate_cost(make_traj(segments[:, j]), GaitParameter(*targets[j]), cfg)
+            assert np.float64(cost).tobytes() == got[j].tobytes()
+
+    def test_no_rows(self):
+        # what the reader hands on when every episode fell; no warning either
+        costs = _segment_costs(np.empty((51, 0, 3)), np.empty((0, 3)), ObjectiveConfig())
+        assert costs.shape == (0,)
 
 
 class TestEvaluateCost:

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaitbo.bo as bo
+import gaitbo.objective as objective
 import gaitbo.pipeline as pipeline
+import gaitbo.plant as plant_module
 from gaitbo.bo import optimize
 from gaitbo.domain import (ControlParams, GaitParameter, SeedSpec, correction_from_vector,
                            from_unit)
@@ -31,7 +33,7 @@ from gaitbo.pipeline import (
     _best_params,
     _failure_names_gait,
     _fill_table,
-    _gain_black_box,
+    _gain_params,
     _sim_levels,
     _sim_schedule,
     _warm_design,
@@ -48,7 +50,7 @@ from gaitbo.pipeline import (
     real_budget,
     sim_budget,
 )
-from gaitbo.plant import learning_profile, real_config, sim_config, stepping_start
+from gaitbo.plant import learning_profile, real_config, run_episode, sim_config, stepping_start
 from gaitbo.safeset import constraint_value, convex_hull, load_polyhedron
 from gaitbo.scheduler import GainTable, apply_corrections, load_table, lookup, save_table
 
@@ -308,8 +310,8 @@ class TestLearnSim:
         def no_episodes(*args, **kwargs):
             raise AssertionError("an episode ran")
 
-        monkeypatch.setattr(pipeline, "run_episode", no_episodes)
-        monkeypatch.setattr(pipeline, "run_episodes", no_episodes)
+        monkeypatch.setattr(objective, "_rollout", no_episodes)
+        monkeypatch.setattr(plant_module, "_rollout", no_episodes)
         cfg = tiny_config(objective=ObjectiveConfig(segment_duration=segment))
         with pytest.raises(ConfigurationError, match=message):
             learn_sim(cfg, out_dir=str(tmp_path / "out"))
@@ -375,6 +377,22 @@ def reference_run_bo(what, gait, black_box, box, run_seed, iterations, init_coun
                         initial_design=design, seed=run_seed)
 
 
+def reference_gain_black_box(gait, cfg, plant, run_seed):
+    """One gain run's black box as a closure: its own episode counter, one
+    run_episode call and one evaluate_cost call per evaluation."""
+    profile = learning_profile(gait)
+    start = stepping_start(gait)
+    counter = itertools.count()
+
+    def black_box(x):
+        idx = next(counter)
+        traj = run_episode(plant, GainTable.constant(_gain_params(x)), profile, start,
+                           run_seed.derive(_EPISODE_KEY, idx))
+        return evaluate_cost(traj, gait, cfg.objective), None, traj.fell
+
+    return black_box
+
+
 def reference_learn_sim(cfg, out_dir=None):
     """learn_sim as a sequential loop over _sim_schedule: one optimize call
     per run, each run's log written as it finishes."""
@@ -391,7 +409,8 @@ def reference_learn_sim(cfg, out_dir=None):
         first = None
         if parent is not None:
             first = np.concatenate([found[parent].kP, found[parent].kD])
-        result = reference_run_bo("gain", gait, _gain_black_box(gait, cfg, plant, run_seed),
+        result = reference_run_bo("gain", gait,
+                                  reference_gain_black_box(gait, cfg, plant, run_seed),
                                   box, run_seed, iterations, init_count, first=first)
         params = _best_params(result, box)
         found.append(params)
@@ -405,7 +424,7 @@ def reference_learn_sim(cfg, out_dir=None):
 
 def reference_correction_black_box(gait, table, poly, cfg, plant, run_seed):
     """One real run's black box as a closure: its own episode counter and one
-    pipeline.run_episode call per evaluation."""
+    run_episode call per evaluation."""
     profile = learning_profile(gait)
     start = stepping_start(gait)
     counter = itertools.count()
@@ -413,8 +432,8 @@ def reference_correction_black_box(gait, table, poly, cfg, plant, run_seed):
     def black_box(c):
         idx = next(counter)
         corrected = apply_corrections(table, [(gait, correction_from_vector(c))])
-        traj = pipeline.run_episode(plant, corrected, profile, start,
-                                    run_seed.derive(_EPISODE_KEY, idx))
+        traj = run_episode(plant, corrected, profile, start,
+                           run_seed.derive(_EPISODE_KEY, idx))
         cost = evaluate_cost(traj, gait, cfg.objective)
         if traj.fell:
             return cost, 0.5, True
@@ -505,34 +524,33 @@ class TestLockstep:
         cfg = make_cfg()
         schedule = _sim_schedule(cfg)
         levels = _sim_levels(schedule)
-        target = pipeline.learning_profile(schedule[levels[depth][slot]][2])
+        target = learning_profile(schedule[levels[depth][slot]][2])
         failure = "plant state became non-finite at step 7"
 
-        # the sequential loop, failing at the first episode of that run
-        single = pipeline.run_episode
+        rollout = plant_module._rollout
 
-        def failing_single(plant, table, profile, initial, seed):
-            if profile == target:
+        # the sequential loop, its one-episode rollout failing at the first
+        # episode of that run
+        def failing_single(plant, tables, profiles, initials, seeds):
+            if profiles[0] == target:
                 raise SimulationError(failure, step_index=7)
-            return single(plant, table, profile, initial, seed)
+            return rollout(plant, tables, profiles, initials, seeds)
 
-        monkeypatch.setattr(pipeline, "run_episode", failing_single)
+        monkeypatch.setattr(plant_module, "_rollout", failing_single)
         with pytest.raises(BlackBoxError) as sequential:
             reference_learn_sim(cfg)
-        monkeypatch.setattr(pipeline, "run_episode", single)
+        monkeypatch.setattr(plant_module, "_rollout", rollout)
         reference_learn_sim(cfg, out_dir=str(tmp_path / "sequential"))
 
-        # lockstep, the level's first batch failing at that run's episode
-        batched = pipeline.run_episodes
-
+        # lockstep, the level's first rollout failing at that run's episode
         def failing_batch(plant, tables, profiles, initials, seeds):
             if target in profiles:
                 assert len(tables) == len(levels[depth])
                 raise SimulationError(failure, step_index=7,
                                       episode_index=profiles.index(target))
-            return batched(plant, tables, profiles, initials, seeds)
+            return rollout(plant, tables, profiles, initials, seeds)
 
-        monkeypatch.setattr(pipeline, "run_episodes", failing_batch)
+        monkeypatch.setattr(objective, "_rollout", failing_batch)
         with pytest.raises(BlackBoxError) as lockstep:
             learn_sim(cfg, out_dir=str(tmp_path / "lockstep"))
         assert str(lockstep.value) == str(sequential.value)
@@ -613,29 +631,27 @@ class TestRealLockstep:
         target = desk_cfg.root_seed().derive(_STREAM_REAL, run).derive(_EPISODE_KEY, step)
         failure = "plant state became non-finite at step 7"
 
-        # the sequential loop, failing at that run's episode
-        single = pipeline.run_episode
+        rollout = plant_module._rollout
 
-        def failing_single(plant, table, profile, initial, seed):
-            if seed == target:
+        # the sequential loop, its one-episode rollout failing at that run's episode
+        def failing_single(plant, tables, profiles, initials, seeds):
+            if seeds[0] == target:
                 raise SimulationError(failure, step_index=7)
-            return single(plant, table, profile, initial, seed)
+            return rollout(plant, tables, profiles, initials, seeds)
 
-        monkeypatch.setattr(pipeline, "run_episode", failing_single)
+        monkeypatch.setattr(plant_module, "_rollout", failing_single)
         with pytest.raises(BlackBoxError) as sequential:
             reference_learn_real(table, poly, desk_cfg)
 
-        # lockstep, the level's batch failing at that run's episode
-        batched = pipeline.run_episodes
-
+        # lockstep, the level's rollout failing at that run's episode
         def failing_batch(plant, tables, profiles, initials, seeds):
             if target in seeds:
                 assert len(seeds) == len(desk_cfg.p_real)
                 raise SimulationError(failure, step_index=7,
                                       episode_index=list(seeds).index(target))
-            return batched(plant, tables, profiles, initials, seeds)
+            return rollout(plant, tables, profiles, initials, seeds)
 
-        monkeypatch.setattr(pipeline, "run_episodes", failing_batch)
+        monkeypatch.setattr(objective, "_rollout", failing_batch)
         with pytest.raises(BlackBoxError) as lockstep:
             learn_real(table, poly, desk_cfg, out_dir=str(tmp_path / "lockstep"))
         assert str(lockstep.value) == str(sequential.value)
@@ -651,7 +667,8 @@ class TestRealLockstep:
 
     def test_only_sim1_runs_call_optimize(self, desk_cfg, desk_run, monkeypatch):
         """learn_sim calls optimize once per sim-1 gait; learn_real calls
-        neither optimize nor run_episode.
+        no optimize and runs no episode on its own, only rollouts of the
+        whole level.
 
         The benchmark's tracer reads the first bo.optimize span of a traced
         run as the sim-1 run (runs[0] in bench/run.py), so sim-1 stays on
@@ -670,13 +687,18 @@ class TestRealLockstep:
         assert calls == [desk_cfg.root_seed().derive(_STREAM_SIM1, i)
                          for i in range(len(desk_cfg.p_sim1))]
 
-        def no_single_episode(*args, **kwargs):
-            raise AssertionError("learn_real ran an episode on its own")
+        rollout = objective._rollout
+        widths = []
+
+        def level_wide(plant, tables, *args):
+            widths.append(len(tables))
+            return rollout(plant, tables, *args)
 
         calls.clear()
-        monkeypatch.setattr(pipeline, "run_episode", no_single_episode)
+        monkeypatch.setattr(objective, "_rollout", level_wide)
         learn_real(table, poly, desk_cfg)
         assert calls == []
+        assert widths == [len(desk_cfg.p_real)] * desk_cfg.i3
 
 
 class TestBudgetConsumption:
@@ -684,20 +706,17 @@ class TestBudgetConsumption:
 
     @staticmethod
     def count_episodes(monkeypatch):
-        """One entry per episode, run alone or in a batch: the plant it ran on."""
+        """One entry per episode of every rollout, through the learning-episode
+        reader or run_episode(s): the plant it ran on."""
         plants = []
-        single, batched = pipeline.run_episode, pipeline.run_episodes
+        rollout = plant_module._rollout
 
-        def counting_single(plant, *args, **kwargs):
-            plants.append(plant)
-            return single(plant, *args, **kwargs)
-
-        def counting_batch(plant, tables, *args, **kwargs):
+        def counting(plant, tables, *args):
             plants.extend([plant] * len(tables))
-            return batched(plant, tables, *args, **kwargs)
+            return rollout(plant, tables, *args)
 
-        monkeypatch.setattr(pipeline, "run_episode", counting_single)
-        monkeypatch.setattr(pipeline, "run_episodes", counting_batch)
+        monkeypatch.setattr(objective, "_rollout", counting)
+        monkeypatch.setattr(plant_module, "_rollout", counting)
         return plants
 
     def test_desk_learn_sim_runs_sim_budget_episodes(self, desk_cfg, monkeypatch):

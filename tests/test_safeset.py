@@ -301,6 +301,15 @@ class TestPolyhedronValidation:
         with pytest.raises(ValueError, match="unit length"):
             SafePolyhedron(poly.vertices, poly.faces, normals, poly.anchors, poly.gamma)
 
+    @pytest.mark.parametrize("name", ["faces", "anchors"])
+    def test_rejects_fractional_index_array(self, name):
+        poly = convex_hull(TETRA)
+        arrays = {"faces": poly.faces, "anchors": poly.anchors}
+        arrays[name] = arrays[name] + 0.25
+        with pytest.raises(ValueError, match=f"{name} must be whole-number"):
+            SafePolyhedron(poly.vertices, arrays["faces"], poly.normals, arrays["anchors"],
+                           poly.gamma)
+
     def test_rejects_out_of_range_vertex_index(self):
         poly = convex_hull(TETRA)
         faces = poly.faces.copy()
@@ -374,6 +383,34 @@ class TestJsonRoundTrip:
         doc["faces"][0][field] = value
         with pytest.raises(ConfigurationError, match="malformed safe-set document"):
             polyhedron_from_json_dict(doc)
+
+    @staticmethod
+    def face_through_vertex_1(doc) -> dict:
+        return next(f for f in doc["faces"] if 1 in f["v"])
+
+    @pytest.mark.parametrize("field, value", [("v", 1.7), ("v", True), ("anchor", 1.7),
+                                              ("anchor", True)])
+    def test_rejects_fractional_or_boolean_index(self, field, value):
+        # each truncates to vertex 1, which the face already holds
+        doc = polyhedron_to_json_dict(convex_hull(TETRA))
+        face = self.face_through_vertex_1(doc)
+        if field == "v":
+            face["v"] = [value if v == 1 else v for v in face["v"]]
+        else:
+            face["anchor"] = value
+        with pytest.raises(ConfigurationError, match="whole-number vertex indices"):
+            polyhedron_from_json_dict(doc)
+
+    def test_whole_number_float_index_loads(self):
+        poly = convex_hull(TETRA)
+        doc = polyhedron_to_json_dict(poly)
+        face = self.face_through_vertex_1(doc)
+        face["v"] = [float(v) for v in face["v"]]
+        face["anchor"] = float(face["anchor"])
+        loaded = polyhedron_from_json_dict(doc)
+        for name in ("faces", "anchors"):
+            assert getattr(loaded, name).dtype.kind == "i"
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(poly, name))
 
     def test_dict_shape(self):
         poly = convex_hull(TETRA)

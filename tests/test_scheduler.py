@@ -332,6 +332,26 @@ class TestPersistence:
         with pytest.raises(ConfigurationError):
             table_from_json_dict(doc)
 
+    def test_nan_gain_rejected_as_non_finite(self):
+        # not mistaken for a node the document leaves out
+        doc = table_to_json_dict(random_table(np.random.default_rng(17)))
+        doc["entries"][2]["kP"][0] = float("nan")
+        with pytest.raises(ConfigurationError, match="finite"):
+            table_from_json_dict(doc)
+
+    def test_duplicate_after_nan_entry_rejected(self):
+        doc = table_to_json_dict(random_table(np.random.default_rng(18)))
+        doc["entries"][0]["deltaP"][2] = float("nan")
+        doc["entries"][1] = dict(doc["entries"][0], deltaP=[0.0, 0.0, 0.0])
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            table_from_json_dict(doc)
+
+    def test_nan_node_coordinate_rejected(self):
+        doc = table_to_json_dict(random_table(np.random.default_rng(19)))
+        doc["entries"][0]["p"] = [float("nan"), 0.0, 0.8]
+        with pytest.raises(GridNodeError, match="not a grid node"):
+            table_from_json_dict(doc)
+
     def test_off_grid_entry_rejected(self):
         rng = np.random.default_rng(14)
         doc = table_to_json_dict(random_table(rng))
