@@ -42,10 +42,12 @@ class ObjectiveConfig:
     def __post_init__(self):
         object.__setattr__(self, "w1", _diagonal_weight(self.w1, "w1"))
         object.__setattr__(self, "w2", _diagonal_weight(self.w2, "w2"))
-        if not 0.0 < self.segment_duration < inf:
-            raise ValueError("segment_duration must be positive and finite")
-        if not 0.0 < self.fall_penalty < inf:
-            raise ValueError("fall_penalty must be positive and finite")
+        for name in ("segment_duration", "fall_penalty"):
+            value = getattr(self, name)
+            if not 0.0 < value < inf:
+                raise ValueError(f"{name} must be positive and finite")
+            # As floats, so an integer penalty cannot make cost arrays integral.
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -76,20 +78,25 @@ def _segment_samples(segment_duration: float, dt: float, n_samples: int) -> int:
     return k
 
 
-def _learning_segments(plant: PlantConfig, tables, gaits, seeds,
-                       segment_duration: float) -> tuple:
-    """Each gait's learning episode under its table, all in one rollout.
+def _learning_episodes(gaits) -> tuple:
+    """Each gait's learning profile and stepping start, as two lists. A start
+    depends on the height alone, so gaits of one height share one."""
+    by_height = {gait.h: gait for gait in gaits}
+    starts = {h: stepping_start(gait) for h, gait in by_height.items()}
+    return [learning_profile(gait) for gait in gaits], [starts[gait.h] for gait in gaits]
 
-    Episode k follows learning_profile(gaits[k]) from the stepping start at
-    its height, under tables[k] with noise from seeds[k]. Returns (fell,
-    segments): whether each episode fell, and the trailing segments of the
-    completed ones in order, stacked as (samples, completed, 3). With no
-    episode completed there is no segment to fit, so none is checked.
+
+def _learning_segments(plant: PlantConfig, tables, profiles, starts, seeds,
+                       segment_duration: float) -> tuple:
+    """Learning episodes from _learning_episodes' (profiles, starts), all in
+    one rollout: episode k under tables[k] with noise from seeds[k].
+
+    Returns (fell, segments): whether each episode fell, and the trailing
+    segments of the completed ones in order, stacked as (samples, completed,
+    3). With no episode completed there is no segment to fit, so none is
+    checked.
     """
-    # A stepping start depends on the height alone: one per height.
-    starts = {h: stepping_start(g) for h, g in {gait.h: gait for gait in gaits}.items()}
-    times, _, p_hat, _, _, fell = _rollout(plant, tables, [learning_profile(g) for g in gaits],
-                                           [starts[g.h] for g in gaits], seeds)
+    times, _, p_hat, _, _, fell = _rollout(plant, tables, profiles, starts, seeds)
     completed = ~fell
     k = (_segment_samples(segment_duration, plant.dt, len(times)) if completed.any()
          else len(times))

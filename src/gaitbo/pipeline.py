@@ -35,9 +35,10 @@ from .domain import (
 )
 from .errors import BlackBoxError, ConfigurationError, GridNodeError, SafeSetError
 from .errors import DegenerateGeometryError
-from .objective import ObjectiveConfig, _learning_segments, _segment_costs, _segment_samples
+from .objective import (ObjectiveConfig, _learning_episodes, _learning_segments, _segment_costs,
+                        _segment_samples)
 from .plant import EPISODE_DURATION, PlantConfig, real_config, sim_config
-from .safeset import (SafePolyhedron, SweepResult, _plane_depths, convex_hull,
+from .safeset import (SafePolyhedron, SweepResult, _constraint_values, convex_hull,
                       save_polyhedron, sweep_commands)
 from .scheduler import GainTable, _axis_nodes, _node_indices, apply_corrections, lookup, save_table
 
@@ -302,33 +303,42 @@ def _gain_params(x: np.ndarray) -> ControlParams:
     return ControlParams(x[:3], x[3:6], np.zeros(3))
 
 
-def _learning_observations(cfg: PipelineConfig, plant: PlantConfig, tables, gaits, seeds,
-                           poly: SafePolyhedron | None = None) -> list:
-    """Each gait's learning episode under its table, all in one rollout, as a
-    BO run's (cost, h_value, fell). h_value is None without a safe set poly;
-    with one it is constraint_value of the converged gait, or 0.5 for a fall.
+def _learning_observer(cfg: PipelineConfig, plant: PlantConfig, gaits,
+                       poly: SafePolyhedron | None = None):
+    """observe(tables, seeds): each gait's learning episode under its table,
+    all in one rollout, as a BO run's (cost, h_value, fell). h_value is None
+    without a safe set poly; with one it is constraint_value of the converged
+    gait, or 0.5 for a fall. The episodes' profiles and starts are built once.
     """
-    fell, segments = _learning_segments(plant, tables, gaits, seeds,
-                                        cfg.objective.segment_duration)
-    completed = ~fell
-    costs = np.full(len(gaits), cfg.objective.fall_penalty)
-    costs[completed] = _segment_costs(
-        segments, np.array([g.as_array() for g in gaits])[completed], cfg.objective)
-    if poly is None:
-        return [(cost, None, down) for cost, down in zip(costs.tolist(), fell.tolist())]
-    h_values = np.full(len(gaits), 0.5)
-    h_values[completed] = _plane_depths(poly.vertices[poly.anchors], poly.normals,
-                                        segments.mean(axis=0)).max(axis=1)
-    return list(zip(costs.tolist(), h_values.tolist(), fell.tolist()))
+    profiles, starts = _learning_episodes(gaits)
+    targets = np.array([gait.as_array() for gait in gaits])
+
+    def observe(tables, seeds) -> list:
+        fell, segments = _learning_segments(plant, tables, profiles, starts, seeds,
+                                            cfg.objective.segment_duration)
+        completed = ~fell
+        costs = np.full(len(gaits), cfg.objective.fall_penalty)
+        costs[completed] = _segment_costs(segments, targets[completed], cfg.objective)
+        if poly is None:
+            return [(cost, None, down) for cost, down in zip(costs.tolist(), fell.tolist())]
+        h_values = np.full(len(gaits), 0.5)
+        h_values[completed] = _constraint_values(poly, segments.mean(axis=0))
+        return list(zip(costs.tolist(), h_values.tolist(), fell.tolist()))
+    return observe
 
 
 def _gain_black_box(gait: GaitParameter, cfg: PipelineConfig, plant: PlantConfig,
                     run_seed: SeedSpec):
     """Evaluate one 6-vector of gains by running a learning episode, the
     i-th seeded from the run seed's episode substream at i."""
-    seeds = (run_seed.derive(_EPISODE_KEY, i) for i in range(cfg.i1))
-    return lambda x: _learning_observations(
-        cfg, plant, [GainTable.constant(_gain_params(x))], [gait], [next(seeds)])[0]
+    observe = _learning_observer(cfg, plant, [gait])
+    calls = 0
+
+    def evaluate(x):
+        nonlocal calls
+        seed, calls = run_seed.derive(_EPISODE_KEY, calls), calls + 1
+        return observe([GainTable.constant(_gain_params(x))], [seed])[0]
+    return evaluate
 
 
 @contextlib.contextmanager
@@ -447,8 +457,8 @@ def _run_level(what: str, runs: list, iterations: int, init_count: int,
     (gait, run seed, box, first design point), and the runs share the budget,
     the init count and the safe set poly, constrained by cfg.constraint if given.
 
-    Each step of bo._drive_level reads every run's episode from one
-    _learning_observations call, each seeded by its run's evaluation index;
+    Each step of bo._drive_level reads every run's episode from one call of
+    the level's _learning_observer, each seeded by its run's evaluation index;
     an episode at x runs the table episode_table(gait, x). Each run's results
     equal those of its own optimize call; a failure names the phase's
     quantity (what) and the run's gait.
@@ -458,12 +468,12 @@ def _run_level(what: str, runs: list, iterations: int, init_count: int,
     bo_runs = [_BORun(box, iterations, init_count, spec, seed=run_seed,
                       initial_design=_warm_design(first, run_seed, box, init_count))
                for _, run_seed, box, first in runs]
+    observe = _learning_observer(cfg, plant, gaits, poly)
 
     def episodes(xs) -> list:
         tables = [episode_table(gait, x) for gait, x in zip(gaits, xs)]
         seeds = [run.seed.derive(_EPISODE_KEY, len(run.history)) for run in bo_runs]
-        return [lambda obs=obs: obs
-                for obs in _learning_observations(cfg, plant, tables, gaits, seeds, poly)]
+        return [lambda obs=obs: obs for obs in observe(tables, seeds)]
 
     return _drive_level(bo_runs, episodes, lambda i: _failure_names_gait(what, gaits[i]))
 

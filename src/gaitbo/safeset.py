@@ -17,7 +17,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .domain import GaitParameter, SeedSpec
 from .errors import ConfigurationError, DegenerateGeometryError
-from .objective import _learning_segments, _segment_stats
+from .objective import _learning_episodes, _learning_segments, _segment_stats
 from .plant import PlantConfig
 from .scheduler import GainTable
 
@@ -174,10 +174,12 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
 
     feasible = []
     kept = []
+    profiles, starts = _learning_episodes(grid)
     for first in range(0, len(grid), _SWEEP_CHUNK):
-        chunk = grid[first:first + _SWEEP_CHUNK]
+        part = slice(first, first + _SWEEP_CHUNK)
+        chunk = grid[part]
         fell, segments = _learning_segments(
-            cfg, (table,) * len(chunk), chunk,
+            cfg, (table,) * len(chunk), profiles[part], starts[part],
             [seed.derive(first + k) for k in range(len(chunk))], segment_duration)
         feasible.extend(cmd for cmd, down in zip(chunk, fell.tolist()) if not down)
         kept.extend(_segment_stats(segments))
@@ -226,6 +228,11 @@ def convex_hull(points, gamma: float = 1.0) -> SafePolyhedron:
     return SafePolyhedron(shrunk, faces, normals, faces[:, 0], gamma)
 
 
+def _constraint_values(poly: SafePolyhedron, points) -> np.ndarray:
+    """constraint_value of each of m points, (m, 3), as an (m,) array."""
+    return _plane_depths(poly.vertices[poly.anchors], poly.normals, points).max(axis=1)
+
+
 def constraint_value(poly: SafePolyhedron, p) -> float:
     """Signed violation of the safe region: h <= 0 inside, h > 0 outside.
 
@@ -235,7 +242,7 @@ def constraint_value(poly: SafePolyhedron, p) -> float:
     x = p.as_array() if isinstance(p, GaitParameter) else np.asarray(p, dtype=float)
     if x.shape != (3,):
         raise ValueError(f"query point must be a 3-vector, got shape {x.shape}")
-    return float(_plane_depths(poly.vertices[poly.anchors], poly.normals, x[None]).max())
+    return float(_constraint_values(poly, x[None])[0])
 
 
 def contains(poly: SafePolyhedron, p) -> bool:

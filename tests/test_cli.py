@@ -82,6 +82,12 @@ class TestConfigLoading:
         assert cli.output_dir == "from_flag"
         assert cli.plant == "sim"
 
+    def test_integer_objective_scalars_load_as_floats(self, tmp_path):
+        path = write_config(tmp_path, {"objective": {"fall_penalty": 100, "segment_duration": 5}})
+        objective = load_cli_config(path).pipeline.objective
+        assert type(objective.fall_penalty) is float and objective.fall_penalty == 100.0
+        assert type(objective.segment_duration) is float and objective.segment_duration == 5.0
+
     def test_jobs_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"jobs": 2})
         with pytest.raises(ConfigurationError, match="unknown config keys"):

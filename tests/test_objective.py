@@ -253,3 +253,8 @@ class TestEvaluateCost:
     def test_rejects_non_positive_or_non_finite_scalars(self, field, value):
         with pytest.raises(ValueError, match=field):
             ObjectiveConfig(**{field: value})
+
+    def test_integer_scalars_become_floats(self):
+        cfg = ObjectiveConfig(segment_duration=5, fall_penalty=100)
+        assert type(cfg.segment_duration) is float and cfg.segment_duration == 5.0
+        assert type(cfg.fall_penalty) is float and cfg.fall_penalty == 100.0

@@ -33,7 +33,9 @@ from gaitbo.pipeline import (
     _best_params,
     _failure_names_gait,
     _fill_table,
+    _gain_black_box,
     _gain_params,
+    _learning_observer,
     _sim_levels,
     _sim_schedule,
     _warm_design,
@@ -735,6 +737,58 @@ class TestBudgetConsumption:
         learn_real(table, poly, desk_cfg, plant=plant)
         assert len(plants) == real_budget(desk_cfg) == 20
         assert all(p is plant for p in plants)
+
+
+class TestLearningObserver:
+    """Every BO episode's observation: float costs whatever the type of the
+    fall penalty, profiles built once per run, and a black box with no budget
+    of its own."""
+
+    GAITS = [GaitParameter(0.0, 0.0, 1.0), GaitParameter(0.4, 0.0, 1.0)]
+    TABLES = [GainTable.constant(ControlParams(np.full(3, 1.0), np.full(3, 0.5), np.zeros(3))),
+              GainTable.constant(ControlParams(np.zeros(3), np.zeros(3), np.zeros(3)))]
+
+    def test_integer_fall_penalty_gives_the_float_costs(self):
+        seeds = [SeedSpec(0).derive(1), SeedSpec(0).derive(2)]
+        got, want = (
+            _learning_observer(tiny_config(objective=ObjectiveConfig(fall_penalty=penalty)),
+                               sim_config(), self.GAITS)(self.TABLES, seeds)
+            for penalty in (100, 100.0))
+        assert got == want
+        (cost, _, fell), (penalty, _, down) = got
+        assert not fell and 0.0 < cost < 1.0
+        assert down and type(penalty) is float and penalty == 100.0
+
+    def test_integer_fall_penalty_learns_the_float_runs(self, desk_run, tmp_path):
+        table, poly = TestRealLockstep.inputs(desk_run)
+        for penalty in (100, 100.0):
+            cfg = tiny_config(objective=ObjectiveConfig(fall_penalty=penalty))
+            learn_sim(cfg, out_dir=str(tmp_path / repr(penalty)))
+            learn_real(table, poly, cfg, out_dir=str(tmp_path / repr(penalty)))
+        got = tree_bytes(tmp_path / "100")
+        assert len(got) == 5
+        assert got == tree_bytes(tmp_path / "100.0")
+
+    def test_each_run_builds_its_learning_profile_once(self, desk_cfg, monkeypatch):
+        built = []
+        profile = objective.learning_profile
+        monkeypatch.setattr(objective, "learning_profile",
+                            lambda gait: built.append(gait) or profile(gait))
+        learn_sim(desk_cfg)
+        assert (sorted(built, key=gait_run_name)
+                == sorted(desk_cfg.p_sim1 + desk_cfg.p_sim2, key=gait_run_name))
+
+    def test_gain_black_box_seeds_every_call_past_the_budget(self):
+        cfg = tiny_config()
+        gait = cfg.p_sim1[0]
+        run_seed = cfg.root_seed().derive(_STREAM_SIM1, 0)
+        got = _gain_black_box(gait, cfg, sim_config(), run_seed)
+        want = reference_gain_black_box(gait, cfg, sim_config(), run_seed)
+        x = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+        calls = cfg.i1 + 2
+        observations = [got(x) for _ in range(calls)]
+        assert observations == [want(x) for _ in range(calls)]
+        assert len({cost for cost, _, _ in observations}) == calls
 
 
 class TestExtractSafeSet:

@@ -249,6 +249,16 @@ class TestAgainstReference:
         for x in queries:
             assert constraint_value(poly, x) == reference_constraint_value(poly, x)
 
+    @settings(max_examples=80, deadline=None)
+    @given(points=REAL_POINTS, scale=st.floats(1e-3, 1e3), gamma=st.floats(0.05, 1.0),
+           queries=st.lists(COORDS, min_size=1, max_size=20))
+    def test_stacked_h_equals_each_point_alone(self, points, scale, gamma, queries):
+        poly = lattice_hull(np.array(points) * scale, 1.0, gamma)
+        xs = np.array(queries) * scale
+        got = safeset._constraint_values(poly, xs)
+        assert got.shape == (len(xs),)
+        assert got.tolist() == [reference_constraint_value(poly, x) for x in xs]
+
 
 class TestShrink:
     def test_gamma_scales_vertices_about_centroid(self):
