@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .domain import Box, SeedSpec, from_unit, to_unit
+from .domain import Box, SeedSpec, _real, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError, SimulationError
 from .gp import (GPModel, _fit_best, _ModelStack, _posterior_moments, _stack_models,
                  _stacked_moments, _std_ratio, default_hyper_grid, fit)
@@ -80,8 +80,7 @@ class ConstraintSpec:
     tolerance: float = 0.05
 
     def __post_init__(self):
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
+        object.__setattr__(self, "tolerance", _real(self.tolerance, "tolerance", 0.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
 
 from .bo import ConstraintSpec
-from .domain import GaitParameter, SeedSpec
+from .domain import GaitParameter, SeedSpec, _read_json, _real
 from .errors import ConfigurationError, GaitBoError, GridNodeError, RangeError
 from .objective import ObjectiveConfig, evaluate_cost
 from .pipeline import (
@@ -37,8 +36,8 @@ from .plant import (
     stepping_start,
     write_csv,
 )
-from .safeset import polyhedron_from_json_dict
-from .scheduler import table_from_json_dict
+from .safeset import load_polyhedron
+from .scheduler import load_table
 
 __all__ = ["CliConfig", "load_cli_config", "main"]
 
@@ -68,21 +67,8 @@ def _gait_list(values, name: str) -> tuple:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ConfigurationError(
                 f"{name} entries must be [vx, vy, h] triples, got {entry!r}")
-        gaits.append(GaitParameter(*(float(v) for v in entry)))
+        gaits.append(GaitParameter(*(_real(v, f"{name} coordinate") for v in entry)))
     return tuple(gaits)
-
-
-def _read_json(path, what: str):
-    """The JSON document at path; any failure to read or parse it is a ConfigurationError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"{what} not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"{what} {path} cannot be read: {exc}") from exc
 
 
 def load_cli_config(path=None, seed=None, output_dir=None, plant=None,
@@ -148,10 +134,6 @@ def _table_path(cli: CliConfig, override, default_name: str) -> str:
     return override if override else os.path.join(cli.output_dir, default_name)
 
 
-def _load_table(path: str):
-    return table_from_json_dict(_read_json(path, "gain table"))
-
-
 def _check_output(path: str, directory: bool) -> None:
     """Reject an output path that cannot be written, before anything runs: a
     file path that names a directory, or a directory (a file's, for a file
@@ -173,7 +155,7 @@ def _cmd_learn_sim(cli: CliConfig, args) -> int:
 
 
 def _cmd_extract_safeset(cli: CliConfig, args) -> int:
-    table = _load_table(_table_path(cli, args.table, "gaintable_sim.json"))
+    table = load_table(_table_path(cli, args.table, "gaintable_sim.json"))
     sweep, _ = extract_safe_set(table, cli.pipeline, out_dir=cli.output_dir)
     print(f"{len(sweep.feasible_commands)}/{len(sweep.grid)} commands feasible")
     print(f"wrote {os.path.join(cli.output_dir, 'safeset.json')}")
@@ -181,9 +163,9 @@ def _cmd_extract_safeset(cli: CliConfig, args) -> int:
 
 
 def _cmd_learn_real(cli: CliConfig, args) -> int:
-    table = _load_table(_table_path(cli, args.table, "gaintable_sim.json"))
+    table = load_table(_table_path(cli, args.table, "gaintable_sim.json"))
     safeset_path = args.safeset or os.path.join(cli.output_dir, "safeset.json")
-    poly = polyhedron_from_json_dict(_read_json(safeset_path, "safe set"))
+    poly = load_polyhedron(safeset_path)
     plant = _plant_config(cli.plant or "real")
     learn_real(table, poly, cli.pipeline, out_dir=cli.output_dir, plant=plant)
     print(f"wrote {os.path.join(cli.output_dir, 'gaintable_real.json')}")
@@ -191,9 +173,9 @@ def _cmd_learn_real(cli: CliConfig, args) -> int:
 
 
 def _cmd_benchmark(cli: CliConfig, args) -> int:
-    table = _load_table(_table_path(cli, args.table, "gaintable_real.json"))
+    table = load_table(_table_path(cli, args.table, "gaintable_real.json"))
     if args.against:
-        other = _load_table(args.against)
+        other = load_table(args.against)
         labels = ("tuned", os.path.basename(args.against))
     else:
         other = baseline_table(cli.pipeline)
@@ -208,7 +190,7 @@ def _cmd_benchmark(cli: CliConfig, args) -> int:
 
 
 def _cmd_simulate(cli: CliConfig, args) -> int:
-    table = _load_table(args.table)
+    table = load_table(args.table)
     try:
         command = GaitParameter(*args.command)
     except ValueError as exc:

@@ -2,16 +2,19 @@
 
 Everything downstream (plant, scheduler, optimization) works in terms of these
 types. They are frozen; arrays they carry are defensive copies marked read-only.
+Every module checks a configured number with _real, a fixed-shape array with
+_readonly_array, and reads an input document with _read_json.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import ConfigurationError, RangeError
 
 __all__ = [
     "GaitParameter",
@@ -26,24 +29,59 @@ __all__ = [
 ]
 
 
-def _readonly_vector(values, size: int, name: str) -> np.ndarray:
+def _number(value, name: str) -> float:
+    """value as a float; ConfigurationError for a bool, a non-number, or an int too big."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} is an integer too large for a float") from None
+
+
+def _real(value, name: str, low: float = -math.inf, high: float = math.inf,
+          ends: str = "()") -> float:
+    """_number(value, name), if it lies between low and high.
+
+    ends marks each end open or closed as interval notation does: "(]" admits
+    high but not low. An infinite end is left open, so it admits finite
+    numbers only: the default admits any finite number. NaN is never admitted.
+    """
+    number = _number(value, name)
+    if ((low < number or (ends[0] == "[" and number == low))
+            and (number < high or (ends[1] == "]" and number == high))):
+        return number
+    if (low, high) == (-math.inf, math.inf):
+        rule = "finite"
+    elif (low, high) == (0.0, math.inf):
+        rule = ("nonnegative" if ends[0] == "[" else "positive") + " and finite"
+    else:
+        rule = f"in {ends[0]}{low:g}, {high:g}{ends[1]}"
+    raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+
+
+def _readonly_array(values, shape: tuple, name: str) -> np.ndarray:
+    """values as a finite float array of the given shape, marked read-only."""
     arr = np.array(values, dtype=float)
-    if arr.shape != (size,):
-        raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {arr}")
     arr.setflags(write=False)
     return arr
 
 
-def _matrix3(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.shape != (3, 3):
-        raise ValueError(f"{name} must have shape (3, 3), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
+def _read_json(path, what: str):
+    """The JSON document at path; any failure to read or parse it is a ConfigurationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigurationError(f"{what} not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{what} {path} cannot be read: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -87,9 +125,9 @@ class ControlParams:
     deltaP: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "kP", _readonly_vector(self.kP, 3, "kP"))
-        object.__setattr__(self, "kD", _readonly_vector(self.kD, 3, "kD"))
-        object.__setattr__(self, "deltaP", _readonly_vector(self.deltaP, 3, "deltaP"))
+        object.__setattr__(self, "kP", _readonly_array(self.kP, (3,), "kP"))
+        object.__setattr__(self, "kD", _readonly_array(self.kD, (3,), "kD"))
+        object.__setattr__(self, "deltaP", _readonly_array(self.deltaP, (3,), "deltaP"))
         if np.any(self.kP < 0.0):
             raise ValueError(f"kP must be nonnegative, got {self.kP}")
         if np.any(self.kD < 0.0):
@@ -124,8 +162,8 @@ class Correction:
     deltaP: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "deltaK", _readonly_vector(self.deltaK, 6, "deltaK"))
-        object.__setattr__(self, "deltaP", _readonly_vector(self.deltaP, 3, "deltaP"))
+        object.__setattr__(self, "deltaK", _readonly_array(self.deltaK, (6,), "deltaK"))
+        object.__setattr__(self, "deltaP", _readonly_array(self.deltaP, (3,), "deltaP"))
         if self.deltaK[4] != 0.0 or self.deltaK[5] != 0.0:
             raise ValueError("height-channel gain corrections must be zero")
         if self.deltaP[2] != 0.0:

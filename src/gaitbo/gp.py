@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .domain import _real
 from .errors import NumericalError
 
 __all__ = [
@@ -62,18 +63,15 @@ class Hyperparams:
             raise ValueError("lengthscales must be a nonempty 1-D array")
         if not np.all(np.isfinite(ls)) or np.any(ls <= 0.0):
             raise ValueError(f"lengthscales must be positive, got {ls}")
-        if not np.isfinite(self.signal_std) or self.signal_std <= 0.0:
-            raise ValueError(f"signal_std must be positive, got {self.signal_std}")
-        if self.signal_std < 1.0 and not _JITTER_START * float(self.signal_std)**2 > 0.0:
+        signal_std = _real(self.signal_std, "signal_std", 0.0)
+        if signal_std < 1.0 and not _JITTER_START * signal_std**2 > 0.0:
             # fit's jitter would start at 0 and never grow
-            raise ValueError(f"signal_std {self.signal_std} is too small: its jitter "
+            raise ValueError(f"signal_std {signal_std} is too small: its jitter "
                              "start underflows to 0")
-        if not np.isfinite(self.noise_std) or self.noise_std < 0.0:
-            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
         ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
-        object.__setattr__(self, "signal_std", float(self.signal_std))
-        object.__setattr__(self, "noise_std", float(self.noise_std))
+        object.__setattr__(self, "signal_std", signal_std)
+        object.__setattr__(self, "noise_std", _real(self.noise_std, "noise_std", 0.0, ends="[)"))
 
     @property
     def n_dims(self) -> int:
@@ -355,7 +353,7 @@ def default_hyper_grid(n_dims: int) -> list[Hyperparams]:
     grid = []
     for ls in DEFAULT_LENGTHSCALES:
         for ns in DEFAULT_NOISE_STDS:
-            grid.append(Hyperparams(1.0, np.full(n_dims, float(ls)), float(ns)))
+            grid.append(Hyperparams(1.0, np.full(n_dims, ls), ns))
     return grid
 
 

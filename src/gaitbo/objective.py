@@ -9,11 +9,11 @@ _learning_segments, and reduce the stacked segments row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor, inf
+from math import floor
 
 import numpy as np
 
-from .domain import GaitParameter, _matrix3
+from .domain import GaitParameter, _readonly_array, _real
 from .errors import ConfigurationError
 from .plant import PlantConfig, Trajectory, _rollout, learning_profile, stepping_start
 
@@ -21,12 +21,12 @@ __all__ = ["ObjectiveConfig", "ConvergedStats", "converged_stats", "evaluate_cos
 
 
 def _diagonal_weight(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr = _matrix3(np.diag(arr) if arr.shape == (3,) else arr, name)
+    """A diagonal 3-vector or a diagonal 3x3 matrix of nonnegative numbers, as the matrix."""
+    cells = np.array(values, dtype=object)
+    arr = np.array([_real(v, name, 0.0, ends="[)") for v in cells.ravel()]).reshape(cells.shape)
+    arr = _readonly_array(np.diag(arr) if arr.shape == (3,) else arr, (3, 3), name)
     if np.any(arr != np.diag(np.diag(arr))):
         raise ValueError(f"{name} must be diagonal")
-    if np.any(np.diag(arr) < 0.0):
-        raise ValueError(f"{name} must have nonnegative diagonal entries")
     return arr
 
 
@@ -42,12 +42,9 @@ class ObjectiveConfig:
     def __post_init__(self):
         object.__setattr__(self, "w1", _diagonal_weight(self.w1, "w1"))
         object.__setattr__(self, "w2", _diagonal_weight(self.w2, "w2"))
+        # As floats, so an integer penalty cannot make cost arrays integral.
         for name in ("segment_duration", "fall_penalty"):
-            value = getattr(self, name)
-            if not 0.0 < value < inf:
-                raise ValueError(f"{name} must be positive and finite")
-            # As floats, so an integer penalty cannot make cost arrays integral.
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0))
 
 
 @dataclass(frozen=True)
@@ -150,6 +147,6 @@ def evaluate_cost(traj: Trajectory, p_desired: GaitParameter, cfg: ObjectiveConf
     Fallen episodes short-circuit to the fall penalty.
     """
     if traj.fell:
-        return float(cfg.fall_penalty)
+        return cfg.fall_penalty
     k = _segment_samples(cfg.segment_duration, traj.dt, len(traj))
     return float(_segment_costs(traj.p_hat[-k:, None], p_desired.as_array()[None], cfg)[0])

@@ -30,6 +30,7 @@ from .domain import (
     Correction,
     GaitParameter,
     SeedSpec,
+    _real,
     correction_from_vector,
     from_unit,
 )
@@ -74,17 +75,10 @@ _STREAM_BASELINE = 6
 _EPISODE_KEY = 9
 
 
-def _axis_tuple(values, name: str) -> tuple:
-    try:
-        return _axis_nodes(values, name)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid {name}: {exc}") from exc
-
-
-def _whole_number(value, name: str) -> int:
-    """value as an int, if it is a finite whole number and not a bool."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not math.isfinite(value) or value != int(value)):
+def _whole_number(value, name: str, low: float) -> int:
+    """value as an int, if it is a whole number that _real admits from low up."""
+    number = _real(value, name, low, ends="[)")
+    if number != int(number):
         raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -122,16 +116,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "vx_nodes", _axis_tuple(self.vx_nodes, "vx_nodes"))
-        object.__setattr__(self, "vy_nodes", _axis_tuple(self.vy_nodes, "vy_nodes"))
-        object.__setattr__(self, "h_nodes", _axis_tuple(self.h_nodes, "h_nodes"))
-        if any(h <= 0.0 for h in self.h_nodes):
-            raise ConfigurationError("h_nodes must be positive heights")
-        object.__setattr__(self, "sweep_vx", _axis_tuple(self.sweep_vx, "sweep_vx"))
-        object.__setattr__(self, "sweep_vy", _axis_tuple(self.sweep_vy, "sweep_vy"))
-        object.__setattr__(self, "sweep_h", _axis_tuple(self.sweep_h, "sweep_h"))
-        if any(h <= 0.0 for h in self.sweep_h):
-            raise ConfigurationError("sweep_h must be positive heights")
+        object.__setattr__(self, "vx_nodes", _axis_nodes(self.vx_nodes, "vx_nodes"))
+        object.__setattr__(self, "vy_nodes", _axis_nodes(self.vy_nodes, "vy_nodes"))
+        object.__setattr__(self, "h_nodes", _axis_nodes(self.h_nodes, "h_nodes", 0.0))
+        object.__setattr__(self, "sweep_vx", _axis_nodes(self.sweep_vx, "sweep_vx"))
+        object.__setattr__(self, "sweep_vy", _axis_nodes(self.sweep_vy, "sweep_vy"))
+        object.__setattr__(self, "sweep_h", _axis_nodes(self.sweep_h, "sweep_h", 0.0))
 
         for name in ("p_sim1", "p_sim2", "p_real"):
             gaits = tuple(getattr(self, name))
@@ -147,43 +137,41 @@ class PipelineConfig:
                         f"{name} gait ({g.vx}, {g.vy}, {g.h}) is not a grid node") from exc
         if not self.p_sim1:
             raise ConfigurationError("p_sim1 must contain at least one gait")
-        seen = set()
-        for g in self.p_sim1 + self.p_sim2:
-            key = (g.vx, g.vy, g.h)
-            if key in seen:
-                raise ConfigurationError(f"gait {key} appears twice across p_sim1/p_sim2")
-            seen.add(key)
+        # A learned gait owns one table node and one run directory.
+        for gaits, where in ((self.p_sim1 + self.p_sim2, "across p_sim1/p_sim2"),
+                             (self.p_real, "in p_real")):
+            seen = set()
+            for g in gaits:
+                key = (g.vx, g.vy, g.h)
+                if key in seen:
+                    raise ConfigurationError(f"gait {key} appears twice {where}")
+                seen.add(key)
 
-        counts = tuple(_whole_number(c, "init_counts") for c in self.init_counts)
-        if len(counts) != 3 or any(c < 1 for c in counts):
+        counts = tuple(_whole_number(c, "init_counts", 1.0) for c in self.init_counts)
+        if len(counts) != 3:
             raise ConfigurationError(
                 f"init_counts must be three positive integers, got {self.init_counts}")
         object.__setattr__(self, "init_counts", counts)
         for budget, count, name in ((self.i1, counts[0], "i1"),
                                     (self.i2, counts[1], "i2"),
                                     (self.i3, counts[2], "i3")):
-            budget = _whole_number(budget, name)
+            budget = _whole_number(budget, name, 0.0)
             if budget < count:
                 raise ConfigurationError(
                     f"{name}={budget} cannot cover its initial design of {count}")
             object.__setattr__(self, name, budget)
 
         for name in ("kp_bounds", "kd_bounds"):
-            lo, hi = (float(v) for v in getattr(self, name))
-            if not (0.0 <= lo < hi < math.inf):
-                raise ConfigurationError(f"{name} must satisfy 0 <= low < high < inf")
-            object.__setattr__(self, name, (lo, hi))
-        if not 0.0 <= self.delta_k_fraction < math.inf:
-            raise ConfigurationError("delta_k_fraction must be nonnegative and finite")
-        if not (0.0 < self.delta_k_floor < math.inf and 0.0 < self.delta_p_bound < math.inf):
-            raise ConfigurationError("correction bounds must be positive and finite")
-        if not (0.0 < self.shrink_factor <= 1.0):
-            raise ConfigurationError(
-                f"shrink_factor must lie in (0, 1], got {self.shrink_factor}")
-        seed = _whole_number(self.seed, "seed")
-        if seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {seed}")
-        object.__setattr__(self, "seed", seed)
+            lo, hi = getattr(self, name)
+            lo = _real(lo, f"{name} low", 0.0, ends="[)")
+            object.__setattr__(self, name, (lo, _real(hi, f"{name} high", lo)))
+        object.__setattr__(self, "delta_k_fraction",
+                           _real(self.delta_k_fraction, "delta_k_fraction", 0.0, ends="[)"))
+        for name in ("delta_k_floor", "delta_p_bound"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0))
+        object.__setattr__(self, "shrink_factor",
+                           _real(self.shrink_factor, "shrink_factor", 0.0, 1.0, "(]"))
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed", 0.0))
 
     @property
     def node_axes(self) -> tuple[tuple, tuple, tuple]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GaitParameter, SeedSpec, _matrix3, _readonly_vector
+from .domain import GaitParameter, SeedSpec, _readonly_array, _real
 from .errors import ConfigurationError, SimulationError
 
 __all__ = [
@@ -62,26 +62,20 @@ class PlantConfig:
     min_height: float = 0.3
 
     def __post_init__(self):
-        object.__setattr__(self, "B", _matrix3(self.B, "B"))
-        object.__setattr__(self, "a", _readonly_vector(self.a, 3, "a"))
-        object.__setattr__(self, "D", _matrix3(self.D, "D"))
-        object.__setattr__(self, "d0", _readonly_vector(self.d0, 3, "d0"))
-        object.__setattr__(self, "noise_std", _readonly_vector(self.noise_std, 3, "noise_std"))
+        object.__setattr__(self, "B", _readonly_array(self.B, (3, 3), "B"))
+        object.__setattr__(self, "a", _readonly_array(self.a, (3,), "a"))
+        object.__setattr__(self, "D", _readonly_array(self.D, (3, 3), "D"))
+        object.__setattr__(self, "d0", _readonly_array(self.d0, (3,), "d0"))
+        object.__setattr__(self, "noise_std", _readonly_array(self.noise_std, (3,), "noise_std"))
         if np.any(np.diag(self.B) <= 0.0):
             raise ValueError("B must have positive diagonal entries")
         if np.any(np.abs(self.a) >= 1.0):
             raise ValueError("rate decay a must satisfy |a_i| < 1")
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        # Written so that NaN fails each check too.
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         if np.any(self.noise_std < 0.0):
             raise ValueError("noise_std must be nonnegative")
-        if not self.fall_band_width > 0.0:
-            raise ValueError("fall_band_width must be positive")
-        if not self.min_height > 0.0:
-            raise ValueError("min_height must be positive")
+        object.__setattr__(self, "beta", _real(self.beta, "beta", 0.0, 1.0, "(]"))
+        for name in ("dt", "fall_band_width", "min_height"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0))
 
 
 _B_SIM = np.array([
@@ -143,9 +137,9 @@ class PlantState:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p_hat", _readonly_vector(self.p_hat, 3, "p_hat"))
-        object.__setattr__(self, "v_hat", _readonly_vector(self.v_hat, 3, "v_hat"))
-        object.__setattr__(self, "u", _readonly_vector(self.u, 3, "u"))
+        object.__setattr__(self, "p_hat", _readonly_array(self.p_hat, (3,), "p_hat"))
+        object.__setattr__(self, "v_hat", _readonly_array(self.v_hat, (3,), "v_hat"))
+        object.__setattr__(self, "u", _readonly_array(self.u, (3,), "u"))
 
 
 @dataclass(frozen=True)
@@ -295,7 +289,7 @@ def _rollout(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
     trajectory's length in samples and whether it fell. Samples past an
     episode's length are those of a fallen episode stepped on.
     """
-    from .scheduler import _interpolate  # local import to avoid a module cycle
+    from .scheduler import _interpolate  # per call, so a patched _interpolate is the one used
 
     tables, profiles = tuple(tables), tuple(profiles)
     initials, seeds = tuple(initials), tuple(seeds)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .domain import GaitParameter, SeedSpec
+from .domain import GaitParameter, SeedSpec, _read_json, _real
 from .errors import ConfigurationError, DegenerateGeometryError
 from .objective import _learning_episodes, _learning_segments, _segment_stats
 from .plant import PlantConfig
@@ -125,8 +125,6 @@ class SafePolyhedron:
             raise ValueError(f"need one 3-vector normal per face, got shape {normals.shape}")
         if anchors.shape != (count,):
             raise ValueError(f"need one anchor per face, got shape {anchors.shape}")
-        if not (0.0 < float(self.gamma) <= 1.0):
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         norms = np.linalg.norm(normals, axis=1)
         off = ~(abs(norms - 1.0) <= _UNIT_TOL)  # a NaN norm is off too
         if np.any(off):
@@ -142,7 +140,7 @@ class SafePolyhedron:
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma", 0.0, 1.0, "(]"))
 
         depths = _plane_depths(vertices[anchors], normals,
                                np.vstack([vertices.mean(axis=0), vertices]))
@@ -252,7 +250,7 @@ def contains(poly: SafePolyhedron, p) -> bool:
 
 def polyhedron_to_json_dict(poly: SafePolyhedron) -> dict:
     return {
-        "gamma": float(poly.gamma),
+        "gamma": poly.gamma,
         "vertices": poly.vertices.tolist(),
         "faces": [{"v": v, "n": n, "anchor": a} for v, n, a in
                   zip(poly.faces.tolist(), poly.normals.tolist(), poly.anchors.tolist())],
@@ -261,11 +259,10 @@ def polyhedron_to_json_dict(poly: SafePolyhedron) -> dict:
 
 def polyhedron_from_json_dict(data: dict) -> SafePolyhedron:
     try:
-        gamma = float(data["gamma"])
         vertices = np.asarray(data["vertices"], dtype=float)
         faces = data["faces"]
         return SafePolyhedron(vertices, [f["v"] for f in faces], [f["n"] for f in faces],
-                              [f["anchor"] for f in faces], gamma)
+                              [f["anchor"] for f in faces], data["gamma"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed safe-set document: {exc}") from exc
 
@@ -277,5 +274,4 @@ def save_polyhedron(poly: SafePolyhedron, path) -> None:
 
 
 def load_polyhedron(path) -> SafePolyhedron:
-    with open(path) as fh:
-        return polyhedron_from_json_dict(json.load(fh))
+    return polyhedron_from_json_dict(_read_json(path, "safe set"))

@@ -8,11 +8,13 @@ with a single node degenerate gracefully to constants along that axis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ControlParams, Correction, GaitParameter, apply_correction
+from .domain import (ControlParams, Correction, GaitParameter, _number, _read_json, _real,
+                     apply_correction)
 from .errors import ConfigurationError, GridNodeError
 
 __all__ = [
@@ -30,15 +32,17 @@ _AXIS_NAMES = ("vx", "vy", "h")
 _NODE_TOL = 1e-9
 
 
-def _axis_nodes(values, name: str) -> tuple[float, ...]:
-    nodes = tuple(float(v) for v in values)
+def _axis_nodes(values, name: str, low: float = -math.inf) -> tuple[float, ...]:
+    """values as a tuple of finite floats above low, increasing strictly."""
+    try:
+        nodes = tuple(_real(v, f"axis {name} node", low) for v in values)
+    except TypeError:
+        raise ConfigurationError(f"axis {name} must be a list of nodes, got {values!r}") from None
     if not nodes:
-        raise ValueError(f"axis {name} needs at least one node")
-    if not all(np.isfinite(nodes)):
-        raise ValueError(f"axis {name} nodes must be finite")
+        raise ConfigurationError(f"axis {name} needs at least one node")
     for a, b in zip(nodes, nodes[1:]):
         if b <= a:
-            raise ValueError(f"axis {name} nodes must increase strictly ({a} then {b})")
+            raise ConfigurationError(f"axis {name} nodes must increase strictly ({a} then {b})")
     return nodes
 
 
@@ -220,13 +224,13 @@ def table_from_json_dict(data: dict) -> GainTable:
     filled = np.zeros(values.shape[:3], dtype=bool)
     for entry in entries:
         try:
-            p = [float(c) for c in entry["p"]]
+            p = [_number(c, "gain table entry p") for c in entry["p"]]
             vec = np.concatenate([
                 np.asarray(entry["kP"], dtype=float),
                 np.asarray(entry["kD"], dtype=float),
                 np.asarray(entry["deltaP"], dtype=float),
             ])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"malformed gain table entry: {entry!r}") from exc
         if len(p) != 3 or vec.shape != (9,):
             raise ConfigurationError(f"gain table entry has wrong arity: {entry!r}")
@@ -251,5 +255,4 @@ def save_table(table: GainTable, path) -> None:
 
 
 def load_table(path) -> GainTable:
-    with open(path) as fh:
-        return table_from_json_dict(json.load(fh))
+    return table_from_json_dict(_read_json(path, "gain table"))

@@ -1,5 +1,6 @@
 """Command-line behavior: config merging, exit codes, artifacts."""
 
+import copy
 import json
 import os
 import tempfile
@@ -208,6 +209,68 @@ class TestConfigFuzz:
         assert isinstance(cli, CliConfig)
 
 
+# Every configured number written out, so that each has a place in the file.
+NUMBERED = {
+    **TINY,
+    "vx_nodes": [-0.4, 0.0, 0.4], "vy_nodes": [0.0], "h_nodes": [0.8, 1.0],
+    "kp_bounds": [0.0, 3.0], "kd_bounds": [0.0, 1.5],
+    "delta_k_fraction": 1, "delta_k_floor": 1, "delta_p_bound": 1, "shrink_factor": 1,
+    "objective": {"w1": [1.0, 1.0, 1.0], "w2": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]],
+                  "segment_duration": 5.0, "fall_penalty": 100.0},
+    "constraint": {"tolerance": 0.05},
+}
+
+
+def numeric_leaves(node, path=()):
+    """The key path of every number in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if type(node) in (int, float) else []
+    return [leaf for key, value in items for leaf in numeric_leaves(value, path + (key,))]
+
+
+NUMBER_PATHS = numeric_leaves(NUMBERED)
+NOT_NUMBERS = (st.booleans() | st.none() | st.text(max_size=4)
+               | st.integers(min_value=2**1024) | st.integers(max_value=-2**1024))
+
+
+class TestNumberRule:
+    def test_written_out_config_loads_its_reals_as_floats(self, tmp_path):
+        assert {path[0] for path in NUMBER_PATHS} == {
+            "seed", "i1", "i2", "i3", "init_counts", "p_sim1", "p_sim2", "p_real",
+            "vx_nodes", "vy_nodes", "h_nodes", "sweep_vx", "sweep_vy", "sweep_h",
+            "kp_bounds", "kd_bounds", "delta_k_fraction", "delta_k_floor", "delta_p_bound",
+            "shrink_factor", "objective", "constraint"}
+        assert len(NUMBER_PATHS) == 51
+        cfg = load_cli_config(write_config(tmp_path, NUMBERED)).pipeline
+        reals = [cfg.delta_k_fraction, cfg.delta_k_floor, cfg.delta_p_bound, cfg.shrink_factor,
+                 *cfg.kp_bounds, *cfg.kd_bounds, *cfg.node_axes[0], *cfg.sweep_h]
+        assert reals[:4] == [1.0] * 4 and all(type(v) is float for v in reals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(NUMBER_PATHS), value=NOT_NUMBERS)
+    def test_only_a_json_number_is_a_number(self, path, value):
+        # a JSON true, false, string, null or an integer too large for a float
+        # in place of any configured number is a configuration error, exit 2
+        data = copy.deepcopy(NUMBERED)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w") as fh:
+                json.dump(data, fh)
+            with pytest.raises(ConfigurationError):
+                load_cli_config(cfg)
+            out = os.path.join(tmp, "out")
+            assert main(["learn-sim", "--config", cfg, "--output-dir", out]) == 2
+            assert not os.path.exists(out)
+
+
 class TestCommands:
     def test_learn_sim_writes_table(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -395,6 +458,21 @@ class TestExitCodes:
         assert "\n" not in err.strip()
         assert not out.exists()
 
+    @pytest.mark.parametrize("place", ["axis", "p", "kP"])
+    def test_oversized_integer_in_gain_table_exits_2(self, tmp_path, capsys, place):
+        # legal JSON, but no float holds it
+        data = json.loads(Path(zero_table_file(tmp_path)).read_text())
+        {"axis": data["axes"]["vx"], "p": data["entries"][0]["p"],
+         "kP": data["entries"][0]["kP"]}[place][0] = "HUGE"
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(data).replace('"HUGE"', "1" + "0" * 400))
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--table", str(bad), "--command", "0", "0", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed gain table") and "\n" not in err.strip()
+        assert not out.exists()
+
     def test_negative_gain_table_exits_2(self, tmp_path, capsys):
         data = json.loads(Path(zero_table_file(tmp_path)).read_text())
         data["entries"][0]["kP"][0] = -1.0
@@ -527,7 +605,7 @@ class TestExitCodes:
         ('"seed": -1', "seed"),
         ('"seed": 1.5', "seed"),
         ('"init_counts": [1e400, 2, 2]', "init_counts"),
-        ('"delta_p_bound": 1e400', "correction bounds"),
+        ('"delta_p_bound": 1e400', "delta_p_bound"),
         ('"objective": {"fall_penalty": 1e400}', "fall_penalty"),
         ('"output_dir": 5', "output_dir"),
     ])

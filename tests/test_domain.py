@@ -1,4 +1,6 @@
-"""Value types, box normalization, corrections, and seeded streams."""
+"""Value types, box normalization, corrections, seeded streams, and the number checker."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,9 +14,15 @@ from gaitbo.domain import (
     apply_correction,
     correction_from_vector,
     from_unit,
+    _real,
     to_unit,
 )
-from gaitbo.errors import RangeError
+from gaitbo.bo import ConstraintSpec
+from gaitbo.errors import ConfigurationError, RangeError
+from gaitbo.gp import Hyperparams
+from gaitbo.objective import ObjectiveConfig
+from gaitbo.plant import sim_config
+from gaitbo.safeset import convex_hull
 
 
 class TestGaitParameter:
@@ -165,3 +173,65 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(ValueError):
             SeedSpec(1.5)
+
+
+class TestReal:
+    @pytest.mark.parametrize("value, low, high, ends", [
+        (0.0, 0.0, 1.0, "[]"),
+        (1.0, 0.0, 1.0, "(]"),
+        (np.float32(0.5), 0.0, 1.0, "()"),
+        (np.int64(3), 0.0, np.inf, "()"),
+        (-1e308, -np.inf, np.inf, "()"),
+    ])
+    def test_admits_numbers_inside_the_interval_as_floats(self, value, low, high, ends):
+        got = _real(value, "x", low, high, ends)
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value, low, high, ends", [
+        (0.0, 0.0, 1.0, "(]"),
+        (1.0, 0.0, 1.0, "[)"),
+        (np.inf, 0.0, np.inf, "[)"),
+        (-np.inf, -np.inf, np.inf, "()"),
+        (np.nan, -np.inf, np.inf, "()"),
+        (True, -np.inf, np.inf, "()"),
+        (np.bool_(False), -np.inf, np.inf, "()"),
+        ("0.5", -np.inf, np.inf, "()"),
+        (None, -np.inf, np.inf, "()"),
+        (10**400, -np.inf, np.inf, "()"),
+        (-(10**400), -np.inf, np.inf, "()"),
+    ], ids=["open-low", "open-high", "inf-high", "-inf", "nan", "true", "numpy-false", "str",
+            "none", "huge", "-huge"])
+    def test_rejects_anything_else_naming_it(self, value, low, high, ends):
+        with pytest.raises(ConfigurationError, match="^x "):
+            _real(value, "x", low, high, ends)
+
+
+def _scalar_fields():
+    """(constructor of a valid object with one field replaced, field) per configured scalar."""
+    poly = convex_hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def polyhedron(**kw):
+        return dataclasses.replace(poly, **kw)
+
+    def hyperparams(**kw):
+        return Hyperparams(**{"signal_std": 1.0, "lengthscales": [0.3], "noise_std": 0.01,
+                              **kw})
+
+    def plant(**kw):
+        return dataclasses.replace(sim_config(), **kw)
+
+    return ([(plant, f) for f in ("beta", "dt", "fall_band_width", "min_height")]
+            + [(ObjectiveConfig, f) for f in ("segment_duration", "fall_penalty")]
+            + [(ConstraintSpec, "tolerance"), (polyhedron, "gamma")]
+            + [(hyperparams, f) for f in ("signal_std", "noise_std")])
+
+
+SCALAR_FIELDS = _scalar_fields()
+
+
+class TestConfiguredScalars:
+    @pytest.mark.parametrize("make, field", SCALAR_FIELDS, ids=[f for _, f in SCALAR_FIELDS])
+    @pytest.mark.parametrize("value", [True, 10**400, "0.5"], ids=["true", "huge", "str"])
+    def test_rejects_a_non_number(self, make, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            make(**{field: value})

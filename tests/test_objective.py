@@ -248,6 +248,13 @@ class TestEvaluateCost:
         with pytest.raises(ValueError):
             ObjectiveConfig(w1=np.full((3, 3), 1.0))
 
+    @pytest.mark.parametrize("field", ["w1", "w2"])
+    @pytest.mark.parametrize("entry", [True, "1", None, 10**400, -1.0, float("nan")],
+                             ids=["true", "str", "none", "huge", "negative", "nan"])
+    def test_weight_entries_must_be_nonnegative_numbers(self, field, entry):
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            ObjectiveConfig(**{field: [1.0, entry, 1.0]})
+
     @pytest.mark.parametrize("field", ["segment_duration", "fall_penalty"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_non_positive_or_non_finite_scalars(self, field, value):

@@ -161,6 +161,12 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError, match="appears twice"):
             tiny_config(p_sim2=(GaitParameter(0.0, 0.0, 1.0),))
 
+    def test_duplicate_real_gait_rejected(self):
+        # both runs would correct one node and write one run directory
+        gait = GaitParameter(0.0, 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="appears twice in p_real"):
+            tiny_config(p_real=(gait, gait))
+
     def test_empty_p_sim1_rejected(self):
         with pytest.raises(ConfigurationError, match="p_sim1"):
             tiny_config(p_sim1=())
@@ -174,7 +180,7 @@ class TestPipelineConfig:
         ("vy_nodes", (float("-inf"), 0.0), "finite"),
         ("sweep_vx", (0.4, 0.0), "increase strictly"),
         ("h_nodes", (), "at least one node"),
-        ("sweep_vy", (0.0, None), "invalid sweep_vy"),
+        ("sweep_vy", (0.0, None), "sweep_vy"),
     ])
     def test_bad_axis_rejected(self, axis, nodes, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -189,8 +195,8 @@ class TestPipelineConfig:
         ("seed", -1, "seed"),
         ("seed", 1.5, "seed"),
         ("seed", True, "seed"),
-        ("delta_p_bound", float("inf"), "correction bounds"),
-        ("delta_k_floor", float("nan"), "correction bounds"),
+        ("delta_p_bound", float("inf"), "delta_p_bound"),
+        ("delta_k_floor", float("nan"), "delta_k_floor"),
         ("delta_k_fraction", float("inf"), "delta_k_fraction"),
     ])
     def test_bad_number_rejected(self, field, value, message):

@@ -331,6 +331,22 @@ class TestPolyhedronValidation:
 
 
 class TestJsonRoundTrip:
+    @pytest.mark.parametrize("text", [None, "{", "[1, 2"], ids=["missing", "brace", "list"])
+    def test_unreadable_file_is_configuration_error(self, tmp_path, text):
+        path = tmp_path / "safeset.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigurationError, match="safe set"):
+            load_polyhedron(path)
+
+    @pytest.mark.parametrize("gamma", [True, "0.9", None, 10**400],
+                             ids=["true", "str", "null", "huge"])
+    def test_document_gamma_must_be_a_number(self, gamma):
+        doc = polyhedron_to_json_dict(convex_hull(TETRA))
+        doc["gamma"] = gamma
+        with pytest.raises(ConfigurationError, match="malformed safe-set document: gamma"):
+            polyhedron_from_json_dict(doc)
+
     def test_round_trip_preserves_geometry(self, tmp_path):
         rng = np.random.default_rng(6)
         poly = convex_hull(rng.random((25, 3)), gamma=0.9)

@@ -310,6 +310,14 @@ class TestPersistence:
         assert again.axes == table.axes
         np.testing.assert_array_equal(again.values, table.values)
 
+    @pytest.mark.parametrize("text", [None, "{", "[1, 2"], ids=["missing", "brace", "list"])
+    def test_unreadable_file_is_configuration_error(self, tmp_path, text):
+        path = tmp_path / "table.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigurationError, match="gain table"):
+            load_table(path)
+
     def test_entries_are_vx_major(self):
         rng = np.random.default_rng(11)
         table = random_table(rng)
