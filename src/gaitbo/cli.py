@@ -14,7 +14,7 @@ import os
 import sys
 
 from .bo import ConstraintSpec
-from .domain import GaitParameter, SeedSpec, _read_json, _real
+from .domain import GaitParameter, SeedSpec, _items, _read_json, _real
 from .errors import ConfigurationError, GaitBoError, GridNodeError, RangeError
 from .objective import ObjectiveConfig, evaluate_cost
 from .pipeline import (
@@ -44,6 +44,7 @@ __all__ = ["CliConfig", "load_cli_config", "main"]
 _PIPELINE_KEYS = {f.name for f in dataclasses.fields(PipelineConfig)}
 _CLI_KEYS = {"scale", "output_dir", "plant", "verbose"}
 _GAIT_SETS = {"p_sim1", "p_sim2", "p_real"}
+_SECTIONS = {"objective": ObjectiveConfig, "constraint": ConstraintSpec}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,7 +64,7 @@ class CliConfig:
 
 def _gait_list(values, name: str) -> tuple:
     gaits = []
-    for entry in values:
+    for entry in _items(values, name, "a list of [vx, vy, h] triples"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ConfigurationError(
                 f"{name} entries must be [vx, vy, h] triples, got {entry!r}")
@@ -106,10 +107,10 @@ def load_cli_config(path=None, seed=None, output_dir=None, plant=None,
         for key, value in data.items():
             if key in _GAIT_SETS:
                 merged[key] = _gait_list(value, key)
-            elif key == "objective":
-                merged[key] = ObjectiveConfig(**value)
-            elif key == "constraint":
-                merged[key] = ConstraintSpec(**value)
+            elif key in _SECTIONS:
+                if not isinstance(value, dict):
+                    raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
+                merged[key] = _SECTIONS[key](**value)
             else:
                 merged[key] = value
         if seed is not None:

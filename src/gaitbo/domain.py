@@ -2,17 +2,20 @@
 
 Everything downstream (plant, scheduler, optimization) works in terms of these
 types. They are frozen; arrays they carry are defensive copies marked read-only.
-Every module checks a configured number with _real, a fixed-shape array with
-_readonly_array, and reads an input document with _read_json.
+Every module checks a configured number with _real (a document's arrays with
+_numbers), a fixed-shape array with _readonly_array, and reads an input
+document with _read_json.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError, RangeError
 
@@ -37,6 +40,24 @@ def _number(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise ConfigurationError(f"{name} is an integer too large for a float") from None
+
+
+def _items(values, name: str, what: str, count: int | None = None) -> tuple:
+    """values as a tuple, if it is iterable (and holds count items, when given)."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or (count is not None and len(items) != count):
+        raise ConfigurationError(f"{name} must be {what}, got {values!r}")
+    return items
+
+
+def _numbers(values, name: str):
+    """values, a list of numbers or of such lists, with each number through _number."""
+    if isinstance(values, (list, tuple)):
+        return [_numbers(v, name) for v in values]
+    return _number(values, name)
 
 
 def _real(value, name: str, low: float = -math.inf, high: float = math.inf,
@@ -268,13 +289,115 @@ def from_unit(u: np.ndarray, box: Box) -> np.ndarray:
     return box.lower + u * box.widths
 
 
+# numpy's SeedSequence with its default pool of four 32-bit words, as fixed
+# integer hashing: each entropy word is hashmixed with the next hash constant
+# (INIT_A times powers of MULT_A) and mixed into every pool word, and
+# generate_state hashes the pool with INIT_B times powers of MULT_B.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK32 for k in range(9)]
+
+
+def _seed_words(value) -> list:
+    """A nonnegative integer as little-endian 32-bit words, as SeedSequence reads it."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"seed keys must be integers, got {value!r}")
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed keys must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _absorb(pool: tuple, words) -> tuple:
+    """pool (four words and the next hash constant) after mixing in each word.
+
+    Unrolled over the four pool words: the hot path of every derive and
+    generator call, and about a fifth faster than a loop over them.
+    """
+    p0, p1, p2, p3, h = pool
+    for w in words:
+        g = h * _MULT_A & _MASK32
+        v = (w ^ h) * g & _MASK32
+        p0 = (_MIX_L * p0 - _MIX_R * (v ^ v >> 16)) & _MASK32
+        p0 ^= p0 >> 16
+        h = g * _MULT_A & _MASK32
+        v = (w ^ g) * h & _MASK32
+        p1 = (_MIX_L * p1 - _MIX_R * (v ^ v >> 16)) & _MASK32
+        p1 ^= p1 >> 16
+        g = h * _MULT_A & _MASK32
+        v = (w ^ h) * g & _MASK32
+        p2 = (_MIX_L * p2 - _MIX_R * (v ^ v >> 16)) & _MASK32
+        p2 ^= p2 >> 16
+        h = g * _MULT_A & _MASK32
+        v = (w ^ g) * h & _MASK32
+        p3 = (_MIX_L * p3 - _MIX_R * (v ^ v >> 16)) & _MASK32
+        p3 ^= p3 >> 16
+    return p0, p1, p2, p3, h
+
+
+@functools.lru_cache(maxsize=256)
+def _root_pool(seed: int) -> tuple:
+    """The pool after a root seed's words, which a spawn key pads to four."""
+    words = _seed_words(seed)
+    words += [0] * (4 - len(words))
+    pool, h = [], _INIT_A
+    for w in words[:4]:
+        g = h * _MULT_A & _MASK32
+        v = (w ^ h) * g & _MASK32
+        pool.append(v ^ v >> 16)
+        h = g
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                g = h * _MULT_A & _MASK32
+                v = (pool[src] ^ h) * g & _MASK32
+                mixed = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+                h = g
+    return _absorb((*pool, h), words[4:])
+
+
+def _generate_state(pool: tuple, n: int) -> list:
+    """The first n uint64 words SeedSequence.generate_state draws from pool."""
+    words = []
+    for i in range(0, 2 * n, 2):
+        lo = (pool[i & 3] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
+        hi = (pool[i + 1 & 3] ^ _HASH_B[i + 1]) * _HASH_B[i + 2] & _MASK32
+        words.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
+    return words
+
+
+class _PCG64Seed(ISeedSequence):
+    """The four uint64 words PCG64 seeds itself from, already drawn."""
+
+    def __init__(self, words: list):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("this seed holds only PCG64's four uint64 words")
+        return np.array(self.words, dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """A reproducible randomness source: a root seed plus a stream id.
 
-    The same (seed, stream) pair always produces bit-identical draws.
-    Substreams derived with the same keys are likewise stable, so every
-    episode, optimization run, and sweep can own an independent stream.
+    Stream (seed, stream, *keys) is numpy's SeedSequence(seed,
+    spawn_key=(stream, *keys)) fed to PCG64, so any episode's noise can be
+    rebuilt with numpy alone: generator(*keys) draws exactly what
+    np.random.default_rng of that SeedSequence draws, and derive(*keys) takes
+    its first uint64 state word as the child's stream. The hashing is done
+    here, with the pool cached once per root seed and once per instance, so a
+    call mixes in only its keys. The cache is not part of equality, hash,
+    repr, copy or pickle. A generator's bit_generator.seed_seq holds only the
+    drawn PCG64 words, so it cannot be spawned.
     """
 
     seed: int
@@ -290,14 +413,22 @@ class SeedSpec:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "stream", int(self.stream))
 
-    def _sequence(self, keys: tuple[int, ...]) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, *keys))
+    def __getstate__(self):
+        # leave the cached pool out, so a used spec pickles as a fresh one
+        return {"seed": self.seed, "stream": self.stream}
+
+    def _pool(self, keys: tuple) -> tuple:
+        pool = self.__dict__.get("_stream_pool")
+        if pool is None:
+            pool = _absorb(_root_pool(self.seed), _seed_words(self.stream))
+            object.__setattr__(self, "_stream_pool", pool)
+        return _absorb(pool, [w for key in keys for w in _seed_words(key)])
 
     def generator(self, *keys: int) -> np.random.Generator:
         """A fresh generator for this stream, optionally sub-keyed."""
-        return np.random.default_rng(self._sequence(keys))
+        words = _generate_state(self._pool(keys), 4)
+        return np.random.Generator(np.random.PCG64(_PCG64Seed(words)))
 
     def derive(self, *keys: int) -> "SeedSpec":
         """A child SeedSpec whose stream id is derived from the given keys."""
-        state = self._sequence(keys).generate_state(1, np.uint64)[0]
-        return SeedSpec(self.seed, int(state))
+        return SeedSpec(self.seed, _generate_state(self._pool(keys), 1)[0])

@@ -30,6 +30,7 @@ from .domain import (
     Correction,
     GaitParameter,
     SeedSpec,
+    _items,
     _real,
     correction_from_vector,
     from_unit,
@@ -124,7 +125,7 @@ class PipelineConfig:
         object.__setattr__(self, "sweep_h", _axis_nodes(self.sweep_h, "sweep_h", 0.0))
 
         for name in ("p_sim1", "p_sim2", "p_real"):
-            gaits = tuple(getattr(self, name))
+            gaits = _items(getattr(self, name), name, "a list of gaits")
             object.__setattr__(self, name, gaits)
             for g in gaits:
                 if not isinstance(g, GaitParameter):
@@ -147,10 +148,9 @@ class PipelineConfig:
                     raise ConfigurationError(f"gait {key} appears twice {where}")
                 seen.add(key)
 
-        counts = tuple(_whole_number(c, "init_counts", 1.0) for c in self.init_counts)
-        if len(counts) != 3:
-            raise ConfigurationError(
-                f"init_counts must be three positive integers, got {self.init_counts}")
+        counts = tuple(_whole_number(c, "init_counts", 1.0)
+                       for c in _items(self.init_counts, "init_counts",
+                                       "three positive integers", 3))
         object.__setattr__(self, "init_counts", counts)
         for budget, count, name in ((self.i1, counts[0], "i1"),
                                     (self.i2, counts[1], "i2"),
@@ -162,7 +162,10 @@ class PipelineConfig:
             object.__setattr__(self, name, budget)
 
         for name in ("kp_bounds", "kd_bounds"):
-            lo, hi = getattr(self, name)
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{name} must be a [low, high] pair: {exc}") from None
             lo = _real(lo, f"{name} low", 0.0, ends="[)")
             object.__setattr__(self, name, (lo, _real(hi, f"{name} high", lo)))
         object.__setattr__(self, "delta_k_fraction",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .domain import GaitParameter, SeedSpec, _read_json, _real
+from .domain import GaitParameter, SeedSpec, _numbers, _read_json, _real
 from .errors import ConfigurationError, DegenerateGeometryError
 from .objective import _learning_episodes, _learning_segments, _segment_stats
 from .plant import PlantConfig
@@ -259,9 +259,10 @@ def polyhedron_to_json_dict(poly: SafePolyhedron) -> dict:
 
 def polyhedron_from_json_dict(data: dict) -> SafePolyhedron:
     try:
-        vertices = np.asarray(data["vertices"], dtype=float)
+        vertices = _numbers(data["vertices"], "safe-set vertex coordinate")
         faces = data["faces"]
-        return SafePolyhedron(vertices, [f["v"] for f in faces], [f["n"] for f in faces],
+        return SafePolyhedron(vertices, [f["v"] for f in faces],
+                              [_numbers(f["n"], "safe-set face normal") for f in faces],
                               [f["anchor"] for f in faces], data["gamma"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed safe-set document: {exc}") from exc

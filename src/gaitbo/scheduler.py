@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (ControlParams, Correction, GaitParameter, _number, _read_json, _real,
-                     apply_correction)
+from .domain import (ControlParams, Correction, GaitParameter, _items, _number, _numbers,
+                     _read_json, _real, apply_correction)
 from .errors import ConfigurationError, GridNodeError
 
 __all__ = [
@@ -34,10 +34,8 @@ _NODE_TOL = 1e-9
 
 def _axis_nodes(values, name: str, low: float = -math.inf) -> tuple[float, ...]:
     """values as a tuple of finite floats above low, increasing strictly."""
-    try:
-        nodes = tuple(_real(v, f"axis {name} node", low) for v in values)
-    except TypeError:
-        raise ConfigurationError(f"axis {name} must be a list of nodes, got {values!r}") from None
+    nodes = tuple(_real(v, f"axis {name} node", low)
+                  for v in _items(values, f"axis {name}", "a list of nodes"))
     if not nodes:
         raise ConfigurationError(f"axis {name} needs at least one node")
     for a, b in zip(nodes, nodes[1:]):
@@ -225,20 +223,17 @@ def table_from_json_dict(data: dict) -> GainTable:
     for entry in entries:
         try:
             p = [_number(c, "gain table entry p") for c in entry["p"]]
-            vec = np.concatenate([
-                np.asarray(entry["kP"], dtype=float),
-                np.asarray(entry["kD"], dtype=float),
-                np.asarray(entry["deltaP"], dtype=float),
-            ])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"malformed gain table entry: {entry!r}") from exc
-        if len(p) != 3 or vec.shape != (9,):
+            vec = np.array([_numbers(entry[key], f"gain table entry {key}")
+                            for key in ("kP", "kD", "deltaP")], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed gain table entry ({exc}): {entry!r}") from exc
+        if len(p) != 3 or vec.shape != (3, 3):
             raise ConfigurationError(f"gain table entry has wrong arity: {entry!r}")
         i, j, k = _node_indices((vx, vy, h), p)
         if filled[i, j, k]:
             raise ConfigurationError(f"duplicate gain table entry at p={p}")
         filled[i, j, k] = True
-        values[i, j, k] = vec
+        values[i, j, k] = vec.ravel()
     if not filled.all():
         missing = int((~filled).sum())
         raise ConfigurationError(f"gain table document is incomplete: {missing} nodes missing")

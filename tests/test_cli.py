@@ -546,6 +546,40 @@ class TestExitCodes:
         assert "\n" not in err.strip()
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [True, "1"], ids=["true", "string"])
+    @pytest.mark.parametrize("key", ["kP", "kD", "deltaP"])
+    def test_non_number_in_gain_table_array_exits_2(self, tmp_path, capsys, key, value):
+        # numpy would read either as 1.0
+        data = json.loads(Path(zero_table_file(tmp_path)).read_text())
+        data["entries"][0][key][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--table", str(bad), "--command", "0", "0", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed gain table entry")
+        assert f"gain table entry {key} must be a number" in err and "\n" not in err.strip()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, "1"], ids=["true", "string"])
+    @pytest.mark.parametrize("array, what", [
+        (lambda data: data["vertices"][0], "safe-set vertex coordinate"),
+        (lambda data: data["faces"][0]["n"], "safe-set face normal"),
+    ], ids=["vertices", "normal"])
+    def test_non_number_in_safe_set_array_exits_2(self, tmp_path, capsys, array, what, value):
+        data = json.loads(Path(safe_set_file(tmp_path)).read_text())
+        array(data)[0] = value
+        bad = tmp_path / "bad_safeset.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["learn-real", "--config", write_config(tmp_path), "--output-dir", str(out),
+                     "--table", zero_table_file(tmp_path), "--safeset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed safe-set document: {what} must be a number")
+        assert "\n" not in err.strip()
+        assert not out.exists()
+
     def test_truncated_safe_set_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "safeset.json"
         bad.write_text("{")
@@ -631,6 +665,24 @@ class TestExitCodes:
                      "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert "\n" not in err.strip()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("init_counts", 5),
+        ("p_real", 3),
+        ("kp_bounds", [0]),
+        ("kd_bounds", 3),
+        ("objective", [1]),
+        ("constraint", 3),
+    ])
+    def test_wrongly_shaped_config_value_names_its_key(self, tmp_path, capsys, key, value):
+        # not iterable, or the wrong number of items: the message names the key
+        out = tmp_path / "out"
+        assert main(["learn-sim", "--config", write_config(tmp_path, {key: value}),
+                     "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {key} must be ")
         assert "\n" not in err.strip()
         assert not out.exists()
 

@@ -1,9 +1,13 @@
 """Value types, box normalization, corrections, seeded streams, and the number checker."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitbo.domain import (
     Box,
@@ -173,6 +177,76 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(ValueError):
             SeedSpec(1.5)
+
+
+# Keys as the pipeline passes them (small ints, 64-bit streams, numpy ints) and
+# the word-count edges of SeedSequence's integer coding.
+_SEED_KEYS = st.one_of(
+    st.just(0), st.integers(1, 1000), st.just(2**32), st.just(2**64 - 1),
+    st.integers(0, 2**32 - 1).map(np.uint32), st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64), st.integers(2**64, 2**200))
+_ROOT_SEEDS = st.one_of(st.integers(0, 2**200), st.sampled_from([2**128 - 1, 2**128]))
+_STREAMS = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+
+
+def numpy_sequence(seed, stream, keys):
+    return np.random.SeedSequence(seed, spawn_key=(stream, *keys))
+
+
+class TestSeedKernel:
+    """SeedSpec's streams are numpy's SeedSequence(seed, spawn_key=(stream, *keys))."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=_ROOT_SEEDS, stream=_STREAMS, keys=st.lists(_SEED_KEYS, max_size=3))
+    def test_derive_is_numpys_first_state_word(self, seed, stream, keys):
+        expected = numpy_sequence(seed, stream, keys).generate_state(1, np.uint64)[0]
+        assert SeedSpec(seed, stream).derive(*keys).stream == int(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=_ROOT_SEEDS, stream=_STREAMS, keys=st.lists(_SEED_KEYS, max_size=3))
+    def test_generator_draws_what_numpy_draws(self, seed, stream, keys):
+        ours = SeedSpec(seed, stream).generator(*keys)
+        theirs = np.random.default_rng(numpy_sequence(seed, stream, keys))
+        for draw in (lambda g: g.random(5), lambda g: g.standard_normal(5),
+                     lambda g: g.integers(0, 2**40, 5)):
+            np.testing.assert_array_equal(draw(ours), draw(theirs))
+
+    def test_repeated_calls_reuse_the_cached_pool_exactly(self):
+        spec = SeedSpec(11, 2**40 + 3)
+        for keys in [(), (4,), (4, 2**33), (), (4,)]:
+            expected = numpy_sequence(11, 2**40 + 3, keys).generate_state(1, np.uint64)[0]
+            assert spec.derive(*keys).stream == int(expected)
+
+    @pytest.mark.parametrize("key, error", [
+        (-1, ValueError), (np.int64(-5), ValueError),
+        (1.5, TypeError), (np.float64(2.0), TypeError),
+    ])
+    def test_bad_key_rejected_as_numpy_does(self, key, error):
+        with pytest.raises(error):
+            numpy_sequence(1, 0, (key,))
+        with pytest.raises(error):
+            SeedSpec(1).derive(key)
+        with pytest.raises(error):
+            SeedSpec(1).generator(3, key)
+
+    def test_cached_pool_is_invisible(self):
+        fresh, used = SeedSpec(5, 9), SeedSpec(5, 9)
+        used.derive(1)
+        used.generator(2)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(used)] == ["seed", "stream"]
+        assert copy.copy(used) == fresh and copy.deepcopy(used) == fresh
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        for clone in (pickle.loads(pickle.dumps(used)), copy.copy(used),
+                      dataclasses.replace(used, stream=10)):
+            stream = clone.stream
+            assert clone.derive(3) == SeedSpec(5, stream).derive(3)
+            theirs = np.random.default_rng(numpy_sequence(5, stream, (2,)))
+            np.testing.assert_array_equal(clone.generator(2).random(4), theirs.random(4))
+
+    def test_generator_seed_is_not_spawnable(self):
+        with pytest.raises(TypeError):
+            SeedSpec(0).generator().spawn(1)
 
 
 class TestReal:
