@@ -3,7 +3,8 @@
 Statistics are taken over the trailing segment of a trajectory, long enough
 for transients to settle: the last floor(segment_duration / dt) samples.
 The sweep and every BO evaluation read the rollout's arrays through
-_learning_segments, and reduce the stacked segments row by row.
+_learning_segments, and _segment_moments is the one reduction of the stacked
+segments: each segment's mean, min and max, row by row.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ class ConvergedStats:
 def _segment_samples(segment_duration: float, dt: float, n_samples: int) -> int:
     """The trailing segment's length in samples of dt, checked to fit in n_samples.
 
-    Raises ConfigurationError when the segment is shorter than one step or
-    longer than the trajectory.
+    Raises ConfigurationError unless segment_duration is a positive finite
+    number spanning one step up to the whole trajectory.
     """
+    segment_duration = _real(segment_duration, "segment_duration", 0.0)
     # The tiny epsilon keeps exact ratios (5/0.1 and friends) from flooring
     # one sample short due to binary rounding.
     k = floor(segment_duration / dt + 1e-9)
@@ -100,18 +102,14 @@ def _learning_segments(plant: PlantConfig, tables, profiles, starts, seeds,
     return fell, p_hat[-k:, completed]
 
 
-def _segment_stats(segments: np.ndarray) -> list:
-    """The ConvergedStats of each of m stacked trailing segments, (k, m, 3).
+def _segment_moments(segments: np.ndarray) -> tuple:
+    """The mean, componentwise min and componentwise max of each of m stacked
+    trailing segments, (k, m, 3), as three (m, 3) arrays.
 
-    Each reduction runs over axis 0 in sample order, so every episode's
-    statistics equal those of its own (k, 3) segment bit for bit.
+    Each reduction runs over axis 0 in sample order, so every row equals that
+    of its own (k, 3) segment bit for bit.
     """
-    return [
-        ConvergedStats(GaitParameter(*mean), GaitParameter(*low), GaitParameter(*high))
-        for mean, low, high in zip(segments.mean(axis=0).tolist(),
-                                   segments.min(axis=0).tolist(),
-                                   segments.max(axis=0).tolist())
-    ]
+    return segments.mean(axis=0), segments.min(axis=0), segments.max(axis=0)
 
 
 def converged_stats(traj: Trajectory, segment_duration: float = 5.0) -> ConvergedStats:
@@ -122,7 +120,8 @@ def converged_stats(traj: Trajectory, segment_duration: float = 5.0) -> Converge
     if traj.fell:
         raise ConfigurationError("fallen trajectory has no converged segment")
     k = _segment_samples(segment_duration, traj.dt, len(traj))
-    return _segment_stats(traj.p_hat[-k:, None])[0]
+    return ConvergedStats(*(GaitParameter(*rows[0].tolist())
+                            for rows in _segment_moments(traj.p_hat[-k:, None])))
 
 
 def _quadratic_form(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -130,12 +129,13 @@ def _quadratic_form(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(v[:, None, :], w), v[:, :, None])[:, 0, 0]
 
 
-def _segment_costs(segments, targets, cfg: ObjectiveConfig) -> np.ndarray:
-    """The cost of each of m completed episodes from its trailing segment in
-    segments, (k, m, 3), and its commanded gait in targets, (m, 3): on each
-    row err @ w1 @ err + osc @ w2 @ osc, rounded as that row alone would be."""
-    err = segments.mean(axis=0) - targets
-    osc = segments.max(axis=0) - segments.min(axis=0)
+def _segment_costs(moments, targets, cfg: ObjectiveConfig) -> np.ndarray:
+    """The cost of each of m completed episodes from its segment's _segment_moments
+    and its commanded gait in targets, (m, 3): on each row err @ w1 @ err +
+    osc @ w2 @ osc, rounded as that row alone would be."""
+    mean, low, high = moments
+    err = mean - targets
+    osc = high - low
     return _quadratic_form(err, cfg.w1) + _quadratic_form(osc, cfg.w2)
 
 
@@ -149,4 +149,5 @@ def evaluate_cost(traj: Trajectory, p_desired: GaitParameter, cfg: ObjectiveConf
     if traj.fell:
         return cfg.fall_penalty
     k = _segment_samples(cfg.segment_duration, traj.dt, len(traj))
-    return float(_segment_costs(traj.p_hat[-k:, None], p_desired.as_array()[None], cfg)[0])
+    moments = _segment_moments(traj.p_hat[-k:, None])
+    return float(_segment_costs(moments, p_desired.as_array()[None], cfg)[0])

@@ -38,7 +38,7 @@ from .domain import (
 from .errors import BlackBoxError, ConfigurationError, GridNodeError, SafeSetError
 from .errors import DegenerateGeometryError
 from .objective import (ObjectiveConfig, _learning_episodes, _learning_segments, _segment_costs,
-                        _segment_samples)
+                        _segment_moments, _segment_samples)
 from .plant import EPISODE_DURATION, PlantConfig, real_config, sim_config
 from .safeset import (SafePolyhedron, SweepResult, _constraint_values, convex_hull,
                       save_polyhedron, sweep_commands)
@@ -308,12 +308,13 @@ def _learning_observer(cfg: PipelineConfig, plant: PlantConfig, gaits,
         fell, segments = _learning_segments(plant, tables, profiles, starts, seeds,
                                             cfg.objective.segment_duration)
         completed = ~fell
+        moments = _segment_moments(segments)
         costs = np.full(len(gaits), cfg.objective.fall_penalty)
-        costs[completed] = _segment_costs(segments, targets[completed], cfg.objective)
+        costs[completed] = _segment_costs(moments, targets[completed], cfg.objective)
         if poly is None:
             return [(cost, None, down) for cost, down in zip(costs.tolist(), fell.tolist())]
         h_values = np.full(len(gaits), 0.5)
-        h_values[completed] = _constraint_values(poly, segments.mean(axis=0))
+        h_values[completed] = _constraint_values(poly, moments[0])
         return list(zip(costs.tolist(), h_values.tolist(), fell.tolist()))
     return observe
 
@@ -533,11 +534,10 @@ def extract_safe_set(table: GainTable, cfg: PipelineConfig,
     _check_segment(cfg, plant)
     sweep = sweep_commands(table, plant, grid, cfg.root_seed().derive(_STREAM_SWEEP),
                            segment_duration=cfg.objective.segment_duration)
-    if len(sweep.safe_points) < 4:
-        raise SafeSetError(
-            f"only {len(sweep.safe_points)} safe points; a solid region needs 4")
+    if len(sweep.p_c) < 4:
+        raise SafeSetError(f"only {len(sweep.p_c)} safe points; a solid region needs 4")
     try:
-        poly = convex_hull(sweep.safe_points, cfg.shrink_factor)
+        poly = convex_hull(sweep.p_c, cfg.shrink_factor)
     except DegenerateGeometryError as exc:
         raise SafeSetError(f"safe points do not span a volume: {exc}") from exc
     logger.info("safe set: %d/%d commands feasible, %d hull vertices",
@@ -648,17 +648,10 @@ class BenchmarkReport:
 def _table_stats(label: str, sweep: SweepResult) -> TableBenchmark:
     if not sweep.feasible_commands:
         return TableBenchmark(label, 0, None, None)
-    errs = []
-    oscs = []
-    for cmd, st in zip(sweep.feasible_commands, sweep.stats):
-        errs.append(np.abs(st.p_c.as_array() - cmd.as_array()))
-        oscs.append(st.p_c_max.as_array() - st.p_c_min.as_array())
-    return TableBenchmark(
-        label,
-        len(sweep.feasible_commands),
-        tuple(np.mean(errs, axis=0)),
-        tuple(np.mean(oscs, axis=0)),
-    )
+    commands = np.array([cmd.as_array() for cmd in sweep.feasible_commands])
+    err = np.mean(np.abs(sweep.p_c - commands), axis=0)
+    osc = np.mean(sweep.p_c_max - sweep.p_c_min, axis=0)
+    return TableBenchmark(label, len(commands), tuple(err), tuple(osc))
 
 
 def _winner(a: TableBenchmark, b: TableBenchmark, key) -> str:
@@ -671,7 +664,12 @@ def _winner(a: TableBenchmark, b: TableBenchmark, key) -> str:
 def benchmark(table_a: GainTable, table_b: GainTable, cfg: PipelineConfig,
               plant: PlantConfig, out_dir=None,
               labels: tuple = ("tuned", "baseline")) -> BenchmarkReport:
-    """Sweep both tables over the command grid with identical noise streams."""
+    """Sweep both tables over the command grid with identical noise streams.
+
+    The report names each winner by its label, so ConfigurationError unless
+    the two labels differ and neither is "tie"."""
+    if labels[0] == labels[1] or "tie" in labels:
+        raise ConfigurationError(f"benchmark labels must differ and not be 'tie', got {labels!r}")
     _check_segment(cfg, plant)
     grid = cfg.sweep_grid()
     seed = cfg.root_seed().derive(_STREAM_BENCH)

@@ -1,10 +1,11 @@
 """Safe command set: feasibility sweep, convex hull, and the constraint value.
 
 The sweep drives every candidate command through a tuned table and keeps the
-ones that complete their episode. The converged gait points of those runs
-are hulled (optionally shrunk toward the centroid for margin); the signed
-constraint value of a point is its largest inward-plane violation, so h <= 0
-means inside.
+ones that complete their episode, with where each converged: the mean, min and
+max of its trailing segment from objective._segment_moments, the one
+reduction. The means are hulled (optionally shrunk toward the centroid for
+margin); the signed constraint value of a point is its largest inward-plane
+violation, so h <= 0 means inside.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .domain import GaitParameter, SeedSpec, _numbers, _read_json, _real
+from .domain import GaitParameter, SeedSpec, _numbers, _read_json, _readonly_array, _real
 from .errors import ConfigurationError, DegenerateGeometryError
-from .objective import _learning_episodes, _learning_segments, _segment_stats
+from .objective import _learning_episodes, _learning_segments, _segment_moments
 from .plant import PlantConfig
 from .scheduler import GainTable
 
@@ -45,26 +46,28 @@ _SWEEP_CHUNK = 128
 class SweepResult:
     """Commands that completed their episode and where each run converged.
 
-    stats holds the full converged statistics of each feasible run, in the
-    same order as feasible_commands; safe_points are their means.
+    Row i of p_c, p_c_min and p_c_max is the converged mean, componentwise
+    min and componentwise max of feasible_commands[i]'s run, as read-only
+    (m, 3) arrays; safe_points are the means as gait points.
     """
 
     feasible_commands: tuple
     grid: tuple
-    stats: tuple
+    p_c: np.ndarray
+    p_c_min: np.ndarray
+    p_c_max: np.ndarray
 
     def __post_init__(self):
         feasible = tuple(self.feasible_commands)
-        stats = tuple(self.stats)
-        if len(stats) != len(feasible):
-            raise ValueError("converged stats must pair up with feasible commands")
         object.__setattr__(self, "feasible_commands", feasible)
         object.__setattr__(self, "grid", tuple(self.grid))
-        object.__setattr__(self, "stats", stats)
+        for name in ("p_c", "p_c_min", "p_c_max"):
+            object.__setattr__(self, name,
+                               _readonly_array(getattr(self, name), (len(feasible), 3), name))
 
     @property
     def safe_points(self) -> tuple:
-        return tuple(s.p_c for s in self.stats)
+        return tuple(GaitParameter(*row) for row in self.p_c.tolist())
 
 
 def _plane_depths(anchor_points, normals, points) -> np.ndarray:
@@ -171,7 +174,7 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
             raise ConfigurationError(f"sweep grid entries must be GaitParameter, got {cmd!r}")
 
     feasible = []
-    kept = []
+    moments = []
     profiles, starts = _learning_episodes(grid)
     for first in range(0, len(grid), _SWEEP_CHUNK):
         part = slice(first, first + _SWEEP_CHUNK)
@@ -180,32 +183,29 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
             cfg, (table,) * len(chunk), profiles[part], starts[part],
             [seed.derive(first + k) for k in range(len(chunk))], segment_duration)
         feasible.extend(cmd for cmd, down in zip(chunk, fell.tolist()) if not down)
-        kept.extend(_segment_stats(segments))
-    return SweepResult(tuple(feasible), grid, tuple(kept))
+        moments.append(_segment_moments(segments))
+    return SweepResult(tuple(feasible), grid, *(np.concatenate(m) for m in zip(*moments)))
 
 
 def convex_hull(points, gamma: float = 1.0) -> SafePolyhedron:
     """Hull of the given gait points, shrunk by gamma about the centroid.
 
-    Accepts GaitParameter or raw 3-vectors. Raises if the points are too few
-    or do not span three dimensions.
+    Accepts GaitParameter or raw 3-vectors. Raises if gamma is not in (0, 1],
+    or the points are not finite, too few or do not span three dimensions.
     """
-    pts = np.array([
-        p.as_array() if isinstance(p, GaitParameter) else np.asarray(p, dtype=float)
-        for p in points
-    ])
+    gamma = _real(gamma, "gamma", 0.0, 1.0, "(]")
+    pts = np.array([p.as_array() if isinstance(p, GaitParameter) else np.asarray(p, dtype=float)
+                    for p in points])
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"hull points must be 3-vectors, got array shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("hull points must be finite")
     if pts.shape[0] < 4:
-        raise DegenerateGeometryError(
-            f"need at least 4 points for a solid hull, got {pts.shape[0]}"
-        )
+        raise DegenerateGeometryError(f"need at least 4 points for a solid hull, got {len(pts)}")
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:
-        raise DegenerateGeometryError(
-            f"points do not span a 3-D volume: {exc}"
-        ) from exc
+        raise DegenerateGeometryError(f"points do not span a 3-D volume: {exc}") from exc
 
     position = np.empty(len(pts), dtype=int)
     position[hull.vertices] = np.arange(len(hull.vertices))

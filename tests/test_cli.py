@@ -320,6 +320,22 @@ class TestCommands:
         report = json.loads((Path(out) / "benchmark.json").read_text())
         assert report["table_a"]["feasible_count"] > report["table_b"]["feasible_count"]
 
+    @pytest.mark.parametrize("name", ["tuned", "tie"])
+    def test_benchmark_against_a_colliding_label_is_rejected(self, tmp_path, capsys, name):
+        # The --against file's name becomes its label, and a label equal to
+        # "tuned" or "tie" would name the wrong winner.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        against = tmp_path / "tables" / name
+        against.parent.mkdir()
+        against.write_text(Path(zero_table_file(tmp_path)).read_text())
+        code = main(["benchmark", "--config", cfg, "--output-dir", str(out),
+                     "--table", firm_table_file(tmp_path), "--against", str(against),
+                     "--plant", "sim"])
+        assert code == 2
+        assert "labels must differ" in capsys.readouterr().err
+        assert not (out / "benchmark.json").exists()
+
     def test_simulate_equilibrium_prints_zero_cost(self, tmp_path, capsys):
         zero = zero_table_file(tmp_path)
         out = str(tmp_path / "eq.csv")

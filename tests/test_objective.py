@@ -11,8 +11,8 @@ from gaitbo.objective import (
     ConvergedStats,
     ObjectiveConfig,
     _segment_costs,
+    _segment_moments,
     _segment_samples,
-    _segment_stats,
     converged_stats,
     evaluate_cost,
 )
@@ -69,6 +69,12 @@ class TestConvergedStats:
         with pytest.raises(ConfigurationError):
             converged_stats(traj, 5.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), True])
+    def test_segment_duration_must_be_a_positive_finite_number(self, duration):
+        traj = constant_traj([0.0, 0.0, 1.0])
+        with pytest.raises(ConfigurationError, match="segment_duration must be"):
+            converged_stats(traj, duration)
+
     def test_exact_ratio_segment_lengths(self):
         # 2 s at dt=0.5 -> 4 samples; binary rounding must not lose one
         traj = constant_traj([0.1, 0.0, 1.0], n=10)
@@ -122,12 +128,11 @@ class TestStatisticsKernel:
         rng = np.random.default_rng(seed)
         batch = random_samples(rng, (k + extra, width, 3), scale)
         kept = np.flatnonzero(rng.random(width) < 0.7)
-        stacked = _segment_stats(batch[-k:, kept])
-        assert len(stacked) == kept.size
-        for stats, j in zip(stacked, kept.tolist()):
+        moments = _segment_moments(batch[-k:, kept])
+        assert all(rows.shape == (kept.size, 3) for rows in moments)
+        for i, j in enumerate(kept.tolist()):
             alone = reference_converged_stats(make_traj(batch[:, j], dt=1.0), float(k))
-            assert stats_bytes(stats) == stats_bytes(alone)
-            assert stats == alone
+            assert tuple(rows[i].tobytes() for rows in moments) == stats_bytes(alone)
 
 
 class TestCostKernel:
@@ -143,7 +148,7 @@ class TestCostKernel:
         segments = random_samples(rng, (k, width, 3), scale)
         targets = random_samples(rng, (width, 3), scale)
         cfg = ObjectiveConfig(w1=w1, w2=w2)
-        got = _segment_costs(segments, targets, cfg)
+        got = _segment_costs(_segment_moments(segments), targets, cfg)
         assert got.shape == (width,)
         for j in range(width):
             segment = np.array(segments[:, j])
@@ -157,14 +162,15 @@ class TestCostKernel:
         cfg = ObjectiveConfig(w1=[1.0, 0.7, 1.3], w2=[0.5, 0.4, 0.6])
         segments = random_samples(rng, (12, 30, 3), 1.0)
         targets = random_samples(rng, (30, 3), 1.0)
-        got = _segment_costs(segments, targets, cfg)
+        got = _segment_costs(_segment_moments(segments), targets, cfg)
         for j in range(30):
             cost = evaluate_cost(make_traj(segments[:, j]), GaitParameter(*targets[j]), cfg)
             assert np.float64(cost).tobytes() == got[j].tobytes()
 
     def test_no_rows(self):
         # what the reader hands on when every episode fell; no warning either
-        costs = _segment_costs(np.empty((51, 0, 3)), np.empty((0, 3)), ObjectiveConfig())
+        costs = _segment_costs(_segment_moments(np.empty((51, 0, 3))), np.empty((0, 3)),
+                               ObjectiveConfig())
         assert costs.shape == (0,)
 
 

@@ -53,7 +53,7 @@ from gaitbo.pipeline import (
     sim_budget,
 )
 from gaitbo.plant import learning_profile, real_config, run_episode, sim_config, stepping_start
-from gaitbo.safeset import constraint_value, convex_hull, load_polyhedron
+from gaitbo.safeset import constraint_value, convex_hull, load_polyhedron, sweep_commands
 from gaitbo.scheduler import GainTable, apply_corrections, load_table, lookup, save_table
 
 
@@ -956,6 +956,20 @@ class TestBindingSafetyConstraint:
         check_zero_correction_first_and_never_beaten(binding_hull, desk_cfg, table, tmp_path)
 
 
+def reference_table_stats(label: str, sweep) -> TableBenchmark:
+    """_table_stats as a loop over the feasible commands, one row at a time."""
+    if not sweep.feasible_commands:
+        return TableBenchmark(label, 0, None, None)
+    errs = []
+    oscs = []
+    for cmd, mean, low, high in zip(sweep.feasible_commands, sweep.p_c, sweep.p_c_min,
+                                    sweep.p_c_max):
+        errs.append(np.abs(GaitParameter(*mean).as_array() - cmd.as_array()))
+        oscs.append(GaitParameter(*high).as_array() - GaitParameter(*low).as_array())
+    return TableBenchmark(label, len(sweep.feasible_commands),
+                          tuple(np.mean(errs, axis=0)), tuple(np.mean(oscs, axis=0)))
+
+
 class TestBenchmark:
     def test_table_against_itself_ties(self, desk_cfg, desk_run):
         table = load_table(desk_run["paths"]["gaintable_sim"])
@@ -976,6 +990,31 @@ class TestBenchmark:
         assert report.table_b.mean_abs_error is None
         assert report.feasible_winner == "tuned"
         assert report.tracking_winner == "tuned"
+
+    @pytest.mark.parametrize("labels", [("tuned", "tie"), ("tie", "baseline"),
+                                        ("tuned", "tuned")])
+    def test_labels_must_name_distinct_winners(self, labels):
+        table = GainTable.constant(ControlParams([2.0] * 3, [0.5] * 3, np.zeros(3)))
+        with pytest.raises(ConfigurationError, match="labels must differ"):
+            benchmark(table, table, tiny_config(), sim_config(), labels=labels)
+
+    def test_table_stats_equal_the_per_command_loop(self):
+        # A sweep where some commands fall and others complete.
+        values = np.zeros((3, 2, 2, 9))
+        values[..., :6] = np.random.default_rng(3).uniform(0.0, [3.0] * 3 + [1.5] * 3,
+                                                           size=(3, 2, 2, 6))
+        values[2, :, :, :6] = [20.0] * 3 + [0.0] * 3
+        table = GainTable((-0.8, 0.0, 0.8), (-0.3, 0.3), (0.8, 1.0), values)
+        grid = tuple(GaitParameter(vx, vy, h) for vx in np.linspace(-0.8, 0.8, 5)
+                     for vy in (-0.3, 0.3) for h in (0.8, 1.0))
+        sweep = sweep_commands(table, sim_config(), grid, SeedSpec(8))
+        assert 0 < len(sweep.feasible_commands) < len(grid)
+        got = pipeline._table_stats("a", sweep)
+        want = reference_table_stats("a", sweep)
+        assert got.feasible_count == want.feasible_count
+        for name in ("mean_abs_error", "mean_oscillation"):
+            assert (np.array(getattr(got, name)).tobytes()
+                    == np.array(getattr(want, name)).tobytes())
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):

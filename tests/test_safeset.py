@@ -14,10 +14,11 @@ from scipy.spatial import ConvexHull
 from gaitbo.domain import ControlParams, GaitParameter, SeedSpec
 from gaitbo.errors import ConfigurationError, DegenerateGeometryError
 from gaitbo import safeset
-from gaitbo.objective import converged_stats
+from gaitbo.objective import ConvergedStats, converged_stats
 from gaitbo.plant import learning_profile, real_config, run_episode, sim_config, stepping_start
 from gaitbo.safeset import (
     SafePolyhedron,
+    SweepResult,
     constraint_value,
     contains,
     convex_hull,
@@ -70,6 +71,18 @@ class TestConvexHull:
     def test_too_few_points(self):
         with pytest.raises(DegenerateGeometryError):
             convex_hull(TETRA[:3])
+
+    @pytest.mark.parametrize("gamma", [0.0, float("nan")])
+    def test_gamma_checked_before_the_hull(self, gamma):
+        # The message SafePolyhedron gives, not a face or vertex failure
+        # downstream of qhull.
+        with pytest.raises(ConfigurationError, match=r"gamma must be in \(0, 1\]"):
+            convex_hull(CUBE, gamma)
+
+    def test_rejects_non_finite_point(self):
+        points = np.vstack([CUBE, [[np.nan, 0.5, 0.5]]])
+        with pytest.raises(ValueError, match="hull points must be finite"):
+            convex_hull(points)
 
     def test_coplanar_points(self):
         flat = np.array([[0, 0, 0.5], [1, 0, 0.5], [0, 1, 0.5], [1, 1, 0.5],
@@ -461,8 +474,8 @@ def varied_table():
 
 
 def stats_bytes(result):
-    return [tuple(p.as_array().tobytes() for p in (s.p_c, s.p_c_min, s.p_c_max))
-            for s in result.stats]
+    return [tuple(rows[i].tobytes() for rows in (result.p_c, result.p_c_min, result.p_c_max))
+            for i in range(len(result.feasible_commands))]
 
 
 class TestSweep:
@@ -535,10 +548,36 @@ class TestSweep:
         monkeypatch.setattr(safeset, "_SWEEP_CHUNK", 2)
         result = sweep_commands(zero, sim_config(), self.GRID, SeedSpec(0),
                                 segment_duration=100.0)
-        assert result.feasible_commands == () and result.stats == ()
+        assert result.feasible_commands == () and result.p_c.shape == (0, 3)
         with pytest.raises(ConfigurationError, match="needs 250 samples"):
             sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(0),
                            segment_duration=100.0)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), True])
+    def test_segment_duration_must_be_a_positive_finite_number(self, duration):
+        with pytest.raises(ConfigurationError, match="segment_duration must be"):
+            sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(0),
+                           segment_duration=duration)
+
+    def test_no_stats_object_per_completed_episode(self, monkeypatch):
+        # A completed run costs no more ConvergedStats or GaitParameter than a
+        # fallen one: the same grid builds as many under either table.
+        built = []
+        for cls in (ConvergedStats, GaitParameter):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=init, _cls=cls:
+                                built.append(_cls) or _init(self, *args))
+        zero = GainTable.constant(ControlParams(np.zeros(3), np.zeros(3), np.zeros(3)))
+        counts = []
+        for table in (firm_table(), zero):
+            built.clear()
+            result = sweep_commands(table, sim_config(), self.GRID, SeedSpec(0))
+            counts.append((len(result.feasible_commands), built.count(ConvergedStats),
+                           built.count(GaitParameter)))
+        (done, stats_done, gaits_done), (fallen, stats_fallen, gaits_fallen) = counts
+        assert done == len(self.GRID) and fallen == 0
+        assert stats_done == stats_fallen == 0
+        assert gaits_done == gaits_fallen
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -548,3 +587,39 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_commands(firm_table(), sim_config(), (np.array([0, 0, 1.0]),),
                            SeedSpec(0))
+
+
+class TestSweepResult:
+    GRID = TestSweep.GRID
+
+    def test_arrays_are_read_only(self):
+        result = sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(0))
+        for rows in (result.p_c, result.p_c_min, result.p_c_max):
+            assert rows.shape == (len(result.feasible_commands), 3)
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
+
+    def test_given_arrays_are_copied(self):
+        rows = np.array([[0.1, 0.0, 1.0]])
+        result = SweepResult((GaitParameter(0.1, 0.0, 1.0),), self.GRID, rows, rows, rows)
+        rows[0, 0] = 9.0
+        assert result.p_c[0, 0] == 0.1
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_rows_must_pair_up_with_feasible_commands(self, count):
+        rows = np.ones((count, 3))
+        with pytest.raises(ValueError, match="p_c must have shape"):
+            SweepResult((GaitParameter(0.1, 0.0, 1.0),), self.GRID, rows, rows, rows)
+
+    def test_all_fallen_sweep_has_no_rows(self):
+        zero = GainTable.constant(ControlParams(np.zeros(3), np.zeros(3), np.zeros(3)))
+        result = sweep_commands(zero, sim_config(), self.GRID, SeedSpec(0))
+        assert result.feasible_commands == ()
+        for rows in (result.p_c, result.p_c_min, result.p_c_max):
+            assert rows.shape == (0, 3)
+        assert result.safe_points == ()
+
+    def test_safe_points_are_the_means(self):
+        result = sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(0))
+        assert [p.as_array().tobytes() for p in result.safe_points] == [
+            row.tobytes() for row in result.p_c]
