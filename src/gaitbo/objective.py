@@ -3,8 +3,9 @@
 Statistics are taken over the trailing segment of a trajectory, long enough
 for transients to settle: the last floor(segment_duration / dt) samples.
 The sweep and every BO evaluation read the rollout's arrays through
-_learning_segments, and _segment_moments is the one reduction of the stacked
-segments: each segment's mean, min and max, row by row.
+_learning_segments, which takes each episode's resolved gain rows, not a
+table; _segment_moments is the one reduction of the stacked segments: each
+segment's mean, min and max, row by row.
 """
 
 from __future__ import annotations
@@ -78,24 +79,27 @@ def _segment_samples(segment_duration: float, dt: float, n_samples: int) -> int:
 
 
 def _learning_episodes(gaits) -> tuple:
-    """Each gait's learning profile and stepping start, as two lists. A start
-    depends on the height alone, so gaits of one height share one."""
-    by_height = {gait.h: gait for gait in gaits}
-    starts = {h: stepping_start(gait) for h, gait in by_height.items()}
-    return [learning_profile(gait) for gait in gaits], [starts[gait.h] for gait in gaits]
+    """Each gait's learning profile, that profile's commands and the stepping
+    start, as three lists. A start depends on the height alone, so gaits of
+    one height share one."""
+    starts = {h: stepping_start(gait) for h, gait in {g.h: g for g in gaits}.items()}
+    profiles = [learning_profile(gait) for gait in gaits]
+    return (profiles, [[cmd for _, cmd in p.entries] for p in profiles],
+            [starts[gait.h] for gait in gaits])
 
 
-def _learning_segments(plant: PlantConfig, tables, profiles, starts, seeds,
+def _learning_segments(plant: PlantConfig, gains, profiles, starts, seeds,
                        segment_duration: float) -> tuple:
-    """Learning episodes from _learning_episodes' (profiles, starts), all in
-    one rollout: episode k under tables[k] with noise from seeds[k].
+    """Learning episodes from _learning_episodes' profiles and starts, all in
+    one rollout: episode k on gains[k], the gain rows of its profile's
+    commands, with noise from seeds[k].
 
     Returns (fell, segments): whether each episode fell, and the trailing
     segments of the completed ones in order, stacked as (samples, completed,
     3). With no episode completed there is no segment to fit, so none is
     checked.
     """
-    times, _, p_hat, _, _, fell = _rollout(plant, tables, profiles, starts, seeds)
+    times, _, p_hat, _, _, fell = _rollout(plant, gains, profiles, starts, seeds)
     completed = ~fell
     k = (_segment_samples(segment_duration, plant.dt, len(times)) if completed.any()
          else len(times))

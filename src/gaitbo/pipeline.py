@@ -8,13 +8,16 @@ plant, constrained to keep the converged gait inside that region. A
 benchmark compares any two tables on identical sweeps.
 
 All randomness descends from one integer seed through named substreams, so
-a whole run is reproducible artifact-for-artifact. The sweep and every BO
-evaluation read episodes from the rollout's arrays, building no Trajectory.
+a whole run is reproducible artifact-for-artifact. Every episode of the
+sweep and of BO runs on gain rows through the rollout's arrays, building no
+Trajectory. A sim episode's rows are its 6 gains and a zero offset, with no
+table; the sweep and each learn-real episode resolve their table's rows.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import logging
 import math
@@ -42,7 +45,8 @@ from .objective import (ObjectiveConfig, _learning_episodes, _learning_segments,
 from .plant import EPISODE_DURATION, PlantConfig, real_config, sim_config
 from .safeset import (SafePolyhedron, SweepResult, _constraint_values, convex_hull,
                       save_polyhedron, sweep_commands)
-from .scheduler import GainTable, _axis_nodes, _node_indices, apply_corrections, lookup, save_table
+from .scheduler import (GainTable, _axis_nodes, _interpolate, _node_indices, _resolve_gains,
+                        apply_corrections, lookup, save_table)
 
 __all__ = [
     "PipelineConfig",
@@ -289,23 +293,26 @@ def _write_log(result: BOResult, out_dir, phase: str, gait: GaitParameter) -> No
     write_run_log(result, os.path.join(run_dir, "log.json"))
 
 
-def _gain_params(x: np.ndarray) -> ControlParams:
-    """The controller of a 6-vector of gains: kP then kD, no command offset."""
-    return ControlParams(x[:3], x[3:6], np.zeros(3))
+def _sim_gains(commands, x: np.ndarray) -> np.ndarray:
+    """The gain rows of a 6-vector of gains at each of an episode's commands:
+    kP then kD, no command offset."""
+    return np.tile(np.concatenate([x, np.zeros(3)]), (len(commands), 1))
 
 
 def _learning_observer(cfg: PipelineConfig, plant: PlantConfig, gaits,
-                       poly: SafePolyhedron | None = None):
-    """observe(tables, seeds): each gait's learning episode under its table,
-    all in one rollout, as a BO run's (cost, h_value, fell). h_value is None
-    without a safe set poly; with one it is constraint_value of the converged
-    gait, or 0.5 for a fall. The episodes' profiles and starts are built once.
+                       poly: SafePolyhedron | None = None) -> tuple:
+    """(commands, observe): commands[k] lists the commands of gaits[k]'s
+    learning profile, and observe(gains, seeds) runs each gait's learning
+    episode on gains[k], one gain row per command, all in one rollout, as a
+    BO run's (cost, h_value, fell). h_value is None without a safe set poly;
+    with one it is constraint_value of the converged gait, or 0.5 for a
+    fall. The episodes' profiles and starts are built once.
     """
-    profiles, starts = _learning_episodes(gaits)
+    profiles, commands, starts = _learning_episodes(gaits)
     targets = np.array([gait.as_array() for gait in gaits])
 
-    def observe(tables, seeds) -> list:
-        fell, segments = _learning_segments(plant, tables, profiles, starts, seeds,
+    def observe(gains, seeds) -> list:
+        fell, segments = _learning_segments(plant, gains, profiles, starts, seeds,
                                             cfg.objective.segment_duration)
         completed = ~fell
         moments = _segment_moments(segments)
@@ -316,20 +323,20 @@ def _learning_observer(cfg: PipelineConfig, plant: PlantConfig, gaits,
         h_values = np.full(len(gaits), 0.5)
         h_values[completed] = _constraint_values(poly, moments[0])
         return list(zip(costs.tolist(), h_values.tolist(), fell.tolist()))
-    return observe
+    return commands, observe
 
 
 def _gain_black_box(gait: GaitParameter, cfg: PipelineConfig, plant: PlantConfig,
                     run_seed: SeedSpec):
     """Evaluate one 6-vector of gains by running a learning episode, the
     i-th seeded from the run seed's episode substream at i."""
-    observe = _learning_observer(cfg, plant, [gait])
+    (commands,), observe = _learning_observer(cfg, plant, [gait])
     calls = 0
 
     def evaluate(x):
         nonlocal calls
         seed, calls = run_seed.derive(_EPISODE_KEY, calls), calls + 1
-        return observe([GainTable.constant(_gain_params(x))], [seed])[0]
+        return observe([_sim_gains(commands, x)], [seed])[0]
     return evaluate
 
 
@@ -349,10 +356,6 @@ def _warm_design(first, run_seed: SeedSpec, box: Box, init_count: int) -> list:
     stream 0."""
     rng = run_seed.generator(0)
     return [first] + [from_unit(rng.random(box.n_dims), box) for _ in range(init_count - 1)]
-
-
-def _best_params(result: BOResult, box: Box) -> ControlParams:
-    return _gain_params(from_unit(result.best_x, box))
 
 
 def _sim_schedule(cfg: PipelineConfig) -> list:
@@ -384,45 +387,28 @@ def _sim_schedule(cfg: PipelineConfig) -> list:
 
 
 def _fill_table(cfg: PipelineConfig, visited: dict) -> GainTable:
-    """Assemble the full grid from per-gait optima.
+    """Assemble the full grid from per-gait optima, 9-vectors keyed by (vx, vy, h).
 
-    Nodes never visited are interpolated from the visited ones when those
-    form a complete sub-grid; otherwise each copies its nearest visited node.
+    Nodes never visited are interpolated from the visited ones, in one
+    _interpolate call, when those form a complete sub-grid; otherwise each
+    copies its nearest visited node.
     """
-    sub_vx = sorted({k[0] for k in visited})
-    sub_vy = sorted({k[1] for k in visited})
-    sub_h = sorted({k[2] for k in visited})
-    complete = len(visited) == len(sub_vx) * len(sub_vy) * len(sub_h) and all(
-        (a, b, c) in visited for a in sub_vx for b in sub_vy for c in sub_h)
-
-    aux = None
-    if complete:
-        values = np.zeros((len(sub_vx), len(sub_vy), len(sub_h), 9))
-        for a, vx in enumerate(sub_vx):
-            for b, vy in enumerate(sub_vy):
-                for c, h in enumerate(sub_h):
-                    values[a, b, c] = visited[(vx, vy, h)].as_vector()
-        aux = GainTable(tuple(sub_vx), tuple(sub_vy), tuple(sub_h), values)
-
-    keys = list(visited)
-    at_node: dict = {}
-    for k in keys:
-        at_node.setdefault(_node_indices(cfg.node_axes, k), k)
-    values = np.zeros((len(cfg.vx_nodes), len(cfg.vy_nodes), len(cfg.h_nodes), 9))
-    for a, vx in enumerate(cfg.vx_nodes):
-        for b, vy in enumerate(cfg.vy_nodes):
-            for c, h in enumerate(cfg.h_nodes):
-                hit = at_node.get((a, b, c))
-                if hit is not None:
-                    params = visited[hit]
-                elif aux is not None:
-                    params = lookup(aux, GaitParameter(vx, vy, h))
-                else:
-                    node = np.array([vx, vy, h])
-                    nearest = min(keys, key=lambda k: float(
-                        np.linalg.norm(np.array(k) - node)))
-                    params = visited[nearest]
-                values[a, b, c] = params.as_vector()
+    sub = [sorted({key[axis] for key in visited}) for axis in range(3)]
+    corners = list(itertools.product(*sub))  # the visited keys are among them
+    nodes = np.stack(np.meshgrid(*cfg.node_axes, indexing="ij"), axis=-1)
+    values = np.zeros(nodes.shape[:3] + (9,))
+    unvisited = np.ones(nodes.shape[:3], dtype=bool)
+    for key in reversed(visited):  # so the first key on a node wins
+        index = _node_indices(cfg.node_axes, key)
+        values[index], unvisited[index] = visited[key], False
+    if len(visited) == len(corners) and unvisited.any():
+        aux = GainTable(*sub, np.reshape([visited[key] for key in corners],
+                                         tuple(map(len, sub)) + (9,)))
+        values[unvisited] = _interpolate(aux, nodes[unvisited])
+    else:
+        for index in zip(*np.nonzero(unvisited)):
+            nearest = min(visited, key=lambda k: float(np.linalg.norm(np.array(k) - nodes[index])))
+            values[index] = visited[nearest]
     return GainTable(cfg.vx_nodes, cfg.vy_nodes, cfg.h_nodes, values)
 
 
@@ -443,7 +429,7 @@ def _sim_levels(schedule: list) -> list:
 
 
 def _run_level(what: str, runs: list, iterations: int, init_count: int,
-               cfg: PipelineConfig, plant: PlantConfig, episode_table,
+               cfg: PipelineConfig, plant: PlantConfig, episode_gains,
                poly: SafePolyhedron | None = None) -> list:
     """The BO runs of one level in lockstep; runs lists each run's
     (gait, run seed, box, first design point), and the runs share the budget,
@@ -451,7 +437,8 @@ def _run_level(what: str, runs: list, iterations: int, init_count: int,
 
     Each step of bo._drive_level reads every run's episode from one call of
     the level's _learning_observer, each seeded by its run's evaluation index;
-    an episode at x runs the table episode_table(gait, x). Each run's results
+    an episode at x runs on the gain rows episode_gains(gait, commands, x) of
+    its learning profile's commands. Each run's results
     equal those of its own optimize call; a failure names the phase's
     quantity (what) and the run's gait.
     """
@@ -460,12 +447,12 @@ def _run_level(what: str, runs: list, iterations: int, init_count: int,
     bo_runs = [_BORun(box, iterations, init_count, spec, seed=run_seed,
                       initial_design=_warm_design(first, run_seed, box, init_count))
                for _, run_seed, box, first in runs]
-    observe = _learning_observer(cfg, plant, gaits, poly)
+    commands, observe = _learning_observer(cfg, plant, gaits, poly)
 
     def episodes(xs) -> list:
-        tables = [episode_table(gait, x) for gait, x in zip(gaits, xs)]
+        gains = [episode_gains(*episode) for episode in zip(gaits, commands, xs)]
         seeds = [run.seed.derive(_EPISODE_KEY, len(run.history)) for run in bo_runs]
-        return [lambda obs=obs: obs for obs in observe(tables, seeds)]
+        return [lambda obs=obs: obs for obs in observe(gains, seeds)]
 
     return _drive_level(bo_runs, episodes, lambda i: _failure_names_gait(what, gaits[i]))
 
@@ -488,7 +475,6 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
     schedule = _sim_schedule(cfg)
     levels = _sim_levels(schedule)
     results: list = [None] * len(schedule)  # by schedule position
-    found: list = [None] * len(schedule)  # each run's optimum
 
     for position in levels[0]:
         _, index, gait, _, _ = schedule[position]
@@ -497,24 +483,22 @@ def learn_sim(cfg: PipelineConfig, out_dir=None, plant: PlantConfig | None = Non
         with _failure_names_gait("gain", gait):
             results[position] = optimize(_gain_black_box(gait, cfg, plant, run_seed), box,
                                          cfg.i1, cfg.init_counts[0], seed=run_seed)
-        found[position] = _best_params(results[position], box)
         _write_log(results[position], out_dir, "sim1", gait)
     for level in levels[1:]:
         runs = []
         for position in level:
             _, index, gait, parent, _ = schedule[position]
             runs.append((gait, root.derive(_STREAM_SIM2, index), box,
-                         np.concatenate([found[parent].kP, found[parent].kD])))
+                         from_unit(results[parent].best_x, box)))
         level_results = _run_level("gain", runs, cfg.i2, cfg.init_counts[1], cfg, plant,
-                                   lambda gait, x: GainTable.constant(_gain_params(x)))
+                                   lambda gait, commands, x: _sim_gains(commands, x))
         for position, result in zip(level, level_results):
             results[position] = result
-            found[position] = _best_params(result, box)
             _write_log(result, out_dir, "sim2", schedule[position][2])
 
-    visited: dict = {}
-    for (phase, _, gait, _, dist), result, params in zip(schedule, results, found):
-        visited[(gait.vx, gait.vy, gait.h)] = params
+    visited: dict = {}  # each run's optimum, as a 9-vector
+    for (phase, _, gait, _, dist), result in zip(schedule, results):
+        visited[(gait.vx, gait.vy, gait.h)] = _sim_gains((gait,), from_unit(result.best_x, box))[0]
         where = "" if dist is None else f" (dist {dist:.3g})"
         logger.info("%s %s%s: best cost %.6g", phase, gait_run_name(gait), where,
                     result.best_cost)
@@ -534,8 +518,6 @@ def extract_safe_set(table: GainTable, cfg: PipelineConfig,
     _check_segment(cfg, plant)
     sweep = sweep_commands(table, plant, grid, cfg.root_seed().derive(_STREAM_SWEEP),
                            segment_duration=cfg.objective.segment_duration)
-    if len(sweep.p_c) < 4:
-        raise SafeSetError(f"only {len(sweep.p_c)} safe points; a solid region needs 4")
     try:
         poly = convex_hull(sweep.p_c, cfg.shrink_factor)
     except DegenerateGeometryError as exc:
@@ -565,24 +547,20 @@ def learn_real(table: GainTable, poly: SafePolyhedron, cfg: PipelineConfig,
              np.zeros(6)) for i, gait in enumerate(cfg.p_real)]
     results = _run_level(
         "correction", runs, cfg.i3, cfg.init_counts[2], cfg, plant,
-        lambda gait, c: apply_corrections(table, [(gait, correction_from_vector(c))]), poly)
+        lambda gait, commands, c: _resolve_gains(
+            [apply_corrections(table, [(gait, correction_from_vector(c))])], [commands])[0], poly)
     corrections = []
-    h_positive = 0
-    h_total = 0
     for (gait, _, box, _), result in zip(runs, results):
-        corr = correction_from_vector(from_unit(result.best_x, box))
-        corrections.append((gait, corr))
-        h_positive += sum(1 for ev in result.history
-                          if ev.h_value is not None and ev.h_value > 0.0)
-        h_total += len(result.history)
+        corrections.append((gait, correction_from_vector(from_unit(result.best_x, box))))
         _write_log(result, out_dir, "real", gait)
         logger.info("real %s: best cost %.6g (incumbent %.6g)",
                     gait_run_name(gait), result.best_cost, result.history[0].cost)
 
-    if h_total:
-        logger.info("real phase safety: %d/%d evaluations violated the safe "
-                    "region (%.1f%%)", h_positive, h_total,
-                    100.0 * h_positive / h_total)
+    h_values = [ev.h_value for result in results for ev in result.history]
+    if h_values:
+        h_positive = sum(1 for h in h_values if h is not None and h > 0.0)
+        logger.info("real phase safety: %d/%d evaluations violated the safe region (%.1f%%)",
+                    h_positive, len(h_values), 100.0 * h_positive / len(h_values))
     corrected = apply_corrections(table, corrections)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

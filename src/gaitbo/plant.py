@@ -9,6 +9,10 @@ walking height), its per-step rate, and a lagged internal command. One step:
 
 A run falls when any tracking-error component exceeds fall_band_width for
 three consecutive steps, or the height drops below min_height.
+
+Episodes run on resolved gains: _rollout takes each episode's [kP, kD,
+deltaP] rows, one per command of its profile. run_episode(s) take gain
+tables and resolve them first, one interpolation per distinct table.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 
 from .domain import GaitParameter, SeedSpec, _readonly_array, _real
 from .errors import ConfigurationError, SimulationError
+from .scheduler import _resolve_gains
 
 __all__ = [
     "PlantConfig",
@@ -280,24 +285,24 @@ def _noise(seeds, n_steps: int, noise_std: np.ndarray) -> np.ndarray:
     return (0.0 + noise_std * z).transpose(1, 0, 2)
 
 
-def _rollout(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
-    """The arrays of run_episodes' batch, before any Trajectory is built.
+def _rollout(cfg: PlantConfig, gains, profiles, initials, seeds) -> tuple:
+    """The arrays of a batch of episodes, before any Trajectory is built.
 
-    Returns (times, p_desired, p_hat, delta_g, length, fell): the
-    n_steps + 1 sample times, the per-sample commands, recorded states and
-    regulator outputs, each (n_steps + 1, n, 3), and per episode its
-    trajectory's length in samples and whether it fell. Samples past an
-    episode's length are those of a fallen episode stepped on.
+    Episode k follows profiles[k] from initials[k] with noise from seeds[k],
+    under gains[k]: the (len(profiles[k].entries), 9) [kP, kD, deltaP] rows
+    of its profile's commands. Returns (times, p_desired, p_hat, delta_g,
+    length, fell): the n_steps + 1 sample times, the per-sample commands,
+    recorded states and regulator outputs, each (n_steps + 1, n, 3), and per
+    episode its trajectory's length in samples and whether it fell. Samples
+    past an episode's length are those of a fallen episode stepped on.
     """
-    from .scheduler import _interpolate  # per call, so a patched _interpolate is the one used
-
-    tables, profiles = tuple(tables), tuple(profiles)
+    gains, profiles = tuple(gains), tuple(profiles)
     initials, seeds = tuple(initials), tuple(seeds)
     n = len(profiles)
-    if n == 0 or not len(tables) == len(initials) == len(seeds) == n:
+    if n == 0 or not len(gains) == len(initials) == len(seeds) == n:
         raise ConfigurationError(
-            f"a batch needs one table, profile, initial state and seed per episode, "
-            f"got {len(tables)}, {n}, {len(initials)} and {len(seeds)}"
+            f"a batch needs gain rows, a profile, an initial state and a seed per episode, "
+            f"got {len(gains)}, {n}, {len(initials)} and {len(seeds)}"
         )
     n_float = profiles[0].total_duration / cfg.dt
     n_steps = int(round(n_float))
@@ -309,43 +314,26 @@ def _rollout(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
     if any(p.total_duration != profiles[0].total_duration for p in profiles):
         raise ConfigurationError("episodes in one batch must share a profile duration")
 
-    # One row of points and resolved gains per distinct (table, command),
-    # keyed by (id(table), command); tables holds every table alive.
-    rows = {}
-    per_table = {}  # id(table) -> (table, its rows, their commands)
-    episode_rows = []  # per episode, the rows of its profile's commands
-    for table, profile in zip(tables, profiles):
-        own = []
-        for _, cmd in profile.entries:
-            key = (id(table), cmd)
-            if key not in rows:
-                rows[key] = len(rows)
-                _, at, commands = per_table.setdefault(id(table), (table, [], []))
-                at.append(rows[key])
-                commands.append((cmd.vx, cmd.vy, cmd.h))
-            own.append(rows[key])
-        episode_rows.append(own)
-    points = np.empty((len(rows), 3))
-    resolved = np.empty((len(rows), 9))
-    for table, at, commands in per_table.values():
-        points[at] = commands
-        resolved[at] = _interpolate(table, points[at])
+    # Every episode's commands and gain rows, stacked in episode order.
+    points = np.array([(cmd.vx, cmd.vy, cmd.h) for p in profiles for _, cmd in p.entries])
+    resolved = np.concatenate(gains)
     if not np.all(np.isfinite(resolved)) or np.any(resolved[:, 0:6] < 0.0):
-        raise ValueError("looked-up gains must be finite with nonnegative kP and kD")
+        raise ValueError("resolved gains must be finite with nonnegative kP and kD")
+    first_row = np.cumsum([0] + [len(g) for g in gains[:-1]])
 
     # Per sample and episode: the active command and its gains, filled once
     # per distinct tuple of profile start times; per step: noise.
     times = np.arange(n_steps + 1) * cfg.dt
     p_des = np.empty((n_steps + 1, n, 3))
-    gains = np.empty((n_steps + 1, n, 9))
+    active_gains = np.empty((n_steps + 1, n, 9))
     starts = {}
     for k, profile in enumerate(profiles):
         starts.setdefault(tuple(start for start, _ in profile.entries), []).append(k)
     for start_times, members in starts.items():
         segment = np.searchsorted(start_times, times, side="right") - 1
-        at = np.array([episode_rows[k] for k in members])[:, segment].T
+        at = first_row[members][None, :] + segment[:, None]
         p_des[:, members] = points[at]
-        gains[:, members] = resolved[at]
+        active_gains[:, members] = resolved[at]
     noise = _noise(seeds, n_steps, cfg.noise_std)
 
     p_hat = np.array([s.p_hat for s in initials])
@@ -357,7 +345,7 @@ def _rollout(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
     # are thrown away below.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
-            dg = regulator_output(gains[i], p_des[i], p_hat, v_hat, cfg.dt)
+            dg = regulator_output(active_gains[i], p_des[i], p_hat, v_hat, cfg.dt)
             rec_p_hat[i] = p_hat
             rec_dg[i] = dg
             if i == n_steps:
@@ -394,17 +382,20 @@ def run_episodes(cfg: PlantConfig, tables, profiles, initials, seeds) -> tuple:
     Episode k runs under tables[k], following profiles[k] from initials[k]
     with noise from seeds[k]; all profiles must share one duration. Every
     distinct table and command is resolved once, in one interpolation per
-    distinct table, and each episode draws its whole noise block up front
-    from its own stream, so every Trajectory equals the one its episode
-    gives alone, bit for bit. Resolved gains must be finite with nonnegative
-    kP and kD, as ControlParams requires; ValueError otherwise. Every
+    distinct table, and the episodes then run on those gain rows. Each
+    episode draws its whole noise block up front from its own stream, so
+    every Trajectory equals the one its episode gives alone, bit for bit.
+    Resolved gains must be finite with nonnegative kP and kD, as
+    ControlParams requires; ValueError otherwise. Every
     episode is stepped to the end; falls and non-finite states are then
     found from the recorded samples, and each trajectory is cut at its fall.
     If a state turned non-finite before its episode fell, SimulationError is
     raised for the first such episode in input order, with its index and the
     step it failed at.
     """
-    times, p_des, p_hat, dg, length, fell = _rollout(cfg, tables, profiles, initials, seeds)
+    profiles = tuple(profiles)
+    gains = _resolve_gains(tables, [[cmd for _, cmd in p.entries] for p in profiles])
+    times, p_des, p_hat, dg, length, fell = _rollout(cfg, gains, profiles, initials, seeds)
     return tuple(
         Trajectory(
             dt=cfg.dt,

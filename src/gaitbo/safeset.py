@@ -20,7 +20,7 @@ from .domain import GaitParameter, SeedSpec, _numbers, _read_json, _readonly_arr
 from .errors import ConfigurationError, DegenerateGeometryError
 from .objective import _learning_episodes, _learning_segments, _segment_moments
 from .plant import PlantConfig
-from .scheduler import GainTable
+from .scheduler import GainTable, _resolve_gains
 
 __all__ = [
     "SweepResult",
@@ -162,9 +162,10 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
                    segment_duration: float = 5.0) -> SweepResult:
     """Drive each grid command through an episode; keep those that complete.
 
-    Every command gets its own derived noise stream, and the grid runs
-    through the batched rollout a chunk at a time, so results do not depend
-    on the chunking: each equals that command's episode run alone.
+    The table is resolved at every command of the grid at once. Every command
+    gets its own derived noise stream, and the grid runs through the batched
+    rollout a chunk at a time, so results do not depend on the chunking: each
+    equals that command's episode run alone.
     """
     grid = tuple(grid)
     if not grid:
@@ -175,12 +176,13 @@ def sweep_commands(table: GainTable, cfg: PlantConfig, grid, seed: SeedSpec,
 
     feasible = []
     moments = []
-    profiles, starts = _learning_episodes(grid)
+    profiles, commands, starts = _learning_episodes(grid)
+    gains = _resolve_gains((table,) * len(grid), commands)
     for first in range(0, len(grid), _SWEEP_CHUNK):
         part = slice(first, first + _SWEEP_CHUNK)
         chunk = grid[part]
         fell, segments = _learning_segments(
-            cfg, (table,) * len(chunk), profiles[part], starts[part],
+            cfg, gains[part], profiles[part], starts[part],
             [seed.derive(first + k) for k in range(len(chunk))], segment_duration)
         feasible.extend(cmd for cmd, down in zip(chunk, fell.tolist()) if not down)
         moments.append(_segment_moments(segments))
@@ -191,17 +193,17 @@ def convex_hull(points, gamma: float = 1.0) -> SafePolyhedron:
     """Hull of the given gait points, shrunk by gamma about the centroid.
 
     Accepts GaitParameter or raw 3-vectors. Raises if gamma is not in (0, 1],
-    or the points are not finite, too few or do not span three dimensions.
+    or the points are too few, not finite or do not span three dimensions.
     """
     gamma = _real(gamma, "gamma", 0.0, 1.0, "(]")
     pts = np.array([p.as_array() if isinstance(p, GaitParameter) else np.asarray(p, dtype=float)
                     for p in points])
+    if len(pts) < 4:
+        raise DegenerateGeometryError(f"need at least 4 points for a solid hull, got {len(pts)}")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"hull points must be 3-vectors, got array shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("hull points must be finite")
-    if pts.shape[0] < 4:
-        raise DegenerateGeometryError(f"need at least 4 points for a solid hull, got {len(pts)}")
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:

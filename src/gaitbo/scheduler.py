@@ -140,6 +140,30 @@ def _interpolate(table: GainTable, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _resolve_gains(tables, commands) -> list:
+    """Each episode's gain rows: row i of entry k is tables[k] at commands[k][i].
+
+    commands[k] is a sequence of GaitParameter. Each distinct table takes one
+    _interpolate call over its distinct commands, so every row equals the
+    vector a lone lookup gives, bit for bit.
+    """
+    tables, commands = tuple(tables), tuple(commands)
+    if len(tables) != len(commands):
+        raise ConfigurationError(
+            f"a batch needs one table per episode, got {len(tables)} for {len(commands)}")
+    distinct = {}  # id(table) -> (table, {command: its row among the table's})
+    at = []  # per command of every episode: its table and row
+    for table, own in zip(tables, commands):
+        rows = distinct.setdefault(id(table), (table, {}))[1]
+        at += [(id(table), rows.setdefault(cmd, len(rows))) for cmd in own]
+    blocks = [_interpolate(table, [(c.vx, c.vy, c.h) for c in rows])
+              for table, rows in distinct.values()]
+    first = dict(zip(distinct, np.cumsum([0] + [len(b) for b in blocks]).tolist()))
+    flat = np.concatenate([np.empty((0, 9)), *blocks])[[first[key] + row for key, row in at]]
+    ends = np.cumsum([len(own) for own in commands]).tolist()
+    return [flat[end - len(own):end] for own, end in zip(commands, ends)]
+
+
 def lookup(table: GainTable, p: GaitParameter) -> ControlParams:
     """Trilinear interpolation of node parameters, clamped outside the grid."""
     return ControlParams.from_vector(_interpolate(table, [[p.vx, p.vy, p.h]])[0])

@@ -30,12 +30,11 @@ from gaitbo.pipeline import (
     BenchmarkReport,
     PipelineConfig,
     TableBenchmark,
-    _best_params,
     _failure_names_gait,
     _fill_table,
     _gain_black_box,
-    _gain_params,
     _learning_observer,
+    _sim_gains,
     _sim_levels,
     _sim_schedule,
     _warm_design,
@@ -54,7 +53,8 @@ from gaitbo.pipeline import (
 )
 from gaitbo.plant import learning_profile, real_config, run_episode, sim_config, stepping_start
 from gaitbo.safeset import constraint_value, convex_hull, load_polyhedron, sweep_commands
-from gaitbo.scheduler import GainTable, apply_corrections, load_table, lookup, save_table
+from gaitbo.scheduler import (GainTable, _interpolate, apply_corrections, load_table, lookup,
+                              save_table)
 
 
 def tiny_config(**overrides):
@@ -394,8 +394,8 @@ def reference_gain_black_box(gait, cfg, plant, run_seed):
 
     def black_box(x):
         idx = next(counter)
-        traj = run_episode(plant, GainTable.constant(_gain_params(x)), profile, start,
-                           run_seed.derive(_EPISODE_KEY, idx))
+        table = GainTable.constant(ControlParams(x[:3], x[3:6], np.zeros(3)))
+        traj = run_episode(plant, table, profile, start, run_seed.derive(_EPISODE_KEY, idx))
         return evaluate_cost(traj, gait, cfg.objective), None, traj.fell
 
     return black_box
@@ -420,11 +420,12 @@ def reference_learn_sim(cfg, out_dir=None):
         result = reference_run_bo("gain", gait,
                                   reference_gain_black_box(gait, cfg, plant, run_seed),
                                   box, run_seed, iterations, init_count, first=first)
-        params = _best_params(result, box)
+        x = from_unit(result.best_x, box)
+        params = ControlParams(x[:3], x[3:6], np.zeros(3))
         found.append(params)
         visited[(gait.vx, gait.vy, gait.h)] = params
         _write_log(result, out_dir, phase, gait)
-    table = _fill_table(cfg, visited)
+    table = _fill_table(cfg, {key: params.as_vector() for key, params in visited.items()})
     if out_dir is not None:
         save_table(table, os.path.join(out_dir, "gaintable_sim.json"))
     return table
@@ -751,14 +752,14 @@ class TestLearningObserver:
     of its own."""
 
     GAITS = [GaitParameter(0.0, 0.0, 1.0), GaitParameter(0.4, 0.0, 1.0)]
-    TABLES = [GainTable.constant(ControlParams(np.full(3, 1.0), np.full(3, 0.5), np.zeros(3))),
-              GainTable.constant(ControlParams(np.zeros(3), np.zeros(3), np.zeros(3)))]
+    # one gain row per command: the stepping gait has one, the walking gait two
+    GAINS = [np.array([[1.0] * 3 + [0.5] * 3 + [0.0] * 3]), np.zeros((2, 9))]
 
     def test_integer_fall_penalty_gives_the_float_costs(self):
         seeds = [SeedSpec(0).derive(1), SeedSpec(0).derive(2)]
         got, want = (
             _learning_observer(tiny_config(objective=ObjectiveConfig(fall_penalty=penalty)),
-                               sim_config(), self.GAITS)(self.TABLES, seeds)
+                               sim_config(), self.GAITS)[1](self.GAINS, seeds)
             for penalty in (100, 100.0))
         assert got == want
         (cost, _, fell), (penalty, _, down) = got
@@ -784,6 +785,15 @@ class TestLearningObserver:
         assert (sorted(built, key=gait_run_name)
                 == sorted(desk_cfg.p_sim1 + desk_cfg.p_sim2, key=gait_run_name))
 
+    def test_desk_learn_sim_builds_no_table_per_episode(self, desk_cfg, monkeypatch):
+        # every BO episode runs on its gain rows; the one table built is the result
+        built = []
+        init = GainTable.__post_init__
+        monkeypatch.setattr(GainTable, "__post_init__",
+                            lambda table: built.append(table) or init(table))
+        table = learn_sim(desk_cfg)
+        assert len(built) == 1 and built[0] is table
+
     def test_gain_black_box_seeds_every_call_past_the_budget(self):
         cfg = tiny_config()
         gait = cfg.p_sim1[0]
@@ -795,6 +805,33 @@ class TestLearningObserver:
         observations = [got(x) for _ in range(calls)]
         assert observations == [want(x) for _ in range(calls)]
         assert len({cost for cost, _, _ in observations}) == calls
+
+
+GAIN_BOX = desk_scale_config().gain_box
+
+
+class TestSimGains:
+    """A sim episode's gain rows, [x, 0, 0, 0] at each command, equal those
+    the one-node table of x resolves to, bit for bit, signs of zero included."""
+
+    COMMANDS = [GaitParameter(0.0, 0.0, 1.0), GaitParameter(0.4, -0.2, 0.8),
+                GaitParameter(-5.0, 5.0, 0.01)]
+
+    def assert_table_rows(self, x):
+        table = GainTable.constant(ControlParams(x[:3], x[3:6], np.zeros(3)))
+        want = _interpolate(table, [(c.vx, c.vy, c.h) for c in self.COMMANDS])
+        assert _sim_gains(self.COMMANDS, x).tobytes() == want.tobytes()
+
+    def test_every_corner_of_the_gain_box(self):
+        corners = list(itertools.product(*zip(GAIN_BOX.lower, GAIN_BOX.upper)))
+        assert len(corners) == 64
+        for corner in corners:
+            self.assert_table_rows(np.array(corner))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*(st.floats(lo, hi) for lo, hi in zip(GAIN_BOX.lower, GAIN_BOX.upper))))
+    def test_points_of_the_gain_box(self, x):
+        self.assert_table_rows(np.array(x))
 
 
 class TestExtractSafeSet:

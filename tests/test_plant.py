@@ -545,6 +545,18 @@ class TestBatchedRollout:
                               for _, cmd in learning_profile(c).entries}
         assert sorted(batches) == sorted({id(table) for table in tables})
 
+    def test_each_episode_records_its_own_commands(self):
+        # (-0.0, 0, 1) equals the walking episode's stepping command (0, 0, 1)
+        # under the same table; the batch still records its own zero's sign.
+        cfg = sim_config()
+        commands = (GaitParameter(0.4, 0.0, 1.0), GaitParameter(-0.0, 0.0, 1.0))
+        episodes = [(learning_profile(cmd), stepping_start(cmd), SeedSpec(k))
+                    for k, cmd in enumerate(commands)]
+        batch = run_episodes(cfg, (MIXED_TABLE,) * 2, *zip(*episodes))
+        for traj, episode in zip(batch, episodes):
+            assert_same_trajectory(traj, run_episode(cfg, MIXED_TABLE, *episode))
+        assert np.signbit(batch[1].p_desired[:, 0]).all()
+
     @pytest.mark.parametrize("node, bad", [(0, -1.0), (3, np.inf), (8, np.nan)])
     def test_resolved_gains_are_checked(self, node, bad):
         cfg = sim_config()

@@ -13,7 +13,7 @@ from scipy.spatial import ConvexHull
 
 from gaitbo.domain import ControlParams, GaitParameter, SeedSpec
 from gaitbo.errors import ConfigurationError, DegenerateGeometryError
-from gaitbo import safeset
+from gaitbo import safeset, scheduler
 from gaitbo.objective import ConvergedStats, converged_stats
 from gaitbo.plant import learning_profile, real_config, run_episode, sim_config, stepping_start
 from gaitbo.safeset import (
@@ -69,8 +69,10 @@ class TestConvexHull:
         assert poly.vertices.shape == (4, 3)
 
     def test_too_few_points(self):
-        with pytest.raises(DegenerateGeometryError):
-            convex_hull(TETRA[:3])
+        # no points at all, as an all-fallen sweep's p_c gives, are too few too
+        for points in (TETRA[:3], [], np.empty((0, 3))):
+            with pytest.raises(DegenerateGeometryError, match="need at least 4 points"):
+                convex_hull(points)
 
     @pytest.mark.parametrize("gamma", [0.0, float("nan")])
     def test_gamma_checked_before_the_hull(self, gamma):
@@ -540,6 +542,17 @@ class TestSweep:
         assert stats_bytes(result) == [
             tuple(p.as_array().tobytes() for p in (s.p_c, s.p_c_min, s.p_c_max))
             for _, s in expected]
+
+    def test_table_is_resolved_once_per_grid(self, monkeypatch):
+        # one interpolation over the grid's distinct commands, not one a chunk
+        calls = []
+        interpolate = scheduler._interpolate
+        monkeypatch.setattr(scheduler, "_interpolate", lambda table, points: calls.append(
+            sorted(map(tuple, points))) or interpolate(table, points))
+        monkeypatch.setattr(safeset, "_SWEEP_CHUNK", 2)
+        sweep_commands(firm_table(), sim_config(), self.GRID, SeedSpec(0))
+        commands = {cmd for c in self.GRID for _, cmd in learning_profile(c).entries}
+        assert calls == [sorted((c.vx, c.vy, c.h) for c in commands)]
 
     def test_fallen_chunk_does_not_check_the_segment(self, monkeypatch):
         # The segment only has to fit in the trajectories of completed runs:

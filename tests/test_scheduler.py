@@ -15,6 +15,7 @@ from gaitbo.errors import ConfigurationError, GridNodeError
 from gaitbo.scheduler import (
     GainTable,
     _interpolate,
+    _resolve_gains,
     apply_corrections,
     load_table,
     lookup,
@@ -236,6 +237,47 @@ class TestInterpolate:
         rows = _interpolate(table, points)
         for row, point in zip(rows, points):
             assert row.tobytes() == _interpolate(table, point[None]).tobytes()
+
+
+class TestResolveGains:
+    """Each episode's gain rows equal a lone lookup at each of its commands,
+    bit for bit, whether tables and commands repeat across episodes or not."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_lone_lookups(self, data):
+        def axis(low):
+            return st.lists(st.floats(low, 3.0), min_size=1, max_size=4,
+                            unique=True).map(sorted)
+
+        tables = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            axes = (data.draw(axis(-3.0)), data.draw(axis(-3.0)), data.draw(axis(0.1)))
+            shape = tuple(len(a) for a in axes)
+            gains = data.draw(arrays(float, shape + (6,), elements=st.floats(0.0, 50.0)))
+            offsets = data.draw(arrays(float, shape + (3,), elements=st.sampled_from(
+                [0.0, -0.0]) | st.floats(-2.0, 2.0)))
+            tables.append(GainTable(*axes, np.concatenate([gains, offsets], axis=-1)))
+        # on a node, between nodes or clamped on the first table's grid; off
+        # the others' grids
+        first = tables[0].axes
+        pool = data.draw(st.lists(st.builds(
+            GaitParameter, axis_query(first[0]), axis_query(first[1]),
+            axis_query(first[2]).map(lambda h: max(h, 1e-3))), min_size=1, max_size=6))
+        episodes = data.draw(st.lists(st.tuples(
+            st.integers(0, len(tables) - 1),
+            st.lists(st.sampled_from(pool), min_size=1, max_size=3)), min_size=1, max_size=6))
+        rows = _resolve_gains([tables[t] for t, _ in episodes], [c for _, c in episodes])
+        assert len(rows) == len(episodes)
+        for got, (t, commands) in zip(rows, episodes):
+            assert got.shape == (len(commands), 9)
+            for row, cmd in zip(got, commands):
+                assert row.tobytes() == lookup(tables[t], cmd).as_vector().tobytes()
+
+    def test_needs_one_table_per_episode(self):
+        table = random_table(np.random.default_rng(1))
+        with pytest.raises(ConfigurationError, match="one table per episode"):
+            _resolve_gains([table] * 2, [[GaitParameter(0.0, 0.0, 1.0)]])
 
 
 class TestUpsert:
