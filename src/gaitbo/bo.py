@@ -7,17 +7,18 @@ computes the candidates' posterior once. The runs of a level refine together
 in one loop: each round builds the rows every run still refining has left in
 its sweep, scores them all in one stacked posterior call, each row rounded as
 if scored on its own, and reads every run's decision from that one result.
+scipy.special loads at the first EI or feasibility value, not on import.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .domain import Box, SeedSpec, _real, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError, SimulationError
@@ -44,6 +45,12 @@ REFINE_STEP_SIZE = 0.05
 HYPER_REFIT_PERIOD = 5
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+@functools.cache
+def _ndtr():
+    from scipy.special import ndtr
+    return ndtr
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,7 @@ class BOResult:
 def _ei_positive(improve, std):
     """Expected improvement for a positive std, given improve = best - mean."""
     z = improve / std
-    return improve * ndtr(z) + std * (np.exp(-0.5 * np.square(z)) / _SQRT_2PI)
+    return improve * _ndtr()(z) + std * (np.exp(-0.5 * np.square(z)) / _SQRT_2PI)
 
 
 def _ei_values(means: np.ndarray, stds: np.ndarray, best) -> np.ndarray:
@@ -149,14 +156,14 @@ def feasibility_from_moments(mean: float, std: float) -> float:
     _check_moments(mean=mean, std=std)
     if std == 0.0:
         return 1.0 if mean <= 0.0 else 0.0
-    return float(ndtr((0.0 - mean) / std))
+    return float(_ndtr()((0.0 - mean) / std))
 
 
 def _feasibility_values(h_model: GPModel, X: np.ndarray) -> np.ndarray:
     means, stds = _posterior_moments(h_model, X)
     out = np.where(means <= 0.0, 1.0, 0.0)
     positive = stds > 0.0
-    out[positive] = ndtr((0.0 - means[positive]) / stds[positive])
+    out[positive] = _ndtr()((0.0 - means[positive]) / stds[positive])
     return out
 
 

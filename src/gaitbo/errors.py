@@ -38,7 +38,7 @@ class NumericalError(GaitBoError, RuntimeError):
 
 
 class DegenerateGeometryError(GaitBoError, ValueError):
-    """Points do not span enough dimensions for a solid polyhedron."""
+    """Points span no solid polyhedron, or one so thin that its face planes miss a vertex."""
 
 
 class SafeSetError(GaitBoError, RuntimeError):

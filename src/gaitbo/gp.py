@@ -8,16 +8,16 @@ distinct lengthscale setting. A fitted model keeps its scaled training
 inputs, so a posterior at new points costs one cross-kernel, one product and
 one LAPACK triangular solve. Rows can also be scored one by one in a single
 call, each against its own model of a stack and rounded as a one-point
-posterior is.
+posterior is. scipy.linalg loads at the first factorization, not on import.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .domain import _real
 from .errors import NumericalError
@@ -40,9 +40,14 @@ _STD_FLOOR = 1e-12
 DEFAULT_LENGTHSCALES = (0.1, 0.2, 0.3, 0.5, 1.0)
 DEFAULT_NOISE_STDS = (1e-3, 1e-2, 1e-1)
 
-# The LAPACK routines scipy.linalg.cholesky, cho_solve and solve_triangular
-# end in for float64 arrays, without those wrappers' per-call checks.
-_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+
+@functools.cache
+def _lapack() -> tuple:
+    """LAPACK potrf, potrs and trtrs for float64, looked up once: what scipy.linalg's
+    cholesky, cho_solve and solve_triangular end in, without their per-call checks."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+
 
 # The error text of scipy's checked wrappers for a non-finite array; a raw
 # potrf would factorize one without complaint, so the checks are made here.
@@ -177,9 +182,10 @@ def _factorize(K: np.ndarray, noise_var: float, signal_var: float,
     """Jittered Cholesky of K + (noise_var + jitter) I and its solve against ys.
 
     Returns (L, alpha, jitter): L lower and Fortran-ordered with a zeroed
-    upper triangle, as _trtrs needs. The jitter starts small and doubles
+    upper triangle, as trtrs needs. The jitter starts small and doubles
     after each failed factorization until it passes a cap.
     """
+    potrf, potrs, _ = _lapack()
     jitter = _JITTER_START * signal_var
     cap = _JITTER_CAP * signal_var
     while True:
@@ -188,7 +194,7 @@ def _factorize(K: np.ndarray, noise_var: float, signal_var: float,
             raise ValueError(_NONFINITE)
         A = np.array(K, order="F")
         np.fill_diagonal(A, diagonal)
-        L, info = _potrf(A, lower=1, clean=1, overwrite_a=1)
+        L, info = potrf(A, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             break
         jitter *= 2.0
@@ -198,7 +204,7 @@ def _factorize(K: np.ndarray, noise_var: float, signal_var: float,
             )
     if not np.all(np.isfinite(ys)):  # standardizing can overflow
         raise ValueError(_NONFINITE)
-    alpha, info = _potrs(L, ys, lower=1)
+    alpha, info = potrs(L, ys, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return L, alpha, jitter
@@ -237,7 +243,7 @@ def _posterior_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.n
     """
     Ks = _cross_kernel(model.twice_scaled_X, model.scaled_sq_norms, Xq, model.hyper)
     mean_s = Ks.T @ model.alpha
-    V, info = _trtrs(model.L, Ks, lower=True)
+    V, info = _lapack()[2](model.L, Ks, lower=True)
     if info != 0:
         raise NumericalError(f"triangular solve failed (LAPACK info {info})")
     var = model.hyper.signal_std**2 - np.add.reduce(V**2, axis=0)
@@ -288,6 +294,7 @@ def _stacked_moments(stack: _ModelStack, owner,
     one in-place LAPACK call per row, against that row's own factor, because
     a multi-column solve rounds differently.
     """
+    trtrs = _lapack()[2]
     if isinstance(owner, slice):
         factors = itertools.repeat(stack.L[owner.start])
     else:
@@ -302,7 +309,7 @@ def _stacked_moments(stack: _ModelStack, owner,
     Ks = np.multiply(sq, signal_var[:, None, None], out=sq)  # (rows, n, 1)
     mean_s = np.matmul(Ks.transpose(0, 2, 1), stack.alpha[owner])[:, 0, 0]
     for k, L in zip(Ks, factors):  # flags passed by position: f2py parses them faster
-        _, info = _trtrs(L, k, 1, 0, 0, len(k), 1)  # lower, lda, in place: k is a view of Ks
+        _, info = trtrs(L, k, 1, 0, 0, len(k), 1)  # lower, lda, in place: k is a view of Ks
         if info != 0:
             raise NumericalError(f"triangular solve failed (LAPACK info {info})")
     # each row's solution contiguous, so its squared sum pairs up as in the one-row call

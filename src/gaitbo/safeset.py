@@ -5,16 +5,16 @@ ones that complete their episode, with where each converged: the mean, min and
 max of its trailing segment from objective._segment_moments, the one
 reduction. The means are hulled (optionally shrunk toward the centroid for
 margin); the signed constraint value of a point is its largest inward-plane
-violation, so h <= 0 means inside.
+violation, so h <= 0 means inside. scipy.spatial loads at the first hull, not on import.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .domain import GaitParameter, SeedSpec, _numbers, _read_json, _readonly_array, _real
 from .errors import ConfigurationError, DegenerateGeometryError
@@ -40,6 +40,12 @@ _UNIT_TOL = 1e-9
 # at once. The full 1,053-command grid as one batch ran about a quarter
 # faster but raised peak memory by 13.6 MB, against 1.6 MB at this size.
 _SWEEP_CHUNK = 128
+
+
+@functools.cache
+def _qhull() -> tuple:
+    from scipy.spatial import ConvexHull, QhullError
+    return ConvexHull, QhullError
 
 
 @dataclass(frozen=True)
@@ -151,7 +157,7 @@ class SafePolyhedron:
             raise ValueError("every inward normal must point toward the centroid")
         worst = depths[1:].max()
         if worst > 1e-9:
-            raise ValueError(f"a vertex violates the face planes by {worst:.3e}")
+            raise DegenerateGeometryError(f"a vertex violates the face planes by {worst:.3e}")
 
     @property
     def centroid(self) -> np.ndarray:
@@ -193,7 +199,7 @@ def convex_hull(points, gamma: float = 1.0) -> SafePolyhedron:
     """Hull of the given gait points, shrunk by gamma about the centroid.
 
     Accepts GaitParameter or raw 3-vectors. Raises if gamma is not in (0, 1],
-    or the points are too few, not finite or do not span three dimensions.
+    or the points are too few, not finite, or too flat or thin for a solid.
     """
     gamma = _real(gamma, "gamma", 0.0, 1.0, "(]")
     pts = np.array([p.as_array() if isinstance(p, GaitParameter) else np.asarray(p, dtype=float)
@@ -204,6 +210,7 @@ def convex_hull(points, gamma: float = 1.0) -> SafePolyhedron:
         raise ValueError(f"hull points must be 3-vectors, got array shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("hull points must be finite")
+    ConvexHull, QhullError = _qhull()
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:

@@ -52,7 +52,8 @@ from gaitbo.pipeline import (
     sim_budget,
 )
 from gaitbo.plant import learning_profile, real_config, run_episode, sim_config, stepping_start
-from gaitbo.safeset import constraint_value, convex_hull, load_polyhedron, sweep_commands
+from gaitbo.safeset import (SweepResult, constraint_value, convex_hull, load_polyhedron,
+                            sweep_commands)
 from gaitbo.scheduler import (GainTable, _interpolate, apply_corrections, load_table, lookup,
                               save_table)
 
@@ -847,6 +848,18 @@ class TestExtractSafeSet:
         zero = GainTable.filled(desk_cfg.vx_nodes, desk_cfg.vy_nodes, desk_cfg.h_nodes,
                                 ControlParams(np.zeros(3), np.zeros(3), np.zeros(3)))
         with pytest.raises(SafeSetError):
+            extract_safe_set(zero, desk_cfg)
+
+    def test_sliver_hull_is_a_safe_set_error(self, desk_cfg, monkeypatch):
+        # Converged means that Qhull hulls into a sliver whose face planes
+        # miss one of its own vertices.
+        sliver = np.array([(0, 0, 1), (0, 0, -1), (1e-9, 5.96e-8, 1), (0, 5.96e-8, 1),
+                           (1, 0, 0)])
+        grid = desk_cfg.sweep_grid()[:len(sliver)]
+        monkeypatch.setattr(pipeline, "sweep_commands",
+                            lambda *args, **kwargs: SweepResult(grid, grid, sliver, sliver, sliver))
+        zero = GainTable.constant(ControlParams(np.zeros(3), np.zeros(3), np.zeros(3)))
+        with pytest.raises(SafeSetError, match="violates the face planes"):
             extract_safe_set(zero, desk_cfg)
 
 

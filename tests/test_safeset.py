@@ -92,6 +92,14 @@ class TestConvexHull:
         with pytest.raises(DegenerateGeometryError):
             convex_hull(flat)
 
+    def test_sliver_whose_face_planes_miss_a_vertex(self):
+        # Qhull hulls these points, but one vertex lies 5.96e-8 behind a face
+        # plane that the hull's own vertices span.
+        sliver = np.array([(0, 0, 1), (0, 0, -1), (1e-9, 5.96e-8, 1), (0, 5.96e-8, 1),
+                           (1, 0, 0)])
+        with pytest.raises(DegenerateGeometryError, match="violates the face planes by 5.960e-08"):
+            convex_hull(sliver)
+
     def test_idempotent_on_own_vertices(self):
         rng = np.random.default_rng(0)
         pts = rng.random((40, 3))
