@@ -13,22 +13,9 @@ import scipy.linalg
 
 import gaitbo
 from gaitbo import bo, gp, safeset
-from gaitbo.domain import ControlParams
-from gaitbo.scheduler import GainTable, save_table
+from test_cli import firm_table_file, write_config, zero_table_file
 
 SUBPACKAGES = ("scipy.linalg", "scipy.special", "scipy.spatial")
-
-TINY = {
-    "seed": 0,
-    "i1": 6, "i2": 4, "i3": 3,
-    "init_counts": [3, 2, 2],
-    "p_sim1": [[0.0, 0.0, 1.0]],
-    "p_sim2": [[0.4, 0.0, 1.0]],
-    "p_real": [[0.0, 0.0, 1.0]],
-    "sweep_vx": [-0.4, 0.0, 0.4],
-    "sweep_vy": [0.0],
-    "sweep_h": [0.8, 1.0],
-}
 
 
 def fresh_run(code: str) -> dict:
@@ -46,31 +33,11 @@ print(json.dumps({{
 }}))
 """
     src = str(Path(gaitbo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code + report], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
-
-
-def table_file(tmp_path, name, params) -> str:
-    path = tmp_path / name
-    save_table(GainTable.constant(ControlParams(*params)), path)
-    return str(path)
-
-
-@pytest.fixture
-def cli_files(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(TINY))
-    return {
-        "cfg": str(cfg),
-        "out": str(tmp_path / "out"),
-        "firm": table_file(tmp_path, "firm.json",
-                           ([2.0, 2.0, 2.0], [0.5, 0.5, 0.5], [0.1, 0.0, 0.0])),
-        "zero": table_file(tmp_path, "zero.json", (np.zeros(3), np.zeros(3), np.zeros(3))),
-    }
 
 
 def run_cli(argv) -> dict:
@@ -84,22 +51,22 @@ class TestImportLoadsNoScipy:
         assert got["loaded"] == []
         assert got["resolved"] == []
 
-    def test_simulate(self, cli_files, tmp_path):
-        got = run_cli(["simulate", "--table", cli_files["firm"], "--command", "0", "0", "1.0",
-                       "--out", str(tmp_path / "t.csv")])
+    def test_simulate(self, tmp_path):
+        got = run_cli(["simulate", "--table", firm_table_file(tmp_path), "--command",
+                       "0", "0", "1.0", "--out", str(tmp_path / "t.csv")])
         assert got == {"exit": 0, "loaded": [], "resolved": []}
 
-    def test_benchmark(self, cli_files):
-        got = run_cli(["benchmark", "--config", cli_files["cfg"], "--output-dir",
-                       cli_files["out"], "--table", cli_files["firm"],
-                       "--against", cli_files["zero"], "--plant", "sim"])
+    def test_benchmark(self, tmp_path):
+        got = run_cli(["benchmark", "--config", write_config(tmp_path), "--output-dir",
+                       str(tmp_path / "out"), "--table", firm_table_file(tmp_path),
+                       "--against", zero_table_file(tmp_path), "--plant", "sim"])
         assert got == {"exit": 0, "loaded": [], "resolved": []}
 
-    def test_extract_safeset_looks_up_only_qhull(self, cli_files):
+    def test_extract_safeset_looks_up_only_qhull(self, tmp_path):
         # scipy.spatial itself imports scipy.linalg and scipy.special, so what
         # the command alone decides is which of gaitbo's handles it resolves.
-        got = run_cli(["extract-safeset", "--config", cli_files["cfg"], "--output-dir",
-                       cli_files["out"], "--table", cli_files["firm"]])
+        got = run_cli(["extract-safeset", "--config", write_config(tmp_path), "--output-dir",
+                       str(tmp_path / "out"), "--table", firm_table_file(tmp_path)])
         assert got["exit"] == 0
         assert "scipy.spatial" in got["loaded"]
         assert got["resolved"] == ["safeset._qhull"]
