@@ -2,12 +2,14 @@
 
 All internal search happens on the unit cube; callers supply a Box and the
 black box is evaluated in original units. Proposals come from a seeded
-candidate sweep followed by coordinate-descent refinement. Each proposal
+candidate sweep followed by a best-improvement refinement. Each proposal
 computes the candidates' posterior once. The runs of a level refine together
-in one loop: each round builds the rows every run still refining has left in
-its sweep, scores them all in one stacked posterior call, each row rounded as
-if scored on its own, and reads every run's decision from that one result.
-scipy.special loads at the first EI or feasibility value, not on import.
+in a fixed number of rounds: each round builds every run's 2d moves along the
+axes as one (runs, 2d, d) array, scores them in one stacked posterior call
+with one triangular solve per run, and moves each run to its best move if
+that improves on it, or halves its step. A run's point does not depend on the
+other runs of its level. scipy.special loads at the first EI or feasibility
+value, not on import.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Box, SeedSpec, _real, from_unit, to_unit
+from .domain import Box, SeedSpec, _real, _whole_number, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError, SimulationError
 from .gp import (GPModel, _fit_best, _ModelStack, _posterior_moments, _stack_models,
                  _stacked_moments, _std_ratio, default_hyper_grid, fit)
@@ -167,67 +169,38 @@ def _feasibility_values(h_model: GPModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine_level(stack: _ModelStack, starts, ratios, bests) -> list:
-    """Coordinate-descent ascent of EI from each start inside the unit cube,
-    the runs advanced together; returns each run's final point.
+def _refine_level(stack: _ModelStack, starts, ratios, bests) -> np.ndarray:
+    """Best-improvement ascent of EI from each start inside the unit cube, the
+    runs advanced together; returns each run's final point, one row per run.
 
     Run j climbs model j's EI below bests[j], its stds scaled by ratios[j].
-    Each sweep tries each coordinate up, then down, keeping each move that
-    beats the best score so far; a sweep without improvement halves the step.
-    Each round scores, in one stacked posterior call, the moves every run has
-    left in its sweep from its current point (its start with the first
-    round), so each run is the one-move-at-a-time search.
+    Each of REFINE_STEPS rounds scores, in one stacked posterior call, all
+    2d moves point ± step along each axis, clipped to the cube, of every run.
+    A run takes its best move (the first, on a tie) if it beats its best
+    score so far, and halves its step otherwise.
     """
-    ratios, bests = np.asarray(ratios), np.asarray(bests)
-    n_moves = 2 * len(starts[0])  # move m shifts coordinate m // 2, up for even m
-    # each run's search: point, step, best score (None until the start point is
-    # scored), sweeps done, first move the sweep has left, whether it improved
-    states = {j: [x.tolist(), REFINE_STEP_SIZE, None, 0, 0, False]
-              for j, x in enumerate(starts)}
-    points = [None] * len(starts)
-    while states:
-        rows, owner, blocks = [], [], []
-        for j, state in list(states.items()):
-            point, step, top, sweep, first, improved = state
-            head, moves = len(rows), []
-            if top is None:
-                rows.append(point)
-            while sweep < REFINE_STEPS:
-                for m in range(first, n_moves):
-                    d = m >> 1
-                    moved = min(max(point[d] + (-step if m & 1 else step), 0.0), 1.0)
-                    if moved != point[d]:
-                        row = point.copy()
-                        row[d] = moved
-                        moves.append(m)
-                        rows.append(row)
-                if moves or top is None:
-                    break
-                if not improved:  # the sweep is over
-                    step *= 0.5
-                sweep, first, improved = sweep + 1, 0, False
-            if sweep == REFINE_STEPS:
-                points[j] = np.array(states.pop(j)[0])
-                continue
-            state[1:] = step, top, sweep, first, improved
-            owner += [j] * (len(rows) - head)
-            blocks.append((state, head, moves))
-        if not blocks:
-            break
-        # one run's model selected by a slice broadcasts instead of being gathered
-        owner = slice(owner[0], owner[0] + 1) if len(blocks) == 1 else np.array(owner)
-        means, stds = _stacked_moments(stack, owner, np.array(rows))
-        scores = _ei_values(means, stds * ratios[owner], bests[owner]).tolist()
-        for state, k, moves in blocks:
-            point, step, top, sweep, first, improved = state
-            if top is None:
-                top, k = scores[k], k + 1
-            first = n_moves
-            for k, m in enumerate(moves, k):
-                if scores[k] > top:
-                    point, top, first, improved = rows[k], scores[k], m + 1, True
-                    break
-            state[:] = point, step, top, sweep, first, improved
+    points = np.array(starts, dtype=float)
+    runs, n_dims = points.shape
+    # move m shifts coordinate m // 2, up for even m
+    shifts = np.repeat(np.eye(n_dims), 2, axis=0) * np.tile([1.0, -1.0], n_dims)[:, None]
+    ratios, bests = np.asarray(ratios)[:, None], np.asarray(bests)[:, None]
+
+    def scores(X):
+        means, stds = _stacked_moments(stack, X)
+        return _ei_values(means, stds * ratios, bests)
+
+    top = scores(points[:, None, :])[:, 0]
+    steps = np.full(runs, REFINE_STEP_SIZE)
+    run = np.arange(runs)
+    for _ in range(REFINE_STEPS):
+        moves = np.clip(points[:, None, :] + steps[:, None, None] * shifts, 0.0, 1.0)
+        move_scores = scores(moves)
+        pick = np.argmax(move_scores, axis=1)
+        gain = move_scores[run, pick]
+        better = gain > top
+        points[better] = moves[better, pick[better]]
+        top[better] = gain[better]
+        steps[~better] *= 0.5
     return points
 
 
@@ -261,8 +234,9 @@ def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | 
 
     The candidates' posterior is computed once; it gives both their EI and
     the adaptive std scale. Unconstrained: maximize expected improvement over
-    a seeded candidate set, then refine by coordinate descent, scoring the
-    moves a sweep has left in one posterior call. Constrained: among
+    a seeded candidate set, then refine in REFINE_STEPS rounds, each scoring
+    all 2d axis moves from the point in one posterior call and taking the
+    best if it improves, else halving the step. Constrained: among
     candidates whose feasibility probability clears 1 - tolerance, maximize
     EI times that probability; if none clears it, fall back to the most
     likely feasible candidate.
@@ -274,8 +248,9 @@ def _propose_level(problems) -> list:
     """propose on each tuple of its arguments, the runs refining together.
 
     Each run takes its own candidate step; the runs left to refine go through
-    one _refine_level, so each point is the one the run would get alone, bit
-    for bit.
+    one _refine_level, whose rounds score every such run's moves in one
+    stacked posterior call. Each point is the one the run would get alone,
+    bit for bit.
     """
     points, refining = [], []
     for obj_model, h_model, spec, best, rng in problems:
@@ -315,8 +290,8 @@ class _BORun:
     def __init__(self, box: Box, iterations: int, init_count: int,
                  spec: ConstraintSpec | None = None, initial_design=None,
                  seed: SeedSpec = SeedSpec(0)):
-        if init_count < 1:
-            raise ConfigurationError(f"init_count must be at least 1, got {init_count}")
+        init_count = _whole_number(init_count, "init_count", 1.0)
+        iterations = _whole_number(iterations, "iterations", 1.0)
         if iterations < init_count:
             raise ConfigurationError(
                 f"iterations ({iterations}) must cover the initial design ({init_count})"

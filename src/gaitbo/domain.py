@@ -81,6 +81,14 @@ def _real(value, name: str, low: float = -math.inf, high: float = math.inf,
     raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
 
 
+def _whole_number(value, name: str, low: float) -> int:
+    """value as an int, if it is a whole number that _real admits from low up."""
+    number = _real(value, name, low, ends="[)")
+    if number != int(number):
+        raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _readonly_array(values, shape: tuple, name: str) -> np.ndarray:
     """values as a finite float array of the given shape, marked read-only."""
     arr = np.array(values, dtype=float)

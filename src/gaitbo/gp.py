@@ -6,15 +6,16 @@ jittered Cholesky that retries with doubled jitter before giving up; fit and
 the hyperparameter search share it, and the search builds one kernel per
 distinct lengthscale setting. A fitted model keeps its scaled training
 inputs, so a posterior at new points costs one cross-kernel, one product and
-one LAPACK triangular solve. Rows can also be scored one by one in a single
-call, each against its own model of a stack and rounded as a one-point
-posterior is. scipy.linalg loads at the first factorization, not on import.
+one LAPACK triangular solve. Models sharing a point count and dimension can be
+stacked and scored in one call, on a block of rows per model; each block gets
+the bits of its model's own posterior, since a single model's posterior is
+that call on a stack of one. scipy.linalg loads at the first factorization,
+not on import.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,24 +236,6 @@ def _fitted(X, ys, y_mean, y_scale, hyper, kernel, factors) -> GPModel:
                    twice_scaled_X=twice_scaled, scaled_sq_norms=sq_norms)
 
 
-def _posterior_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and stds at the rows of a finite 2-D float array, unvalidated.
-
-    posterior_batch validates its input and calls this; the proposal step
-    calls it directly. _stacked_moments gives the bits of one call per row.
-    """
-    Ks = _cross_kernel(model.twice_scaled_X, model.scaled_sq_norms, Xq, model.hyper)
-    mean_s = Ks.T @ model.alpha
-    V, info = _lapack()[2](model.L, Ks, lower=True)
-    if info != 0:
-        raise NumericalError(f"triangular solve failed (LAPACK info {info})")
-    var = model.hyper.signal_std**2 - np.add.reduce(V**2, axis=0)
-    np.maximum(var, 0.0, out=var)
-    mean = mean_s * model.y_scale + model.y_mean
-    std = np.sqrt(var) * model.y_scale
-    return mean, std
-
-
 @dataclass(frozen=True)
 class _ModelStack:
     """Fitted models sharing a point count and dimension, their posterior
@@ -282,44 +265,43 @@ def _stack_models(models) -> _ModelStack:
     )
 
 
-def _stacked_moments(stack: _ModelStack, owner,
-                     Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_posterior_moments at each row of Xq on its own, bit for bit, in one call.
+def _stacked_moments(stack: _ModelStack, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and stds, each (models, m), at a finite (models, m, d)
+    float block, unvalidated: model j of the stack at the rows Xq[j].
 
-    Row r is scored against model owner[r] of the stack: owner is an index
-    array, gathering the models' arrays per row, or a slice naming one model,
-    whose arrays broadcast. The cross-kernel and mean products are stacked,
-    one (n, d) @ (d, 1) and one (1, n) @ (n, 1) per row, which round like the
-    one-row products; plain 2-D products do not. The triangular solve takes
-    one in-place LAPACK call per row, against that row's own factor, because
-    a multi-column solve rounds differently.
+    The cross-kernel and mean products are stacked matmuls, which round as
+    each model's own 2-D products do, and the triangular solve is one
+    multi-column LAPACK call per model, so block j does not depend on the
+    other models.
     """
-    trtrs = _lapack()[2]
-    if isinstance(owner, slice):
-        factors = itertools.repeat(stack.L[owner.start])
-    else:
-        factors = map(stack.L.__getitem__, owner.tolist())
-    B = Xq / stack.lengthscales[owner]
-    sq = np.add(stack.scaled_sq_norms[owner], np.add.reduce(B**2, axis=1)[:, None, None])
-    np.subtract(sq, np.matmul(stack.twice_scaled_X[owner], B[:, :, None]), out=sq)
+    B = Xq / stack.lengthscales[:, None, :]
+    sq = stack.scaled_sq_norms + np.add.reduce(B**2, axis=2)[:, None, :]
+    sq -= np.matmul(stack.twice_scaled_X, B.transpose(0, 2, 1))
     np.maximum(sq, 0.0, out=sq)
     np.multiply(sq, -0.5, out=sq)
     np.exp(sq, out=sq)
-    signal_var = stack.signal_var[owner]
-    Ks = np.multiply(sq, signal_var[:, None, None], out=sq)  # (rows, n, 1)
-    mean_s = np.matmul(Ks.transpose(0, 2, 1), stack.alpha[owner])[:, 0, 0]
-    for k, L in zip(Ks, factors):  # flags passed by position: f2py parses them faster
-        _, info = trtrs(L, k, 1, 0, 0, len(k), 1)  # lower, lda, in place: k is a view of Ks
+    Ks = np.multiply(sq, stack.signal_var[:, None, None], out=sq)  # (models, n, m)
+    mean_s = np.matmul(Ks.transpose(0, 2, 1), stack.alpha)[:, :, 0]
+    trtrs = _lapack()[2]
+    explained = np.empty(mean_s.shape)
+    for j, L in enumerate(stack.L):
+        V, info = trtrs(L, Ks[j], 1)  # lower
         if info != 0:
             raise NumericalError(f"triangular solve failed (LAPACK info {info})")
-    # each row's solution contiguous, so its squared sum pairs up as in the one-row call
-    V = Ks.reshape(len(Ks), -1)
-    var = signal_var - np.add.reduce(V**2, axis=1)
+        explained[j] = np.add.reduce(V**2, axis=0)
+    var = stack.signal_var[:, None] - explained
     np.maximum(var, 0.0, out=var)
-    y_scale = stack.y_scale[owner]
-    mean = mean_s * y_scale + stack.y_mean[owner]
-    std = np.sqrt(var) * y_scale
+    mean = mean_s * stack.y_scale[:, None] + stack.y_mean[:, None]
+    std = np.sqrt(var) * stack.y_scale[:, None]
     return mean, std
+
+
+def _posterior_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and stds at the rows of a finite 2-D float array, unvalidated:
+    _stacked_moments on a stack of one. posterior_batch validates its input and
+    calls this; the proposal step calls it directly."""
+    means, stds = _stacked_moments(_stack_models((model,)), Xq[None])
+    return means[0], stds[0]
 
 
 def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
@@ -331,10 +313,12 @@ def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"query points have {Xq.shape[1]} dims, model has {model.hyper.n_dims}"
         )
-    mean, std = _posterior_moments(model, Xq)
-    # a NaN or +inf coordinate makes its cross-kernel column NaN
-    if not np.all(np.isfinite(mean)):
+    # a NaN or infinite coordinate, or one overflowing over its lengthscale
+    if not np.all(np.isfinite(Xq / model.hyper.lengthscales)):
         raise ValueError("query points must be finite")
+    mean, std = _posterior_moments(model, Xq)
+    if not np.all(np.isfinite(mean)):  # a coordinate near the float limit
+        raise ValueError("query points overflow the kernel")
     return mean, std
 
 

@@ -35,6 +35,7 @@ from .domain import (
     SeedSpec,
     _items,
     _real,
+    _whole_number,
     correction_from_vector,
     from_unit,
 )
@@ -78,14 +79,6 @@ _STREAM_BASELINE = 6
 # within one BO run's SeedSpec, episode noise lives on substream 9,
 # keyed by evaluation index; streams 0 and 1 belong to the optimizer
 _EPISODE_KEY = 9
-
-
-def _whole_number(value, name: str, low: float) -> int:
-    """value as an int, if it is a whole number that _real admits from low up."""
-    number = _real(value, name, low, ends="[)")
-    if number != int(number):
-        raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

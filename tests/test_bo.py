@@ -58,107 +58,45 @@ def reference_ei_values(means, stds, best):
     return out
 
 
-def reference_refine(x, score):
-    """Coordinate refinement as first written: one score call per move."""
-    top = float(score(x))
+def reference_refine(x0, model, ratio, best):
+    """Best-improvement refinement as specified, one run at a time.
+
+    REFINE_STEPS rounds, each scoring the 2d moves x ± step along each axis,
+    clipped to the cube, in one posterior_batch call: the best move (the
+    first, on a tie) is taken if it beats the best score so far, and the
+    step halves otherwise. Returns the final point and its score.
+    """
+    def score(X):
+        means, stds = posterior_batch(model, X)
+        return reference_ei_values(means, stds * ratio, best)
+
+    x = np.array(x0, dtype=float)
+    top = score(x[None, :])[0]
     step = REFINE_STEP_SIZE
     for _ in range(REFINE_STEPS):
-        improved = False
+        moves = []
         for d in range(x.shape[0]):
             for direction in (step, -step):
-                c = np.array(x)
+                c = x.copy()
                 c[d] = min(max(c[d] + direction, 0.0), 1.0)
-                if c[d] == x[d]:
-                    continue
-                val = float(score(c))
-                if val > top:
-                    x, top = c, val
-                    improved = True
-        if not improved:
+                moves.append(c)
+        vals = score(np.array(moves))
+        k = int(np.argmax(vals))
+        if vals[k] > top:
+            x, top = moves[k], vals[k]
+        else:
             step *= 0.5
-    return x
+    return x, top
 
 
-def one_point_score(model, ratio, best):
-    """The refinement score through its own one-point posterior_batch call."""
-    def score(x):
-        m, s = posterior_batch(model, x[None, :])
-        return reference_ei_values(m, s * ratio, best)[0]
-
-    return score
+def _refinement_scores(models, X, ratios, bests):
+    """The refinement score of a (runs, m, d) block: EI of run j's rows under
+    models[j] below bests[j], the posterior stds scaled by ratios[j]."""
+    means, stds = _stacked_moments(_stack_models(models), X)
+    return _ei_values(means, stds * np.asarray(ratios)[:, None], np.asarray(bests)[:, None])
 
 
-def _refinement_scores(model, X, ratio, best):
-    """EI at unit-cube rows, posterior stds scaled by ratio: the refinement score.
-
-    Each row scores bit for bit as it would on its own.
-    """
-    means, stds = _stacked_moments(_stack_models((model,)), slice(0, 1), X)
-    return _ei_values(means, stds * ratio, best)
-
-
-def _refinement_search(x0):
-    """Greedy coordinate-descent ascent of a score inside the unit cube, the
-    oracle of bo._refine_level.
-
-    A generator: it yields 2-D blocks of rows, is sent back their scores, and
-    returns the final point. Each step sweeps every coordinate in both
-    directions, keeping each move that beats the best score so far; a sweep
-    without improvement halves the step size. The moves a sweep has left are
-    yielded as one block from the current point; after an accepted move the
-    rest are yielded again from the new point, so the search is the
-    one-move-at-a-time search, with a block per accepted move.
-    """
-    point = np.array(x0, dtype=float).tolist()
-    n_moves = 2 * len(point)  # move m shifts coordinate m // 2, up for even m
-    step = REFINE_STEP_SIZE
-    best = None
-    for _ in range(REFINE_STEPS):
-        improved = False
-        first = 0
-        while first < n_moves:
-            moves, rows = [], []
-            for m in range(first, n_moves):
-                d = m >> 1
-                moved = min(max(point[d] + (-step if m & 1 else step), 0.0), 1.0)
-                if moved != point[d]:
-                    row = point.copy()
-                    row[d] = moved
-                    moves.append(m)
-                    rows.append(row)
-            if best is None:  # the start point is scored with the first sweep
-                best, *scores = (yield np.array([point] + rows)).tolist()
-            elif rows:
-                scores = (yield np.array(rows)).tolist()
-            else:
-                break
-            first = n_moves
-            for m, row, val in zip(moves, rows, scores):
-                if val > best:
-                    point, best = row, val
-                    improved = True
-                    first = m + 1
-                    break
-        if not improved:
-            step *= 0.5
-    return np.array(point)
-
-
-def oracle_refine(x0, score_rows):
-    """_refinement_search from x0, each block scored by score_rows; returns
-    the final point and the sizes of the blocks scored."""
-    search = _refinement_search(x0)
-    sizes = []
-    try:
-        rows = next(search)
-        while True:
-            sizes.append(len(rows))
-            rows = search.send(score_rows(rows))
-    except StopIteration as stop:
-        return stop.value, sizes
-
-
-def _coordinate_refine(x0, model, ratio, best):
+def _refine_alone(x0, model, ratio, best):
     """_refine_level from x0 alone on model."""
     return _refine_level(_stack_models((model,)), [np.asarray(x0, dtype=float)],
                          [ratio], [best])[0]
@@ -166,15 +104,14 @@ def _coordinate_refine(x0, model, ratio, best):
 
 def reference_propose(obj_model, h_model, spec, best, rng):
     """The proposal step as first written: the candidate posterior computed
-    twice (once for the std ratio), and refinement scoring each point
-    through its own posterior_batch call."""
+    twice (once for the std ratio), then reference_refine."""
     cand = rng.random((N_CANDIDATES, obj_model.X.shape[1]))
     ratio = _std_ratio(obj_model, posterior_batch(obj_model, cand)[1])
     means, stds = posterior_batch(obj_model, cand)
     ei = reference_ei_values(means, stds * ratio, best)
     if h_model is None or spec is None:
         x = np.array(cand[int(np.argmax(ei))], dtype=float)
-        return reference_refine(x, one_point_score(obj_model, ratio, best))
+        return reference_refine(x, obj_model, ratio, best)[0]
     h_means, h_stds = posterior_batch(h_model, cand)
     pf = np.where(h_means <= 0.0, 1.0, 0.0)
     positive = h_stds > 0.0
@@ -328,7 +265,7 @@ class TestProposeBitIdentity:
     @pytest.mark.parametrize("seed", range(4))
     def test_refinement_score_matches_reference(self, seed):
         # A last-bit difference in a score rarely changes the proposal, so the
-        # score itself is compared as well.
+        # score of a round's block of 2d moves is compared as well.
         rng = np.random.default_rng(seed)
         n_dims = int(rng.integers(2, 7))
         n_points = int(rng.integers(1, 101))
@@ -337,11 +274,12 @@ class TestProposeBitIdentity:
                     grid[int(rng.integers(len(grid)))])
         best = float(model.y_mean - model.y_scale)
         for ratio in (1.0, float(rng.uniform(1.0, 50.0))):
-            score = one_point_score(model, ratio, best)
-            for _ in range(10):
-                X = rng.random((int(rng.integers(1, 14)), n_dims))
-                for x, got in zip(X, _refinement_scores(model, X, ratio, best)):
-                    assert got == score(x)
+            for n_rows in (1, 2 * n_dims, int(rng.integers(1, 14))):
+                X = rng.random((n_rows, n_dims))
+                means, stds = posterior_batch(model, X)
+                want = reference_ei_values(means, stds * ratio, best)
+                got = _refinement_scores([model], X[None], [ratio], [best])[0]
+                assert got.tolist() == want.tolist()
 
     @settings(max_examples=30, deadline=None)
     @given(n_points=st.integers(1, 60), n_dims=st.integers(1, 6),
@@ -351,7 +289,7 @@ class TestProposeBitIdentity:
     def test_refinement_from_a_face_or_corner_matches_reference(
             self, n_points, n_dims, data_seed, start):
         # Starts on or near the cube's faces make moves clamp to a face or
-        # fall away as no-ops, and both must match the one-move-at-a-time loop.
+        # stay put, and both must match the one-run reference.
         rng = np.random.default_rng(data_seed)
         grid = default_hyper_grid(n_dims)
         model = fit(rng.random((n_points, n_dims)), rng.normal(0.0, 1.0, n_points),
@@ -359,11 +297,9 @@ class TestProposeBitIdentity:
         best = float(model.y_mean - rng.uniform(0.0, 2.0) * model.y_scale)
         ratio = float(rng.uniform(1.0, 5.0))
         x0 = np.array(start[:n_dims])
-        got = _coordinate_refine(x0, model, ratio, best)
-        want = reference_refine(np.array(x0), one_point_score(model, ratio, best))
+        got = _refine_alone(x0, model, ratio, best)
+        want, _ = reference_refine(x0, model, ratio, best)
         np.testing.assert_array_equal(got, want)
-        oracle, _ = oracle_refine(x0, lambda X: _refinement_scores(model, X, ratio, best))
-        np.testing.assert_array_equal(oracle, want)
 
     @pytest.mark.parametrize("constrained", [False, True])
     @pytest.mark.parametrize("grid_index", range(len(default_hyper_grid(1))))
@@ -399,26 +335,20 @@ class TestLevelScoring:
 
     @settings(max_examples=40, deadline=None)
     @given(n_models=st.integers(2, 6), n_points=st.integers(1, 100),
-           n_dims=st.integers(1, 6), data_seed=st.integers(0, 2**32 - 1))
+           n_dims=st.integers(1, 6), n_rows=st.sampled_from([1, 2, 12, 1024]),
+           data_seed=st.integers(0, 2**32 - 1))
     def test_stacked_scores_match_each_models_own(self, n_models, n_points, n_dims,
-                                                  data_seed):
+                                                  n_rows, data_seed):
         rng = np.random.default_rng(data_seed)
         models = random_models(rng, n_models, n_points, n_dims)
         ratios = [float(r) for r in rng.uniform(1.0, 50.0, n_models)]
         bests = [float(m.y_mean - rng.uniform(0.0, 2.0) * m.y_scale) for m in models]
-        blocks = [rng.random((int(rng.integers(1, 14)), n_dims)) for _ in models]
-        owner = np.concatenate([np.full(len(b), i) for i, b in enumerate(blocks)])
-        X = np.concatenate(blocks)
-        order = rng.permutation(len(X))  # rows of the models interleaved
-        got = np.empty(len(X))
-        means, stds = _stacked_moments(_stack_models(models), owner[order], X[order])
-        got[order] = _ei_values(means, stds * np.array(ratios)[owner[order]],
-                                np.array(bests)[owner[order]])
-        start = 0
-        for model, ratio, best, block in zip(models, ratios, bests, blocks):
-            want = _refinement_scores(model, block, ratio, best)
-            assert got[start:start + len(block)].tolist() == want.tolist()
-            start += len(block)
+        X = rng.random((n_models, n_rows, n_dims))
+        got = _refinement_scores(models, X, ratios, bests)
+        assert got.shape == (n_models, n_rows)
+        for block, model, x, ratio, best in zip(got, models, X, ratios, bests):
+            want = _refinement_scores([model], x[None], [ratio], [best])[0]
+            assert block.tolist() == want.tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(kinds=st.lists(st.sampled_from(["free", "constrained", "fallback"]),
@@ -454,27 +384,24 @@ class TestLevelScoring:
 
 
 class TestRefineLevel:
-    """_refine_level gives each run the oracle search's point, bit for bit,
-    and scores its rows in the rounds the oracle searches take together."""
+    """_refine_level gives each run the reference search's point, bit for bit,
+    in REFINE_STEPS + 1 scoring calls whatever the level's size."""
 
     CUBE_COORDS = [0.0, 1.0, 0.01, 0.97, 0.5, 1.0 - 2.0**-40]
 
     @staticmethod
-    def level_and_oracles(models, starts, ratios, bests):
-        """The level's points and the row count of each of its scoring calls,
-        and each run's oracle search: its point and block sizes."""
+    def level(models, starts, ratios, bests):
+        """The level's points and the block shape of each of its scoring calls."""
         calls = []
 
-        def counted(stack, owner, X):
-            calls.append(len(X))
-            return _stacked_moments(stack, owner, X)
+        def counted(stack, X):
+            calls.append(X.shape)
+            return _stacked_moments(stack, X)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("gaitbo.bo._stacked_moments", counted)
             got = _refine_level(_stack_models(models), starts, ratios, bests)
-        oracles = [oracle_refine(x0, lambda X, m=m, r=r, b=b: _refinement_scores(m, X, r, b))
-                   for m, x0, r, b in zip(models, starts, ratios, bests)]
-        return got, calls, oracles
+        return got, calls
 
     @settings(max_examples=40, deadline=None)
     @given(n_runs=st.integers(1, 5), n_points=st.integers(1, 40), n_dims=st.integers(1, 6),
@@ -483,45 +410,55 @@ class TestRefineLevel:
            random_starts=st.booleans())
     def test_matches_per_run_oracle_searches(self, n_runs, n_points, n_dims, data_seed,
                                              coords, random_starts):
-        # Starts on faces and corners make moves clamp or fall away as no-ops;
-        # incumbents from far below to above the model's mean make runs accept
-        # different numbers of moves, so they leave the level in different rounds.
+        # Starts on faces and corners make moves clamp or stay put; incumbents
+        # from far below to above the model's mean make runs accept different
+        # numbers of moves, so their steps differ within a round.
         rng = np.random.default_rng(data_seed)
         models = random_models(rng, n_runs, n_points, n_dims)
         ratios = [float(r) for r in rng.uniform(1.0, 20.0, n_runs)]
         bests = [float(m.y_mean + rng.uniform(-4.0, 1.0) * m.y_scale) for m in models]
         starts = [rng.random(n_dims) if random_starts else np.array(coords[6 * j:][:n_dims])
                   for j in range(n_runs)]
-        got, calls, oracles = self.level_and_oracles(models, starts, ratios, bests)
-        assert len(got) == n_runs
-        for point, (want, _) in zip(got, oracles):
-            np.testing.assert_array_equal(point, want)
-        sizes = [sizes for _, sizes in oracles]
-        assert len(calls) == max(len(s) for s in sizes)
-        assert calls == [sum(s[k] for s in sizes if k < len(s)) for k in range(len(calls))]
+        got, calls = self.level(models, starts, ratios, bests)
+        assert got.shape == (n_runs, n_dims)
+        assert calls == ([(n_runs, 1, n_dims)]
+                         + [(n_runs, 2 * n_dims, n_dims)] * REFINE_STEPS)
+        for point, model, x0, ratio, best in zip(got, models, starts, ratios, bests):
+            np.testing.assert_array_equal(point, _refine_alone(x0, model, ratio, best))
+            np.testing.assert_array_equal(point, reference_refine(x0, model, ratio, best)[0])
 
-    def test_runs_leave_the_level_in_different_rounds(self):
-        rng = np.random.default_rng(5)
-        models = random_models(rng, 3, 20, 3)
-        bests = [float(m.y_mean + shift * m.y_scale) for m, shift in zip(models, (-3, 0, 1))]
-        starts = [np.zeros(3), np.ones(3), np.full(3, 0.5)]
-        got, calls, oracles = self.level_and_oracles(models, starts, [1.0, 2.0, 5.0], bests)
-        assert len({len(sizes) for _, sizes in oracles}) == 3
-        for point, (want, _) in zip(got, oracles):
-            np.testing.assert_array_equal(point, want)
+    @settings(max_examples=40, deadline=None)
+    @given(n_points=st.integers(1, 40), n_dims=st.integers(1, 6),
+           data_seed=st.integers(0, 2**32 - 1),
+           coords=st.lists(st.sampled_from(CUBE_COORDS), min_size=6, max_size=6),
+           random_start=st.booleans())
+    def test_refined_point_stays_in_the_cube_and_scores_no_worse(
+            self, n_points, n_dims, data_seed, coords, random_start):
+        rng = np.random.default_rng(data_seed)
+        (model,) = random_models(rng, 1, n_points, n_dims)
+        ratio = float(rng.uniform(1.0, 20.0))
+        best = float(model.y_mean + rng.uniform(-4.0, 1.0) * model.y_scale)
+        x0 = rng.random(n_dims) if random_start else np.array(coords[:n_dims])
+        got = _refine_alone(x0, model, ratio, best)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        # the search's own record of the score, which only a strict gain moves
+        point, top = reference_refine(x0, model, ratio, best)
+        np.testing.assert_array_equal(got, point)
+        assert top >= _refinement_scores([model], x0[None, None], [ratio], [best])[0, 0]
 
     def test_zero_std_row_takes_the_clipped_improvement(self):
         # An unjittered one-point model has std exactly 0 at its training
         # input, so the start's EI there is max(best - mean, 0).
         model = fit(np.array([[0.25, 0.5]]), np.array([0.5]), Hyperparams(1.0, [0.5, 0.5], 0.0))
         exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"))
-        X = np.array([[0.25, 0.5], [0.3, 0.5]])
-        means, stds = _stacked_moments(_stack_models((exact,)), slice(0, 1), X)
-        assert stds[0] == 0.0 and stds[1] > 0.0
-        assert _refinement_scores(exact, X, 1.0, 0.9)[0] == max(0.9 - means[0], 0.0)
-        got = _coordinate_refine(X[0], exact, 1.0, 0.9)
-        want, _ = oracle_refine(X[0], lambda rows: _refinement_scores(exact, rows, 1.0, 0.9))
+        X = np.array([[[0.25, 0.5], [0.3, 0.5]]])
+        means, stds = _stacked_moments(_stack_models((exact,)), X)
+        assert stds[0, 0] == 0.0 and stds[0, 1] > 0.0
+        assert _refinement_scores([exact], X, [1.0], [0.9])[0, 0] == max(0.9 - means[0, 0], 0.0)
+        got = _refine_alone(X[0, 0], exact, 1.0, 0.9)
+        want, _ = reference_refine(X[0, 0], exact, 1.0, 0.9)
         np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(got, X[0, 0])
 
 
 class TestOptimize:
@@ -586,6 +523,22 @@ class TestOptimize:
             optimize(self.quadratic, box, iterations=3, init_count=5)
         with pytest.raises(ConfigurationError):
             optimize(self.quadratic, box, iterations=3, init_count=0)
+
+    @pytest.mark.parametrize("iterations, init_count, name", [
+        (2.5, 1, "iterations"), (3, 1.5, "init_count"), ("3", 1, "iterations"),
+        (None, 1, "iterations"), (True, 1, "iterations"), (3, True, "init_count"),
+        (3, None, "init_count"), (math.inf, 1, "iterations"), (math.nan, 1, "iterations"),
+    ])
+    def test_rejects_malformed_budgets(self, iterations, init_count, name):
+        calls = []
+        with pytest.raises(ConfigurationError, match=name):
+            optimize(lambda x: calls.append(x) or 0.0, Box([0.0], [1.0]),
+                     iterations=iterations, init_count=init_count)
+        assert calls == []
+
+    def test_whole_float_budgets_are_counts(self):
+        result = optimize(self.quadratic, Box([0.0], [1.0]), iterations=4.0, init_count=2.0)
+        assert len(result.history) == 4
 
     def test_black_box_failure_carries_history(self):
         box = Box([0.0], [1.0])

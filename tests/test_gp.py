@@ -43,11 +43,6 @@ def posterior_at(model, x):
     return float(mean[0]), float(std[0])
 
 
-def _pointwise_moments(model, Xq):
-    """_stacked_moments for one model: each row of Xq as if scored on its own."""
-    return _stacked_moments(_stack_models((model,)), np.zeros(len(Xq), int), Xq)
-
-
 def dense_posterior(X, y, hyper, xq, jitter):
     """Textbook GP posterior via plain dense solves (no Cholesky reuse).
 
@@ -524,9 +519,17 @@ class TestPosteriorBitIdentity:
     def test_non_finite_query_raises(self):
         model = fit(np.array([[0.2], [0.7]]), np.array([0.0, 1.0]),
                     Hyperparams(1.0, np.array([0.3]), 1e-2))
-        for bad in (np.nan, np.inf):
-            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        # -inf and -1e308 (which overflows over the lengthscale) lie below
+        # every training input, where the kernel gives the prior, not NaN
+        for bad in (np.nan, np.inf, -np.inf, -1e308):
+            with np.errstate(invalid="ignore", over="ignore"), \
+                    pytest.raises(ValueError, match="finite"):
                 posterior_batch(model, np.array([[0.5], [bad]]))
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            posterior_batch(fit(np.array([[0.2, 0.3], [0.7, 0.6]]), np.array([0.0, 1.0]),
+                                Hyperparams(1.0, np.array([0.3, 0.3]), 1e-2)),
+                            np.array([[-np.inf, 0.5]]))
 
     def test_failed_triangular_solve_raises(self):
         model = fit(np.array([[0.2], [0.7]]), np.array([0.0, 1.0]),
@@ -539,33 +542,33 @@ class TestPosteriorBitIdentity:
 
 
 class TestPointwiseMoments:
-    """_pointwise_moments gives each row the bits of a one-row posterior."""
+    """_stacked_moments gives each model's block of rows the bits of that
+    model's own posterior at those rows."""
 
     @pytest.mark.parametrize("grid_index", range(len(default_hyper_grid(1))))
     @settings(max_examples=8, deadline=None)
-    @given(n_points=st.integers(1, 100), n_dims=st.integers(1, 6),
-           n_rows=st.integers(1, 13), data_seed=st.integers(0, 2**32 - 1))
-    def test_rows_match_one_row_calls(self, grid_index, n_points, n_dims, n_rows,
+    @given(n_models=st.integers(1, 5), n_points=st.integers(1, 100),
+           n_dims=st.integers(1, 6), data_seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_one_row_calls(self, grid_index, n_models, n_points, n_dims,
                                       data_seed):
+        # One row per model, as a level scores its runs' start points.
         rng = np.random.default_rng(data_seed)
-        model = fit(rng.random((n_points, n_dims)), rng.normal(0.0, 1.0, n_points),
-                    default_hyper_grid(n_dims)[grid_index])
-        Xq = rng.random((n_rows, n_dims))
-        means, stds = _pointwise_moments(model, Xq)
-        assert means.shape == stds.shape == (n_rows,)
-        for x, mean, std in zip(Xq, means, stds):
-            want_mean, want_std = _posterior_moments(model, x[None, :])
-            assert mean == want_mean[0]
-            assert std == want_std[0]
+        models = [fit(rng.random((n_points, n_dims)), rng.normal(0.0, 1.0, n_points),
+                      default_hyper_grid(n_dims)[grid_index]) for _ in range(n_models)]
+        Xq = rng.random((n_models, 1, n_dims))
+        means, stds = _stacked_moments(_stack_models(models), Xq)
+        assert means.shape == stds.shape == (n_models, 1)
+        for model, x, mean, std in zip(models, Xq, means, stds):
+            want_mean, want_std = reference_posterior_batch(model, x)
+            assert (mean[0], std[0]) == (want_mean[0], want_std[0])
 
     @settings(max_examples=60, deadline=None)
     @given(n_models=st.integers(1, 4), n_points=st.integers(1, 100),
-           n_dims=st.integers(1, 6), n_rows=st.integers(1, 13),
+           n_dims=st.integers(1, 6), n_rows=st.sampled_from([1, 2, 5, 12, 1024]),
            noise_free=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
-    def test_slice_rows_match_one_row_calls(self, n_models, n_points, n_dims, n_rows,
-                                            noise_free, data_seed):
-        # A slice names one model of the stack for every row, whose arrays
-        # broadcast; rows at training inputs of a noise-free model included.
+    def test_blocks_match_each_models_own_posterior(self, n_models, n_points, n_dims,
+                                                    n_rows, noise_free, data_seed):
+        # Rows at training inputs of a noise-free model included.
         rng = np.random.default_rng(data_seed)
         grid = default_hyper_grid(n_dims)
         models = []
@@ -575,27 +578,28 @@ class TestPointwiseMoments:
                 hyper = Hyperparams(hyper.signal_std, hyper.lengthscales, 0.0)
             models.append(fit(rng.random((n_points, n_dims)),
                               rng.normal(0.0, 1.0, n_points), hyper))
-        j = int(rng.integers(n_models))
-        model = models[j]
-        Xq = np.concatenate([rng.random((n_rows, n_dims)), model.X[:3]])
-        means, stds = _stacked_moments(_stack_models(models), slice(j, j + 1), Xq)
-        assert means.shape == stds.shape == (len(Xq),)
-        for x, mean, std in zip(Xq, means, stds):
-            want_mean, want_std = _posterior_moments(model, x[None, :])
-            assert mean == want_mean[0]
-            assert std == want_std[0]
+        Xq = rng.random((n_models, n_rows, n_dims))
+        k = min(n_rows, n_points, 3)
+        Xq[:, :k] = [model.X[:k] for model in models]
+        means, stds = _stacked_moments(_stack_models(models), Xq)
+        assert means.shape == stds.shape == (n_models, n_rows)
+        for model, x, mean, std in zip(models, Xq, means, stds):
+            for want, got in zip(_posterior_moments(model, x), (mean, std)):
+                np.testing.assert_array_equal(got, want)
+            for want, got in zip(reference_posterior_batch(model, x), (mean, std)):
+                np.testing.assert_array_equal(got, want)
 
-    def test_slice_row_with_zero_std(self):
+    def test_block_row_with_zero_std(self):
         # An unjittered one-point model has a std of exactly 0 at its input,
         # whose coordinates and lengthscales make the kernel there exactly 1.
         model = fit(np.array([[0.25, 0.5]]), np.array([2.0]), Hyperparams(1.0, [0.5, 0.5], 0.0))
         exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"))
-        Xq = np.array([[0.25, 0.5], [0.5, 0.5]])
-        means, stds = _stacked_moments(_stack_models((exact,)), slice(0, 1), Xq)
-        assert stds[0] == 0.0 and stds[1] > 0.0
-        for x, mean, std in zip(Xq, means, stds):
-            want_mean, want_std = _posterior_moments(exact, x[None, :])
-            assert (mean, std) == (want_mean[0], want_std[0])
+        Xq = np.array([[[0.25, 0.5], [0.5, 0.5]]])
+        means, stds = _stacked_moments(_stack_models((exact,)), Xq)
+        assert stds[0, 0] == 0.0 and stds[0, 1] > 0.0
+        assert means[0, 0] == 2.0
+        want_mean, want_std = reference_posterior_batch(exact, Xq[0])
+        assert (means[0].tolist(), stds[0].tolist()) == (want_mean.tolist(), want_std.tolist())
 
     def test_failed_triangular_solve_raises(self):
         model = fit(np.array([[0.2], [0.7]]), np.array([0.0, 1.0]),
@@ -604,9 +608,9 @@ class TestPointwiseMoments:
         L[1, 1] = 0.0
         singular = dataclasses.replace(model, L=L)
         with pytest.raises(NumericalError, match="triangular solve"):
-            _pointwise_moments(singular, np.array([[0.4], [0.5]]))
+            _stacked_moments(_stack_models((model, singular)), np.array([[[0.4]], [[0.5]]]))
         with pytest.raises(NumericalError, match="triangular solve"):
-            _stacked_moments(_stack_models((singular,)), slice(0, 1), np.array([[0.4]]))
+            _posterior_moments(singular, np.array([[0.4], [0.5]]))
 
 
 class TestLogMarginalLikelihood:

@@ -94,8 +94,8 @@ class TestHandlesLookedUpOnce:
             models.append(gp.fit(rng.random((n, 2)), rng.random(n), hyper))
             gp._posterior_moments(models[-1], rng.random((4, 2)))
         stack = gp._stack_models(models[1:3])
-        for owner in (slice(0, 1), np.array([0, 1, 1, 0])):
-            gp._stacked_moments(stack, owner, rng.random((4, 2)))
+        for rows in (1, 4):
+            gp._stacked_moments(stack, rng.random((2, rows, 2)))
         gp._fit_best(rng.random((6, 2)), rng.random(6), gp.default_hyper_grid(2))
         assert len(calls) == 1
         assert gp._lapack.cache_info().hits > 10
