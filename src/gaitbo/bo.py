@@ -1,15 +1,17 @@
 """Bayesian optimization with expected improvement and a latent feasibility GP.
 
 All internal search happens on the unit cube; callers supply a Box and the
-black box is evaluated in original units. Proposals come from a seeded
-candidate sweep followed by a best-improvement refinement. Each proposal
-computes the candidates' posterior once. The runs of a level refine together
-in a fixed number of rounds: each round builds every run's 2d moves along the
-axes as one (runs, 2d, d) array, scores them in one stacked posterior call
-with one triangular solve per run, and moves each run to its best move if
-that improves on it, or halves its step. A run's point does not depend on the
-other runs of its level. scipy.special loads at the first EI or feasibility
-value, not on import.
+black box is evaluated in original units. A level of runs proposes in one
+array pass: each run draws its seeded candidates into one (runs, 1024, d)
+block, one stacked posterior call scores it, and each run's std scale, EI and
+pick are array expressions over its row. A constrained run picks among its
+candidates by EI times feasibility, scored in one more stacked call over the
+constrained runs' h models; the other runs refine their best candidates
+together in a fixed number of best-improvement rounds, each scoring every
+run's 2d axis moves as one (runs, 2d, d) block. A run's point does not
+depend on the other runs of its level. EI and feasibility each have one
+elementwise kernel, which the scalar functions read on one element.
+scipy.special loads at the first EI or feasibility value, not on import.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Box, SeedSpec, _real, _whole_number, from_unit, to_unit
+from .domain import Box, SeedSpec, _number, _real, _whole_number, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError, SimulationError
-from .gp import (GPModel, _fit_best, _ModelStack, _posterior_moments, _stack_models,
-                 _stacked_moments, _std_ratio, default_hyper_grid, fit)
+from .gp import (GPModel, _fit_best, _ModelStack, _stack_models, _stacked_moments,
+                 _std_ratio, default_hyper_grid, fit)
 
 __all__ = [
     "Evaluation",
@@ -122,7 +124,8 @@ def _ei_positive(improve, std):
 
 
 def _ei_values(means: np.ndarray, stds: np.ndarray, best) -> np.ndarray:
-    """Vectorized expected improvement below best, minimization convention."""
+    """Elementwise expected improvement below best, minimization convention;
+    a zero std gives the clipped improvement max(best - mean, 0)."""
     improve = best - means
     if stds.min() > 0.0:
         return _ei_positive(improve, stds)
@@ -132,12 +135,21 @@ def _ei_values(means: np.ndarray, stds: np.ndarray, best) -> np.ndarray:
     return out
 
 
+def _feasibility_values(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """Elementwise probability that a Gaussian constraint belief lands at or
+    below zero; a zero std gives the indicator of mean <= 0."""
+    out = np.where(means <= 0.0, 1.0, 0.0)
+    positive = stds > 0.0
+    out[positive] = _ndtr()((0.0 - means[positive]) / stds[positive])
+    return out
+
+
 def _check_moments(**values) -> None:
     """ValueError for a NaN or infinite value, or a negative std."""
     for name, value in values.items():
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, not NaN or infinite, got {value}")
-    if values["std"] < 0.0:
+    if values.get("std", 0.0) < 0.0:
         raise ValueError(f"std must be nonnegative, got {values['std']}")
 
 
@@ -147,26 +159,15 @@ def expected_improvement(mean: float, std: float, best: float) -> float:
     With zero predictive std this degenerates to max(best - mean, 0).
     """
     _check_moments(mean=mean, std=std, best=best)
-    improve = best - mean
-    if std > 0.0:
-        return float(_ei_positive(improve, std))
-    return max(float(improve), 0.0)
+    return float(_ei_values(np.array([mean], dtype=float), np.array([std], dtype=float),
+                            best)[0])
 
 
 def feasibility_from_moments(mean: float, std: float) -> float:
     """Probability that a Gaussian constraint belief lands at or below zero."""
     _check_moments(mean=mean, std=std)
-    if std == 0.0:
-        return 1.0 if mean <= 0.0 else 0.0
-    return float(_ndtr()((0.0 - mean) / std))
-
-
-def _feasibility_values(h_model: GPModel, X: np.ndarray) -> np.ndarray:
-    means, stds = _posterior_moments(h_model, X)
-    out = np.where(means <= 0.0, 1.0, 0.0)
-    positive = stds > 0.0
-    out[positive] = _ndtr()((0.0 - means[positive]) / stds[positive])
-    return out
+    return float(_feasibility_values(np.array([mean], dtype=float),
+                                     np.array([std], dtype=float))[0])
 
 
 def _refine_level(stack: _ModelStack, starts, ratios, bests) -> np.ndarray:
@@ -204,68 +205,74 @@ def _refine_level(stack: _ModelStack, starts, ratios, bests) -> np.ndarray:
     return points
 
 
-def _candidate_step(obj_model: GPModel, h_model: GPModel | None,
-                    spec: ConstraintSpec | None, best: float,
-                    rng: np.random.Generator) -> tuple[np.ndarray, float | None]:
-    """propose up to refinement: the point, and the std ratio to refine it
-    with, or None when the point is final (the constrained branch)."""
-    n = obj_model.X.shape[1]
-    cand = rng.random((N_CANDIDATES, n))
-    means, stds = _posterior_moments(obj_model, cand)
-    ratio = _std_ratio(obj_model, stds)
-    ei = _ei_values(means, stds * ratio, best)
-
-    if h_model is None or spec is None:
-        return cand[int(np.argmax(ei))], ratio
-
-    pf = _feasibility_values(h_model, cand)
-    qualifies = pf >= 1.0 - spec.tolerance
-    if not np.any(qualifies):
-        logger.warning("no candidate clears the feasibility threshold; "
-                       "falling back to the most plausibly feasible point")
-        return np.array(cand[int(np.argmax(pf))]), None
-    score = np.where(qualifies, ei * pf, -np.inf)
-    return np.array(cand[int(np.argmax(score))]), None
-
-
 def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | None,
             best: float, rng: np.random.Generator) -> np.ndarray:
     """Pick the next unit-cube query point.
 
-    The candidates' posterior is computed once; it gives both their EI and
-    the adaptive std scale. Unconstrained: maximize expected improvement over
-    a seeded candidate set, then refine in REFINE_STEPS rounds, each scoring
-    all 2d axis moves from the point in one posterior call and taking the
-    best if it improves, else halving the step. Constrained: among
-    candidates whose feasibility probability clears 1 - tolerance, maximize
-    EI times that probability; if none clears it, fall back to the most
-    likely feasible candidate.
+    N_CANDIDATES candidates are drawn from rng and their posterior computed
+    once; it gives both their EI and the adaptive std scale. Unconstrained:
+    take the best-EI candidate and refine it in REFINE_STEPS rounds, each
+    scoring all 2d axis moves from the point in one posterior call and
+    taking the best if it improves, else halving the step. Constrained:
+    among candidates whose feasibility probability clears 1 - tolerance,
+    maximize EI times that probability; if none clears it, fall back to the
+    most likely feasible candidate. A non-finite best, or an h model whose
+    dimension is not the objective model's, raises ValueError.
     """
     return _propose_level([(obj_model, h_model, spec, best, rng)])[0]
 
 
 def _propose_level(problems) -> list:
-    """propose on each tuple of its arguments, the runs refining together.
-
-    Each run takes its own candidate step; the runs left to refine go through
-    one _refine_level, whose rounds score every such run's moves in one
-    stacked posterior call. Each point is the one the run would get alone,
+    """propose on each (obj_model, h_model, spec, best, rng) tuple, in one
+    array pass over the level; each point is the one its run gets alone,
     bit for bit.
+
+    The level's objective models share a point count and a dimension, and
+    so do the h models of its constrained runs (those given both an h model
+    and a spec). Each run draws its candidates from its own generator into
+    one (runs, N_CANDIDATES, d) block, which one stacked posterior call
+    scores; one more scores the constrained runs' rows under their h models.
+    The other runs' best-EI candidates go through one _refine_level.
     """
-    points, refining = [], []
-    for obj_model, h_model, spec, best, rng in problems:
-        x, ratio = _candidate_step(obj_model, h_model, spec, best, rng)
-        if ratio is not None:
-            refining.append((len(points), x, obj_model, ratio, best))
-        points.append(x)
-    if refining:
-        index, starts, models, ratios, bests = zip(*refining)
-        for i, x in zip(index, _refine_level(_stack_models(models), starts, ratios, bests)):
-            points[i] = x
-    return points
+    if not problems:
+        return []
+    for obj_model, h_model, _, best, _ in problems:
+        _check_moments(best=best)
+        if h_model is not None and h_model.X.shape[1] != obj_model.X.shape[1]:
+            raise ValueError(f"h model has {h_model.X.shape[1]} dims, objective model "
+                             f"has {obj_model.X.shape[1]}")
+    obj_models, h_models, specs, bests, rngs = zip(*problems)
+    cand = np.stack([rng.random((N_CANDIDATES, m.X.shape[1]))
+                     for m, rng in zip(obj_models, rngs)])
+    means, stds = _stacked_moments(_stack_models(obj_models), cand)
+    ratios = _std_ratio(np.array([m.prior_std for m in obj_models]), stds)
+    bests = np.array(bests, dtype=float)
+    ei = _ei_values(means, stds * ratios[:, None], bests[:, None])
+    points = cand[np.arange(len(cand)), np.argmax(ei, axis=1)]
+
+    constrained = np.array([h is not None and spec is not None
+                            for h, spec in zip(h_models, specs)])
+    bound, free = np.flatnonzero(constrained), np.flatnonzero(~constrained)
+    if bound.size:
+        pf = _feasibility_values(*_stacked_moments(_stack_models(h_models[j] for j in bound),
+                                                   cand[bound]))
+        qualifies = pf >= 1.0 - np.array([[specs[j].tolerance] for j in bound])
+        fallback = ~np.any(qualifies, axis=1)
+        for _ in range(np.count_nonzero(fallback)):
+            logger.warning("no candidate clears the feasibility threshold; "
+                           "falling back to the most plausibly feasible point")
+        score = np.where(qualifies, ei[bound] * pf, -np.inf)
+        points[bound] = cand[bound, np.where(fallback, np.argmax(pf, axis=1),
+                                             np.argmax(score, axis=1))]
+    if free.size:
+        points[free] = _refine_level(_stack_models(obj_models[j] for j in free),
+                                     points[free], ratios[free], bests[free])
+    return list(points)
 
 
 def _parse_observation(raw) -> tuple[float, float | None, bool]:
+    """An observation's (cost, h_value, fell): numbers checked by _number,
+    fell a bool; ValueError for anything else."""
     if isinstance(raw, (tuple, list)):
         if len(raw) == 3:
             cost, h, fell = raw
@@ -275,8 +282,12 @@ def _parse_observation(raw) -> tuple[float, float | None, bool]:
         else:
             raise ValueError(f"black box returned a {len(raw)}-tuple; expected "
                              "(cost, h_value, fell)")
-        return float(cost), (None if h is None else float(h)), bool(fell)
-    return float(raw), None, False
+    else:
+        cost, h, fell = raw, None, False
+    if not isinstance(fell, (bool, np.bool_)):
+        raise ValueError(f"fell must be a bool, got {fell!r}")
+    return (_number(cost, "cost"), None if h is None else _number(h, "constraint observation"),
+            bool(fell))
 
 
 class _BORun:
@@ -350,8 +361,8 @@ class _BORun:
         """Record the observation observe() gives at the original-units x_orig.
 
         A failure of observe other than BlackBoxError, an observation of the
-        wrong shape, and a non-finite cost or constraint observation raise
-        BlackBoxError carrying the history so far.
+        wrong shape or type, and a non-finite cost or constraint observation
+        raise BlackBoxError carrying the history so far.
         """
         try:
             cost, h_value, fell = _parse_observation(observe())
@@ -410,10 +421,11 @@ def optimize(black_box, box: Box, iterations: int, init_count: int,
              seed: SeedSpec = SeedSpec(0)) -> BOResult:
     """Run the full loop: initial design, then model-guided proposals.
 
-    black_box maps an original-units point to (cost, h_value, fell); a bare
-    cost is also accepted. iterations is the total evaluation budget
-    including the initial design. The returned best is the best observed
-    evaluation, never a model prediction.
+    black_box maps an original-units point to (cost, h_value, fell), two
+    numbers (h_value may be None) and a bool; a bare cost is also accepted.
+    iterations is the total evaluation budget including the initial design.
+    The returned best is the best observed evaluation, never a model
+    prediction.
     """
     run = _BORun(box, iterations, init_count, spec, initial_design, seed)
     return _drive_level([run], lambda xs: [lambda: black_box(np.array(xs[0]))])[0]

@@ -139,8 +139,7 @@ def _check_dims(X: np.ndarray, n_dims: int) -> None:
         )
 
 
-def _training_data(X, y, n_dims: int,
-                   standardize: bool) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _training_data(X, y, n_dims: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Validated inputs and standardized targets: (X, ys, y_mean, y_scale)."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -156,12 +155,9 @@ def _training_data(X, y, n_dims: int,
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
 
-    if standardize:
-        y_mean = float(y.mean())
-        sd = float(y.std())
-        y_scale = sd if sd >= _STD_FLOOR else 1.0
-    else:
-        y_mean, y_scale = 0.0, 1.0
+    y_mean = float(y.mean())
+    sd = float(y.std())
+    y_scale = sd if sd >= _STD_FLOOR else 1.0
     return X, (y - y_mean) / y_scale, y_mean, y_scale
 
 
@@ -211,14 +207,13 @@ def _factorize(K: np.ndarray, noise_var: float, signal_var: float,
     return L, alpha, jitter
 
 
-def fit(X, y, hyper: Hyperparams, standardize: bool = True) -> GPModel:
+def fit(X, y, hyper: Hyperparams) -> GPModel:
     """Fit a GP to (X, y) under fixed hyperparameters.
 
-    With standardize=True (the default) targets are shifted to zero mean and,
-    unless nearly constant, scaled to unit standard deviation; hyperparameters
-    then refer to the standardized scale.
+    Targets are shifted to zero mean and, unless nearly constant, scaled to
+    unit standard deviation; hyperparameters refer to the standardized scale.
     """
-    X, ys, y_mean, y_scale = _training_data(X, y, hyper.n_dims, standardize)
+    X, ys, y_mean, y_scale = _training_data(X, y, hyper.n_dims)
     kernel = _training_kernel(X, hyper)
     factors = _factorize(kernel[2], hyper.noise_std**2, hyper.signal_std**2, ys)
     return _fitted(X, ys, y_mean, y_scale, hyper, kernel, factors)
@@ -296,14 +291,6 @@ def _stacked_moments(stack: _ModelStack, Xq: np.ndarray) -> tuple[np.ndarray, np
     return mean, std
 
 
-def _posterior_moments(model: GPModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and stds at the rows of a finite 2-D float array, unvalidated:
-    _stacked_moments on a stack of one. posterior_batch validates its input and
-    calls this; the proposal step calls it directly."""
-    means, stds = _stacked_moments(_stack_models((model,)), Xq[None])
-    return means[0], stds[0]
-
-
 def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and standard deviations at query points, original scale."""
     Xq = np.asarray(Xq, dtype=float)
@@ -316,7 +303,7 @@ def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     # a NaN or infinite coordinate, or one overflowing over its lengthscale
     if not np.all(np.isfinite(Xq / model.hyper.lengthscales)):
         raise ValueError("query points must be finite")
-    mean, std = _posterior_moments(model, Xq)
+    (mean,), (std,) = _stacked_moments(_stack_models((model,)), Xq[None])
     if not np.all(np.isfinite(mean)):  # a coordinate near the float limit
         raise ValueError("query points overflow the kernel")
     return mean, std
@@ -369,7 +356,7 @@ def _fit_best(X, y, grid) -> GPModel:
     grid = list(grid)
     if not grid:
         raise ValueError("hyperparameter grid must be nonempty")
-    X, ys, y_mean, y_scale = _training_data(X, y, grid[0].n_dims, standardize=True)
+    X, ys, y_mean, y_scale = _training_data(X, y, grid[0].n_dims)
     kernels = {}
     best = None  # the chosen entry and its factorization
     best_lml = -np.inf
@@ -399,18 +386,15 @@ def _fit_best(X, y, grid) -> GPModel:
     return _fitted(X, ys, y_mean, y_scale, hyper, kernel, factors)
 
 
-def _std_ratio(model: GPModel, stds: np.ndarray) -> float:
-    """Inflation factor keeping the acquisition exploratory late in a run.
+def _std_ratio(prior_stds, stds: np.ndarray) -> np.ndarray:
+    """Inflation factors keeping the acquisition exploratory late in a run,
+    one per row of stds.
 
-    stds are the posterior stds over the candidate set. When their largest
-    has collapsed below a tenth of the prior std, rescale it back up to that
-    floor; otherwise leave the stds untouched.
+    A row holds one model's posterior stds over its candidate set, and
+    prior_stds the models' prior stds. When a row's largest std has collapsed
+    below a tenth of its prior std, its factor rescales it back up to that
+    floor; otherwise the factor is 1.
     """
-    if stds.size == 0:
-        raise ValueError("candidate set must be nonempty")
-    s_max = float(stds.max())
-    floor = 0.1 * model.prior_std
-    s_max = max(s_max, 1e-9 * floor)
-    if s_max < floor:
-        return floor / s_max
-    return 1.0
+    floor = 0.1 * prior_stds
+    s_max = np.maximum(stds.max(axis=-1), 1e-9 * floor)
+    return np.where(s_max < floor, floor / s_max, 1.0)

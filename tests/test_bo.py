@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import logging
 import math
 
 import numpy as np
@@ -106,7 +107,7 @@ def reference_propose(obj_model, h_model, spec, best, rng):
     """The proposal step as first written: the candidate posterior computed
     twice (once for the std ratio), then reference_refine."""
     cand = rng.random((N_CANDIDATES, obj_model.X.shape[1]))
-    ratio = _std_ratio(obj_model, posterior_batch(obj_model, cand)[1])
+    ratio = _std_ratio(obj_model.prior_std, posterior_batch(obj_model, cand)[1])
     means, stds = posterior_batch(obj_model, cand)
     ei = reference_ei_values(means, stds * ratio, best)
     if h_model is None or spec is None:
@@ -238,13 +239,39 @@ class TestPropose:
         rng = SeedSpec(7).generator()
         u = propose(model, None, None, 1.0, rng)
         cand = SeedSpec(7).generator().random((1024, 2))
-        ratio = _std_ratio(model, posterior_batch(model, cand)[1])
+        ratio = _std_ratio(model.prior_std, posterior_batch(model, cand)[1])
 
         def ei_at(pt):
             m, s = posterior_batch(model, np.asarray(pt)[None, :])
             return _ei_values(m, s * ratio, 1.0)[0]
 
         assert ei_at(u) >= ei_at([0.5, 0.5])
+
+    @staticmethod
+    def problem(h_dims=2):
+        """An objective model on two dimensions and an h model on h_dims."""
+        rng = np.random.default_rng(4)
+        X = rng.random((12, 2))
+        obj = fit(X, np.sum((X - 0.5) ** 2, axis=1), Hyperparams(1.0, np.full(2, 0.3), 1e-2))
+        Xh = rng.random((12, h_dims))
+        return obj, fit(Xh, Xh[:, 0] - 0.5, Hyperparams(1.0, np.full(h_dims, 0.3), 1e-3))
+
+    @pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
+    @pytest.mark.parametrize("best", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_best(self, best, constrained):
+        obj, con = self.problem()
+        args = (con, ConstraintSpec()) if constrained else (None, None)
+        with pytest.raises(ValueError, match="best must be finite"):
+            propose(obj, *args, best, SeedSpec(0).generator())
+        with pytest.raises(ValueError, match="best must be finite"):
+            _propose_level([(obj, None, None, 0.0, SeedSpec(1).generator()),
+                            (obj, *args, best, SeedSpec(0).generator())])
+
+    @pytest.mark.parametrize("h_dims", [1, 3])
+    def test_rejects_an_h_model_of_another_dimension(self, h_dims):
+        obj, con = self.problem(h_dims)
+        with pytest.raises(ValueError, match=f"h model has {h_dims} dims, objective model has 2"):
+            propose(obj, con, ConstraintSpec(), 0.0, SeedSpec(0).generator())
 
     def test_constrained_branch_prefers_feasible_region(self):
         rng_data = np.random.default_rng(4)
@@ -330,6 +357,29 @@ def random_models(rng, n_models, n_points, n_dims):
                 grid[int(rng.integers(len(grid)))]) for _ in range(n_models)]
 
 
+def mixed_level(rng, kinds, n_points, n_dims) -> list:
+    """A level's propose arguments, with a generator seed in place of each
+    generator: a "free" run has no constraint, a "constrained" run an h model
+    feasible over part of the cube and a "fallback" run one feasible nowhere."""
+    models = random_models(rng, len(kinds), n_points, n_dims)
+    spec = ConstraintSpec(tolerance=0.05)
+    problems = []
+    for model, kind in zip(models, kinds):
+        h_model = None
+        if kind != "free":
+            # a constraint far above zero leaves no candidate feasible
+            shift = 100.0 if kind == "fallback" else rng.random()
+            h_model = fit(model.X, model.X[:, 0] - 0.5 + shift, model.hyper)
+        best = float(model.y_mean - rng.uniform(0.0, 2.0) * model.y_scale)
+        problems.append((model, h_model, None if kind == "free" else spec, best,
+                         int(rng.integers(2**32))))
+    return problems
+
+
+def with_generators(problems) -> list:
+    return [(*args, SeedSpec(seed).generator()) for *args, seed in problems]
+
+
 class TestLevelScoring:
     """Runs scored together give each run's own scores and proposals, bit for bit."""
 
@@ -357,30 +407,50 @@ class TestLevelScoring:
            data_seed=st.integers(0, 2**32 - 1))
     def test_propose_level_matches_propose_per_run(self, kinds, n_points, n_dims,
                                                    data_seed):
-        rng = np.random.default_rng(data_seed)
-        models = random_models(rng, len(kinds), n_points, n_dims)
-        spec = ConstraintSpec(tolerance=0.05)
-        problems = []
-        for model, kind in zip(models, kinds):
-            h_model = None
-            if kind != "free":
-                # a constraint far above zero leaves no candidate feasible
-                shift = 100.0 if kind == "fallback" else rng.random()
-                h_model = fit(model.X, model.X[:, 0] - 0.5 + shift, model.hyper)
-            best = float(model.y_mean - rng.uniform(0.0, 2.0) * model.y_scale)
-            problems.append((model, h_model, None if kind == "free" else spec, best,
-                             int(rng.integers(2**32))))
-
-        def with_generators():
-            return [(*args, SeedSpec(seed).generator()) for *args, seed in problems]
-
-        got = _propose_level(with_generators())
-        alone = [propose(*args) for args in with_generators()]
-        want = [reference_propose(*args) for args in with_generators()]
+        problems = mixed_level(np.random.default_rng(data_seed), kinds, n_points, n_dims)
+        got = _propose_level(with_generators(problems))
+        alone = [propose(*args) for args in with_generators(problems)]
+        want = [reference_propose(*args) for args in with_generators(problems)]
         assert len(got) == len(alone) == len(want)
         for g, a, w in zip(got, alone, want):
             np.testing.assert_array_equal(g, a)
             np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("kinds", [
+        ["free"], ["constrained"], ["fallback", "fallback"],
+        ["free", "fallback", "constrained", "free", "free"],
+        ["constrained", "free", "fallback"],
+    ])
+    def test_one_scoring_call_per_block(self, kinds, caplog):
+        # One call scores every run's candidates, one the constrained runs'
+        # candidates under their h models, and REFINE_STEPS + 1 refine the
+        # free runs together.
+        n_dims = 3
+        problems = mixed_level(np.random.default_rng(len(kinds)), kinds, 20, n_dims)
+        calls = []
+
+        def counted(stack, X):
+            calls.append(X.shape)
+            return _stacked_moments(stack, X)
+
+        with pytest.MonkeyPatch.context() as patch, caplog.at_level(logging.WARNING):
+            patch.setattr("gaitbo.bo._stacked_moments", counted)
+            got = _propose_level(with_generators(problems))
+        width, free = len(kinds), kinds.count("free")
+        want = [(width, N_CANDIDATES, n_dims)]
+        if free < width:
+            want.append((width - free, N_CANDIDATES, n_dims))
+        if free:
+            want += [(free, 1, n_dims)] + [(free, 2 * n_dims, n_dims)] * REFINE_STEPS
+        assert calls == want
+        # one fallback warning per run that warns alone
+        warnings = len(caplog.records)
+        assert warnings >= kinds.count("fallback")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            for point, args in zip(got, with_generators(problems)):
+                np.testing.assert_array_equal(point, propose(*args))
+        assert len(caplog.records) == warnings
 
 
 class TestRefineLevel:
@@ -597,6 +667,43 @@ class TestOptimize:
                          seed=SeedSpec(8))
         assert len(calls) == at + 1
         assert history_rows(info.value.history) == history_rows(clean.history[:at])
+
+    @pytest.mark.parametrize("bad", [
+        "0.5", True, np.bool_(False), ("0.1", -0.5, False), (0.1, True, False),
+        (0.1, None, "no"), (0.1, -0.5, 1), (0.1, -0.5, None),
+    ], ids=["str_cost", "bool_cost", "numpy_bool_cost", "str_cost_in_tuple", "bool_h",
+            "str_fell", "int_fell", "none_fell"])
+    @pytest.mark.parametrize("at", [1, 5], ids=["design_step", "proposal_step"])
+    def test_mistyped_observation_carries_history(self, bad, at):
+        box = Box([0.0], [1.0])
+
+        def f(x):
+            return float(x[0]), float(x[0]) - 0.5, False
+
+        calls = []
+
+        def mistyped(x):
+            calls.append(x)
+            return bad if len(calls) == at + 1 else f(x)
+
+        with pytest.raises(BlackBoxError, match="must be a (number|bool), got") as info:
+            optimize(mistyped, box, iterations=8, init_count=3, spec=ConstraintSpec(),
+                     seed=SeedSpec(8))
+        clean = optimize(f, box, iterations=8, init_count=3, spec=ConstraintSpec(),
+                         seed=SeedSpec(8))
+        assert len(calls) == at + 1
+        assert history_rows(info.value.history) == history_rows(clean.history[:at])
+
+    def test_numpy_and_integer_observations_are_recorded(self):
+        def f(x):
+            return np.float64(x[0]), int(x[0] > 0.5), np.bool_(x[0] > 0.9)
+
+        res = optimize(f, Box([0.0], [1.0]), iterations=6, init_count=3,
+                       spec=ConstraintSpec(), seed=SeedSpec(9))
+        for ev in res.history:
+            assert (type(ev.cost), type(ev.h_value), type(ev.fell)) == (float, float, bool)
+            assert (ev.cost, ev.h_value, ev.fell) == (ev.x[0], float(ev.x[0] > 0.5),
+                                                      bool(ev.x[0] > 0.9))
 
     def test_fell_and_h_are_recorded(self):
         box = Box([0.0], [1.0])

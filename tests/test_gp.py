@@ -11,7 +11,6 @@ from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from gaitbo.errors import NumericalError
 from gaitbo.gp import (
     _fit_best,
-    _posterior_moments,
     _stack_models,
     _stacked_moments,
     _std_ratio,
@@ -85,7 +84,7 @@ def reference_posterior_batch(model, Xq):
     return mean_s * model.y_scale + model.y_mean, np.sqrt(var) * model.y_scale
 
 
-def reference_fit(X, y, hyper, standardize=True):
+def reference_fit(X, y, hyper):
     """fit as first written: scipy's checked cholesky and cho_solve, with the
     kernel built and the data validated on every call."""
     X = np.asarray(X, dtype=float)
@@ -105,12 +104,9 @@ def reference_fit(X, y, hyper, standardize=True):
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
 
-    if standardize:
-        y_mean = float(y.mean())
-        sd = float(y.std())
-        y_scale = sd if sd >= 1e-12 else 1.0
-    else:
-        y_mean, y_scale = 0.0, 1.0
+    y_mean = float(y.mean())
+    sd = float(y.std())
+    y_scale = sd if sd >= 1e-12 else 1.0
     ys = (y - y_mean) / y_scale
 
     A = X / hyper.lengthscales
@@ -268,11 +264,11 @@ class TestFitBitIdentity:
 
     @settings(max_examples=60, deadline=None)
     @given(n_points=st.integers(1, 100), n_dims=st.integers(1, 6),
-           standardize=st.booleans(), n_duplicates=st.integers(0, 100),
+           n_duplicates=st.integers(0, 100),
            shift=st.sampled_from([0.0, 0.0, 1e2, 1e3, 1e5, 1e7]),
            constant=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference(self, n_points, n_dims, standardize, n_duplicates,
-                               shift, constant, data_seed):
+    def test_matches_reference(self, n_points, n_dims, n_duplicates, shift, constant,
+                               data_seed):
         # Duplicated rows under zero noise make the factorization retry with
         # more jitter; inputs far from the origin make the kernel lose its
         # positive definiteness to rounding and can exhaust the jitter.
@@ -283,8 +279,8 @@ class TestFitBitIdentity:
         y = np.full(n_points, 2.5) if constant else rng.normal(0.0, 3.0, n_points)
         for grid in (default_hyper_grid(n_dims), custom_grid(n_dims)):
             for hyper in grid:
-                self.assert_same_fit(outcome(fit, X, y, hyper, standardize),
-                                     outcome(reference_fit, X, y, hyper, standardize))
+                self.assert_same_fit(outcome(fit, X, y, hyper),
+                                     outcome(reference_fit, X, y, hyper))
             got = outcome(fit_hyper, X, y, grid)
             want = outcome(reference_fit_hyper, X, y, grid)
             assert got is want if isinstance(want, Hyperparams) else got == want
@@ -449,18 +445,18 @@ class TestPosterior:
         assert np.all(stds <= model.prior_std + 1e-9)
 
     def test_more_data_never_raises_uncertainty(self):
-        # With fixed hyperparameters (and no target rescaling) conditioning
-        # on one more point cannot increase the posterior std anywhere.
+        # With fixed hyperparameters conditioning on one more point cannot
+        # increase the posterior std anywhere, on the standardized scale.
         rng = np.random.default_rng(6)
         hyper = Hyperparams(1.0, np.array([0.3, 0.3]), 0.1)
         X = rng.random((12, 2))
         y = rng.normal(0, 1, 12)
         probes = rng.random((100, 2))
-        small = fit(X[:-1], y[:-1], hyper, standardize=False)
-        big = fit(X, y, hyper, standardize=False)
+        small = fit(X[:-1], y[:-1], hyper)
+        big = fit(X, y, hyper)
         _, std_small = posterior_batch(small, probes)
         _, std_big = posterior_batch(big, probes)
-        assert np.all(std_big <= std_small + 1e-8)
+        assert np.all(std_big / big.y_scale <= std_small / small.y_scale + 1e-8)
 
     def test_standardization_is_transparent(self):
         # Fitting 5y + 3 must shift and scale the posterior the same way.
@@ -584,7 +580,7 @@ class TestPointwiseMoments:
         means, stds = _stacked_moments(_stack_models(models), Xq)
         assert means.shape == stds.shape == (n_models, n_rows)
         for model, x, mean, std in zip(models, Xq, means, stds):
-            for want, got in zip(_posterior_moments(model, x), (mean, std)):
+            for want, got in zip(posterior_batch(model, x), (mean, std)):
                 np.testing.assert_array_equal(got, want)
             for want, got in zip(reference_posterior_batch(model, x), (mean, std)):
                 np.testing.assert_array_equal(got, want)
@@ -610,7 +606,7 @@ class TestPointwiseMoments:
         with pytest.raises(NumericalError, match="triangular solve"):
             _stacked_moments(_stack_models((model, singular)), np.array([[[0.4]], [[0.5]]]))
         with pytest.raises(NumericalError, match="triangular solve"):
-            _posterior_moments(singular, np.array([[0.4], [0.5]]))
+            posterior_batch(singular, np.array([[0.4], [0.5]]))
 
 
 class TestLogMarginalLikelihood:
@@ -669,7 +665,7 @@ class TestAdaptiveStdScale:
         model = fit(X, y, Hyperparams(1.0, np.array([0.2, 0.2]), 1e-2))
         # candidates far from data keep posterior std near the prior
         _, stds = posterior_batch(model, np.array([[5.0, 5.0], [6.0, 6.0]]))
-        ratio = _std_ratio(model, stds)
+        ratio = _std_ratio(model.prior_std, stds)
         assert ratio == 1.0
 
     def test_scales_up_collapsed_uncertainty(self):
@@ -678,12 +674,12 @@ class TestAdaptiveStdScale:
         rng = np.random.default_rng(10)
         X = rng.random((40, 1))
         y = 0.3 * X[:, 0]
-        model = fit(X, y, Hyperparams(1.0, np.array([3.0]), 1e-3), standardize=False)
+        model = fit(X, y, Hyperparams(1.0, np.array([3.0]), 1e-3))
         cand = rng.random((64, 1))
         _, stds = posterior_batch(model, cand)
         s_max = stds.max()
         assert s_max < 0.1 * model.prior_std
-        ratio = _std_ratio(model, stds)
+        ratio = _std_ratio(model.prior_std, stds)
         assert ratio == pytest.approx(0.1 * model.prior_std / s_max, rel=1e-12)
         assert ratio * s_max >= 0.1 * model.prior_std - 1e-12
 
@@ -691,13 +687,27 @@ class TestAdaptiveStdScale:
         # s_max at exactly 1% of the prior std must scale by 10.
         rng = np.random.default_rng(11)
         X = rng.random((30, 1))
-        model = fit(X, 0.1 * X[:, 0], Hyperparams(1.0, np.array([5.0]), 1e-3),
-                    standardize=False)
+        model = fit(X, 0.1 * X[:, 0], Hyperparams(1.0, np.array([5.0]), 1e-3))
         cand = rng.random((32, 1))
         _, stds = posterior_batch(model, cand)
         s_max = float(stds.max())
-        ratio = _std_ratio(model, stds)
+        ratio = _std_ratio(model.prior_std, stds)
         assert ratio * s_max == pytest.approx(0.1 * model.prior_std, rel=1e-9)
+
+    def test_each_row_takes_its_own_factor(self):
+        # Rows under the floor, above it and all zero (clamped at 1e-9 of
+        # the floor), each against the rule written out for one row.
+        prior_stds = np.array([1.0, 2.0, 0.5, 3.0])
+        stds = np.random.default_rng(12).uniform(0.0, 1.0, (4, 16)) * prior_stds[:, None]
+        stds[0] *= 0.05
+        stds[2] = 0.0
+        got = _std_ratio(prior_stds, stds)
+        assert got.shape == (4,)
+        for prior_std, row, ratio in zip(prior_stds, stds, got):
+            floor = 0.1 * prior_std
+            s_max = max(float(row.max()), 1e-9 * floor)
+            assert ratio == (floor / s_max if s_max < floor else 1.0)
+        assert got[0] > 1.0 and got[1] == got[3] == 1.0 and got[2] == pytest.approx(1e9)
 
 
 class TestOracleEquivalence:

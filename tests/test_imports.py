@@ -92,7 +92,7 @@ class TestHandlesLookedUpOnce:
         models = []
         for n in (3, 5, 5, 8):
             models.append(gp.fit(rng.random((n, 2)), rng.random(n), hyper))
-            gp._posterior_moments(models[-1], rng.random((4, 2)))
+            gp.posterior_batch(models[-1], rng.random((4, 2)))
         stack = gp._stack_models(models[1:3])
         for rows in (1, 4):
             gp._stacked_moments(stack, rng.random((2, rows, 2)))

@@ -20,6 +20,7 @@ from gaitbo.bo import optimize
 from gaitbo.domain import (ControlParams, GaitParameter, SeedSpec, correction_from_vector,
                            from_unit)
 from gaitbo.errors import BlackBoxError, ConfigurationError, SafeSetError, SimulationError
+from gaitbo.gp import posterior_batch
 from gaitbo.objective import ObjectiveConfig, converged_stats, evaluate_cost
 from gaitbo.pipeline import (
     _EPISODE_KEY,
@@ -911,16 +912,18 @@ def constrained_steps(hull, cfg, table, monkeypatch, caplog) -> tuple[int, int]:
     fallbacks and of proposal steps.
     """
     steps = []
-    candidate_step = bo._candidate_step
+    propose_level = bo._propose_level
 
-    def recording(obj_model, h_model, spec, best, rng):
-        # the same draw the step makes, from a copy of its generator
-        candidates = copy.deepcopy(rng).random((bo.N_CANDIDATES, obj_model.X.shape[1]))
-        x, ratio = candidate_step(obj_model, h_model, spec, best, rng)
-        steps.append((h_model, spec, candidates, x))
-        return x, ratio
+    def recording(problems):
+        # the same draws the level makes, from copies of its generators
+        candidates = [copy.deepcopy(rng).random((bo.N_CANDIDATES, obj_model.X.shape[1]))
+                      for obj_model, *_, rng in problems]
+        points = propose_level(problems)
+        for (_, h_model, spec, _, _), cand, x in zip(problems, candidates, points):
+            steps.append((h_model, spec, cand, x))
+        return points
 
-    monkeypatch.setattr(bo, "_candidate_step", recording)
+    monkeypatch.setattr(bo, "_propose_level", recording)
     with caplog.at_level(logging.WARNING, logger="gaitbo.bo"):
         learn_real(table, hull, cfg)
     proposals = cfg.i3 - cfg.init_counts[2]
@@ -928,7 +931,7 @@ def constrained_steps(hull, cfg, table, monkeypatch, caplog) -> tuple[int, int]:
     fallbacks = 0
     for h_model, spec, candidates, x in steps:
         assert h_model is not None and spec == cfg.constraint
-        pf = bo._feasibility_values(h_model, candidates)
+        pf = bo._feasibility_values(*posterior_batch(h_model, candidates))
         (row,) = np.flatnonzero(np.all(candidates == x, axis=1))
         if np.any(pf >= 1.0 - spec.tolerance):
             assert pf[row] >= 1.0 - spec.tolerance
