@@ -8,10 +8,14 @@ pick are array expressions over its row. A constrained run picks among its
 candidates by EI times feasibility, scored in one more stacked call over the
 constrained runs' h models; the other runs refine their best candidates
 together in a fixed number of best-improvement rounds, each scoring every
-run's 2d axis moves as one (runs, 2d, d) block. A run's point does not
-depend on the other runs of its level. EI and feasibility each have one
-elementwise kernel, which the scalar functions read on one element.
-scipy.special loads at the first EI or feasibility value, not on import.
+run's 2d axis moves as one (runs, 2d, d) block, written in place into one
+array held across rounds. All of a level's scoring calls share one posterior
+workspace, allocated once per level. A run's point does not depend on the
+other runs of its level. EI and feasibility each have one elementwise
+kernel, which the scalar functions read on one element. An observation's
+fields are checked by one rule, for a black box's result and an Evaluation
+alike. scipy.special loads at the first EI or feasibility value, not on
+import.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ import contextlib
 import functools
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import Box, SeedSpec, _number, _real, _whole_number, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError, SimulationError
-from .gp import (GPModel, _fit_best, _ModelStack, _stack_models, _stacked_moments,
-                 _std_ratio, default_hyper_grid, fit)
+from .gp import (GPModel, _fit_best, _ModelStack, _real_array, _stack_models,
+                 _stacked_moments, _std_ratio, _workspace, default_hyper_grid, fit)
 
 __all__ = [
     "Evaluation",
@@ -67,21 +72,30 @@ class Evaluation:
     fell: bool
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
+        x = np.array(_real_array(self.x, "evaluation point"))
         if x.ndim != 1:
             raise ValueError(f"evaluation point must be 1-D, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("evaluation point must be finite")
-        if not np.isfinite(self.cost):
-            raise ValueError(f"evaluation cost must be finite, got {self.cost}")
-        if self.h_value is not None and not np.isfinite(self.h_value):
-            raise ValueError(f"constraint observation must be finite, got {self.h_value}")
+        cost, h_value, fell = _observation_fields(self.cost, self.h_value, self.fell)
+        if not np.isfinite(cost):
+            raise ValueError(f"evaluation cost must be finite, got {cost}")
+        if h_value is not None and not np.isfinite(h_value):
+            raise ValueError(f"constraint observation must be finite, got {h_value}")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "cost", float(self.cost))
-        if self.h_value is not None:
-            object.__setattr__(self, "h_value", float(self.h_value))
-        object.__setattr__(self, "fell", bool(self.fell))
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "h_value", h_value)
+        object.__setattr__(self, "fell", fell)
+
+
+def _observation_fields(cost, h_value, fell) -> tuple[float, float | None, bool]:
+    """An observation's (cost, h_value, fell) as a float, None or a float, and
+    a bool: the numbers through _number, fell a Python or numpy bool;
+    ConfigurationError (a ValueError) for anything else."""
+    if not isinstance(fell, (bool, np.bool_)):
+        raise ConfigurationError(f"fell must be a bool, got {fell!r}")
+    return (_number(cost, "cost"),
+            None if h_value is None else _number(h_value, "constraint observation"),
+            bool(fell))
 
 
 @dataclass(frozen=True)
@@ -145,9 +159,10 @@ def _feasibility_values(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
 
 
 def _check_moments(**values) -> None:
-    """ValueError for a NaN or infinite value, or a negative std."""
+    """ValueError for a value that is not a number (see _number), NaN or
+    infinite, or a negative std."""
     for name, value in values.items():
-        if not np.isfinite(value):
+        if not math.isfinite(_number(value, name)):
             raise ValueError(f"{name} must be finite, not NaN or infinite, got {value}")
     if values.get("std", 0.0) < 0.0:
         raise ValueError(f"std must be nonnegative, got {values['std']}")
@@ -170,7 +185,7 @@ def feasibility_from_moments(mean: float, std: float) -> float:
                                      np.array([std], dtype=float))[0])
 
 
-def _refine_level(stack: _ModelStack, starts, ratios, bests) -> np.ndarray:
+def _refine_level(stack: _ModelStack, starts, ratios, bests, work: np.ndarray) -> np.ndarray:
     """Best-improvement ascent of EI from each start inside the unit cube, the
     runs advanced together; returns each run's final point, one row per run.
 
@@ -178,7 +193,9 @@ def _refine_level(stack: _ModelStack, starts, ratios, bests) -> np.ndarray:
     Each of REFINE_STEPS rounds scores, in one stacked posterior call, all
     2d moves point ± step along each axis, clipped to the cube, of every run.
     A run takes its best move (the first, on a tie) if it beats its best
-    score so far, and halves its step otherwise.
+    score so far, and halves its step otherwise. The moves are written into
+    one block held across rounds, and every call scores in the workspace
+    work (see _stacked_moments).
     """
     points = np.array(starts, dtype=float)
     runs, n_dims = points.shape
@@ -187,21 +204,25 @@ def _refine_level(stack: _ModelStack, starts, ratios, bests) -> np.ndarray:
     ratios, bests = np.asarray(ratios)[:, None], np.asarray(bests)[:, None]
 
     def scores(X):
-        means, stds = _stacked_moments(stack, X)
+        means, stds = _stacked_moments(stack, X, work)
         return _ei_values(means, stds * ratios, bests)
 
     top = scores(points[:, None, :])[:, 0]
     steps = np.full(runs, REFINE_STEP_SIZE)
     run = np.arange(runs)
+    moves = np.empty((runs, 2 * n_dims, n_dims))
     for _ in range(REFINE_STEPS):
-        moves = np.clip(points[:, None, :] + steps[:, None, None] * shifts, 0.0, 1.0)
+        np.multiply(steps[:, None, None], shifts, out=moves)
+        np.add(points[:, None, :], moves, out=moves)
+        np.maximum(moves, 0.0, out=moves)
+        np.minimum(moves, 1.0, out=moves)
         move_scores = scores(moves)
         pick = np.argmax(move_scores, axis=1)
         gain = move_scores[run, pick]
         better = gain > top
-        points[better] = moves[better, pick[better]]
-        top[better] = gain[better]
-        steps[~better] *= 0.5
+        np.copyto(points, moves[run, pick], where=better[:, None])
+        np.copyto(top, gain, where=better)
+        np.copyto(steps, 0.5 * steps, where=~better)
     return points
 
 
@@ -219,10 +240,12 @@ def propose(obj_model: GPModel, h_model: GPModel | None, spec: ConstraintSpec | 
     most likely feasible candidate. A non-finite best, or an h model whose
     dimension is not the objective model's, raises ValueError.
     """
-    return _propose_level([(obj_model, h_model, spec, best, rng)])[0]
+    n_points = max(m.n_points for m in (obj_model, h_model) if m is not None)
+    return _propose_level([(obj_model, h_model, spec, best, rng)],
+                          _workspace(1, n_points, N_CANDIDATES))[0]
 
 
-def _propose_level(problems) -> list:
+def _propose_level(problems, work: np.ndarray) -> list:
     """propose on each (obj_model, h_model, spec, best, rng) tuple, in one
     array pass over the level; each point is the one its run gets alone,
     bit for bit.
@@ -232,7 +255,10 @@ def _propose_level(problems) -> list:
     and a spec). Each run draws its candidates from its own generator into
     one (runs, N_CANDIDATES, d) block, which one stacked posterior call
     scores; one more scores the constrained runs' rows under their h models.
-    The other runs' best-EI candidates go through one _refine_level.
+    The other runs' best-EI candidates go through one _refine_level. Every
+    scoring call works in the workspace work, which must hold
+    _workspace(runs, n, N_CANDIDATES) for the largest point count n of the
+    level's models.
     """
     if not problems:
         return []
@@ -244,7 +270,7 @@ def _propose_level(problems) -> list:
     obj_models, h_models, specs, bests, rngs = zip(*problems)
     cand = np.stack([rng.random((N_CANDIDATES, m.X.shape[1]))
                      for m, rng in zip(obj_models, rngs)])
-    means, stds = _stacked_moments(_stack_models(obj_models), cand)
+    means, stds = _stacked_moments(_stack_models(obj_models), cand, work)
     ratios = _std_ratio(np.array([m.prior_std for m in obj_models]), stds)
     bests = np.array(bests, dtype=float)
     ei = _ei_values(means, stds * ratios[:, None], bests[:, None])
@@ -255,7 +281,7 @@ def _propose_level(problems) -> list:
     bound, free = np.flatnonzero(constrained), np.flatnonzero(~constrained)
     if bound.size:
         pf = _feasibility_values(*_stacked_moments(_stack_models(h_models[j] for j in bound),
-                                                   cand[bound]))
+                                                   cand[bound], work))
         qualifies = pf >= 1.0 - np.array([[specs[j].tolerance] for j in bound])
         fallback = ~np.any(qualifies, axis=1)
         for _ in range(np.count_nonzero(fallback)):
@@ -266,13 +292,14 @@ def _propose_level(problems) -> list:
                                              np.argmax(score, axis=1))]
     if free.size:
         points[free] = _refine_level(_stack_models(obj_models[j] for j in free),
-                                     points[free], ratios[free], bests[free])
+                                     points[free], ratios[free], bests[free], work)
     return list(points)
 
 
 def _parse_observation(raw) -> tuple[float, float | None, bool]:
-    """An observation's (cost, h_value, fell): numbers checked by _number,
-    fell a bool; ValueError for anything else."""
+    """A black box's observation as _observation_fields' (cost, h_value,
+    fell); a bare number is a cost, and a pair (cost, h_value) did not fall.
+    ValueError for anything else."""
     if isinstance(raw, (tuple, list)):
         if len(raw) == 3:
             cost, h, fell = raw
@@ -284,10 +311,7 @@ def _parse_observation(raw) -> tuple[float, float | None, bool]:
                              "(cost, h_value, fell)")
     else:
         cost, h, fell = raw, None, False
-    if not isinstance(fell, (bool, np.bool_)):
-        raise ValueError(f"fell must be a bool, got {fell!r}")
-    return (_number(cost, "cost"), None if h is None else _number(h, "constraint observation"),
-            bool(fell))
+    return _observation_fields(cost, h, fell)
 
 
 class _BORun:
@@ -397,11 +421,14 @@ def _drive_level(runs: list, evaluate_batch, names_failure=contextlib.nullcontex
     run is told its observation in run order. A SimulationError of the batch
     is that of the run its episode_index names. Every failure of run i is
     raised inside names_failure(i). Returns each run's result, which equals
-    that of its own optimize call; an empty level returns [].
+    that of its own optimize call; an empty level returns []. The level's
+    proposals share one posterior workspace, sized for its last step.
     """
-    for k in range(runs[0].iterations if runs else 0):
+    iterations = runs[0].iterations if runs else 0
+    work = _workspace(len(runs), iterations, N_CANDIDATES)
+    for k in range(iterations):
         proposed = iter(_propose_level([run.proposal_inputs() for run in runs
-                                        if k >= len(run.design)]))
+                                        if k >= len(run.design)], work))
         xs = [run.design[k] if k < len(run.design) else from_unit(next(proposed), run.box)
               for run in runs]
         try:

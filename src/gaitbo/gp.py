@@ -9,8 +9,11 @@ inputs, so a posterior at new points costs one cross-kernel, one product and
 one LAPACK triangular solve. Models sharing a point count and dimension can be
 stacked and scored in one call, on a block of rows per model; each block gets
 the bits of its model's own posterior, since a single model's posterior is
-that call on a stack of one. scipy.linalg loads at the first factorization,
-not on import.
+that call on a stack of one. The stacked call writes its kernel block, cross
+product and solves into a flat workspace its caller holds, so a caller
+scoring many blocks reuses one buffer. Every array a caller passes in is
+checked by one rule: integers or floats only, finite, of the kernel's
+dimension. scipy.linalg loads at the first factorization, not on import.
 """
 
 from __future__ import annotations
@@ -100,10 +103,40 @@ def _cross_kernel(twice_scaled: np.ndarray, sq_norms: np.ndarray, X2: np.ndarray
     return hyper.signal_std**2 * np.exp(-0.5 * sq)
 
 
-def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hyper: Hyperparams) -> np.ndarray:
+def _check_dims(name: str, X: np.ndarray, n_dims: int) -> None:
+    if X.shape[1] != n_dims:
+        raise ValueError(f"{name} have {X.shape[1]} dims, lengthscales have {n_dims}")
+
+
+def _real_array(value, name: str, lengthscales: np.ndarray | None = None) -> np.ndarray:
+    """value as a float array, checked: ValueError unless its dtype is an
+    integer or float one (not bool, string or object) and every entry is finite.
+
+    Given lengthscales, value is a set of points of their dimension, one per
+    row (a 1-D array is a column), that must stay finite divided by them.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be integers or floats, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    scaled = arr
+    if lengthscales is not None:
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.ndim != 2:
+            raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
+        _check_dims(name, arr, lengthscales.shape[0])
+        scaled = arr / lengthscales  # a coordinate may overflow over its lengthscale
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def kernel_matrix(X1, X2, hyper: Hyperparams) -> np.ndarray:
     """Covariance matrix between two point sets, shape (len(X1), len(X2))."""
-    twice_scaled, sq_norms = _scaled_factors(np.asarray(X1, dtype=float), hyper)
-    return _cross_kernel(twice_scaled, sq_norms, np.asarray(X2, dtype=float), hyper)
+    X1 = _real_array(X1, "first points", hyper.lengthscales)
+    X2 = _real_array(X2, "second points", hyper.lengthscales)
+    return _cross_kernel(*_scaled_factors(X1, hyper), X2, hyper)
 
 
 @dataclass(frozen=True)
@@ -132,28 +165,14 @@ class GPModel:
         return self.hyper.signal_std * self.y_scale
 
 
-def _check_dims(X: np.ndarray, n_dims: int) -> None:
-    if X.shape[1] != n_dims:
-        raise ValueError(
-            f"training inputs have {X.shape[1]} dims, lengthscales have {n_dims}"
-        )
-
-
-def _training_data(X, y, n_dims: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _training_data(X, y, lengthscales: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Validated inputs and standardized targets: (X, ys, y_mean, y_scale)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError(f"training inputs must be a nonempty 2-D array, got shape {X.shape}")
-    _check_dims(X, n_dims)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("training inputs must be finite")
-    y = np.asarray(y, dtype=float).reshape(-1)
+    X = _real_array(X, "training inputs", lengthscales)
+    if X.shape[0] == 0:
+        raise ValueError("training inputs must not be empty")
+    y = _real_array(y, "targets").reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"got {X.shape[0]} inputs but {y.shape[0]} targets")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
 
     y_mean = float(y.mean())
     sd = float(y.std())
@@ -213,7 +232,7 @@ def fit(X, y, hyper: Hyperparams) -> GPModel:
     Targets are shifted to zero mean and, unless nearly constant, scaled to
     unit standard deviation; hyperparameters refer to the standardized scale.
     """
-    X, ys, y_mean, y_scale = _training_data(X, y, hyper.n_dims)
+    X, ys, y_mean, y_scale = _training_data(X, y, hyper.lengthscales)
     kernel = _training_kernel(X, hyper)
     factors = _factorize(kernel[2], hyper.noise_std**2, hyper.signal_std**2, ys)
     return _fitted(X, ys, y_mean, y_scale, hyper, kernel, factors)
@@ -260,18 +279,36 @@ def _stack_models(models) -> _ModelStack:
     )
 
 
-def _stacked_moments(stack: _ModelStack, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _workspace(models: int, points: int, rows: int) -> np.ndarray:
+    """A flat workspace for _stacked_moments on up to models models of up to
+    points training points, each scored at up to rows rows."""
+    return np.empty(2 * models * points * rows)
+
+
+def _stacked_moments(stack: _ModelStack, Xq: np.ndarray,
+                     work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and stds, each (models, m), at a finite (models, m, d)
     float block, unvalidated: model j of the stack at the rows Xq[j].
 
-    The cross-kernel and mean products are stacked matmuls, which round as
-    each model's own 2-D products do, and the triangular solve is one
-    multi-column LAPACK call per model, so block j does not depend on the
-    other models.
+    The (models, n, m) kernel block and the cross product are written into
+    the flat float64 workspace work, of at least 2 models n m elements (see
+    _workspace), whose contents on entry do not matter; a caller scoring
+    many blocks hands each call the same one, so no call allocates its
+    full-size temporaries anew. The returned arrays never view it. The
+    cross-kernel and mean products are stacked matmuls, which round as each
+    model's own 2-D products do, and the triangular solve is one
+    multi-column LAPACK call per model, in place on a Fortran-ordered copy
+    of its block, so block j does not depend on the other models.
     """
+    models, n, _ = stack.twice_scaled_X.shape
+    m = Xq.shape[1]
+    size = models * n * m
+    sq = work[:size].reshape(models, n, m)
+    cross = work[size:2 * size].reshape(models, n, m)
     B = Xq / stack.lengthscales[:, None, :]
-    sq = stack.scaled_sq_norms + np.add.reduce(B**2, axis=2)[:, None, :]
-    sq -= np.matmul(stack.twice_scaled_X, B.transpose(0, 2, 1))
+    np.add(stack.scaled_sq_norms, np.add.reduce(B**2, axis=2)[:, None, :], out=sq)
+    np.subtract(sq, np.matmul(stack.twice_scaled_X, B.transpose(0, 2, 1), out=cross),
+                out=sq)
     np.maximum(sq, 0.0, out=sq)
     np.multiply(sq, -0.5, out=sq)
     np.exp(sq, out=sq)
@@ -279,11 +316,14 @@ def _stacked_moments(stack: _ModelStack, Xq: np.ndarray) -> tuple[np.ndarray, np
     mean_s = np.matmul(Ks.transpose(0, 2, 1), stack.alpha)[:, :, 0]
     trtrs = _lapack()[2]
     explained = np.empty(mean_s.shape)
+    # Fortran-ordered (n, m), over the cross product, which is spent by now
+    V = work[size:size + n * m].reshape(m, n).T
     for j, L in enumerate(stack.L):
-        V, info = trtrs(L, Ks[j], 1)  # lower
+        V[...] = Ks[j]
+        solved, info = trtrs(L, V, 1, overwrite_b=1)  # lower; solved is V
         if info != 0:
             raise NumericalError(f"triangular solve failed (LAPACK info {info})")
-        explained[j] = np.add.reduce(V**2, axis=0)
+        explained[j] = np.add.reduce(np.square(solved, out=solved), axis=0)
     var = stack.signal_var[:, None] - explained
     np.maximum(var, 0.0, out=var)
     mean = mean_s * stack.y_scale[:, None] + stack.y_mean[:, None]
@@ -293,17 +333,9 @@ def _stacked_moments(stack: _ModelStack, Xq: np.ndarray) -> tuple[np.ndarray, np
 
 def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and standard deviations at query points, original scale."""
-    Xq = np.asarray(Xq, dtype=float)
-    if Xq.ndim == 1:
-        Xq = Xq[:, None]
-    if Xq.shape[1] != model.hyper.n_dims:
-        raise ValueError(
-            f"query points have {Xq.shape[1]} dims, model has {model.hyper.n_dims}"
-        )
-    # a NaN or infinite coordinate, or one overflowing over its lengthscale
-    if not np.all(np.isfinite(Xq / model.hyper.lengthscales)):
-        raise ValueError("query points must be finite")
-    (mean,), (std,) = _stacked_moments(_stack_models((model,)), Xq[None])
+    Xq = _real_array(Xq, "query points", model.hyper.lengthscales)
+    (mean,), (std,) = _stacked_moments(_stack_models((model,)), Xq[None],
+                                       _workspace(1, model.n_points, Xq.shape[0]))
     if not np.all(np.isfinite(mean)):  # a coordinate near the float limit
         raise ValueError("query points overflow the kernel")
     return mean, std
@@ -356,14 +388,14 @@ def _fit_best(X, y, grid) -> GPModel:
     grid = list(grid)
     if not grid:
         raise ValueError("hyperparameter grid must be nonempty")
-    X, ys, y_mean, y_scale = _training_data(X, y, grid[0].n_dims)
+    X, ys, y_mean, y_scale = _training_data(X, y, grid[0].lengthscales)
     kernels = {}
     best = None  # the chosen entry and its factorization
     best_lml = -np.inf
     best_prod = np.inf
     failures = 0
     for hyper in grid:
-        _check_dims(X, hyper.n_dims)
+        _check_dims("training inputs", X, hyper.n_dims)
         key = (hyper.lengthscales.tobytes(), hyper.signal_std)
         if key not in kernels:
             kernels[key] = _training_kernel(X, hyper)

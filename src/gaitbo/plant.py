@@ -12,7 +12,11 @@ three consecutive steps, or the height drops below min_height.
 
 Episodes run on resolved gains: _rollout takes each episode's [kP, kD,
 deltaP] rows, one per command of its profile. run_episode(s) take gain
-tables and resolve them first, one interpolation per distinct table.
+tables and resolve them first, one interpolation per distinct table. Before
+its time loop, _rollout computes every step input that does not depend on
+the state once per command of the batch: kP, kD, the shifted command
+p_desired + deltaP and the drive D @ p_desired. Each step then calls
+regulator_output and step on those inputs.
 """
 
 from __future__ import annotations
@@ -224,26 +228,25 @@ class Trajectory:
 
 
 def regulator_output(
-    gains: np.ndarray,
-    p_desired: np.ndarray,
+    kP: np.ndarray,
+    kD: np.ndarray,
+    target: np.ndarray,
     p_hat: np.ndarray,
     v_hat: np.ndarray,
     dt: float,
 ) -> np.ndarray:
     """Componentwise PD law on the gait-parameter error, one row per episode.
 
-    gains packs [kP, kD, deltaP] along its last axis, as
-    ControlParams.as_vector() does; the other arrays hold gait 3-vectors
-    along theirs. Commands are piecewise constant, so the desired rate is 0:
+    kP and kD are the gains and target the shifted command p_desired +
+    deltaP, gait 3-vectors along the last axis of each array. Commands are
+    piecewise constant, so the desired rate is 0:
 
     dg = kP * (p_desired + deltaP - p_hat) + kD * (0 - v_hat / dt)
 
     v_hat is a per-step rate, so it is divided by dt to compare against the
     desired rate in units per second.
     """
-    err = p_desired + gains[..., 6:9] - p_hat
-    rate_err = 0.0 - v_hat / dt
-    return gains[..., 0:3] * err + gains[..., 3:6] * rate_err
+    return kP * (target - p_hat) + kD * (0.0 - v_hat / dt)
 
 
 def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -258,16 +261,17 @@ def step(
     u: np.ndarray,
     delta_g: np.ndarray,
     cfg: PlantConfig,
-    p_desired: np.ndarray,
+    drive: np.ndarray,
     w: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance each row of the plant one step; returns (p_hat, v_hat, u).
 
-    delta_g is the regulator output, p_desired the active command and w the
-    step's noise draw, one row per episode.
+    delta_g is the regulator output, drive the command's term D @ p_desired
+    (_rowwise(cfg.D, p_desired)) and w the step's noise draw, one row per
+    episode.
     """
     u_new = (1.0 - cfg.beta) * u + cfg.beta * delta_g
-    v_new = cfg.a * v_hat + _rowwise(cfg.B, u_new) + _rowwise(cfg.D, p_desired) + cfg.d0 + w
+    v_new = cfg.a * v_hat + _rowwise(cfg.B, u_new) + drive + cfg.d0 + w
     return p_hat + v_new, v_new, u_new
 
 
@@ -320,12 +324,16 @@ def _rollout(cfg: PlantConfig, gains, profiles, initials, seeds) -> tuple:
     if not np.all(np.isfinite(resolved)) or np.any(resolved[:, 0:6] < 0.0):
         raise ValueError("resolved gains must be finite with nonnegative kP and kD")
     first_row = np.cumsum([0] + [len(g) for g in gains[:-1]])
+    # The step inputs that do not depend on the state, once per command row:
+    # kP, kD, the shifted command p + deltaP and the drive D @ p.
+    inputs = np.concatenate([resolved[:, 0:6], points + resolved[:, 6:9],
+                             _rowwise(cfg.D, points)], axis=1)
 
-    # Per sample and episode: the active command and its gains, filled once
-    # per distinct tuple of profile start times; per step: noise.
+    # Per sample and episode: the active command and its step inputs, filled
+    # once per distinct tuple of profile start times; per step: noise.
     times = np.arange(n_steps + 1) * cfg.dt
     p_des = np.empty((n_steps + 1, n, 3))
-    active_gains = np.empty((n_steps + 1, n, 9))
+    active = np.empty((n_steps + 1, n, 12))
     starts = {}
     for k, profile in enumerate(profiles):
         starts.setdefault(tuple(start for start, _ in profile.entries), []).append(k)
@@ -333,7 +341,8 @@ def _rollout(cfg: PlantConfig, gains, profiles, initials, seeds) -> tuple:
         segment = np.searchsorted(start_times, times, side="right") - 1
         at = first_row[members][None, :] + segment[:, None]
         p_des[:, members] = points[at]
-        active_gains[:, members] = resolved[at]
+        active[:, members] = inputs[at]
+    kP, kD, target, drive = (active[..., c:c + 3] for c in (0, 3, 6, 9))
     noise = _noise(seeds, n_steps, cfg.noise_std)
 
     p_hat = np.array([s.p_hat for s in initials])
@@ -345,12 +354,12 @@ def _rollout(cfg: PlantConfig, gains, profiles, initials, seeds) -> tuple:
     # are thrown away below.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
-            dg = regulator_output(active_gains[i], p_des[i], p_hat, v_hat, cfg.dt)
+            dg = regulator_output(kP[i], kD[i], target[i], p_hat, v_hat, cfg.dt)
             rec_p_hat[i] = p_hat
             rec_dg[i] = dg
             if i == n_steps:
                 break
-            p_hat, v_hat, u = step(p_hat, v_hat, u, dg, cfg, p_des[i], noise[i])
+            p_hat, v_hat, u = step(p_hat, v_hat, u, dg, cfg, drive[i], noise[i])
 
         # Falls are judged from sample 1 on: out of band for three samples in
         # a row, or below the minimum height.

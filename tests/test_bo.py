@@ -34,8 +34,9 @@ from gaitbo.bo import (
 )
 from gaitbo.domain import Box, SeedSpec, from_unit
 from gaitbo.errors import BlackBoxError, ConfigurationError, SimulationError
-from gaitbo.gp import (Hyperparams, _stack_models, _stacked_moments, _std_ratio,
+from gaitbo.gp import (Hyperparams, _stack_models, _stacked_moments, _std_ratio, _workspace,
                        default_hyper_grid, fit, posterior_batch)
+from test_gp import stacked_moments
 
 
 def reference_ei(mean, std, best):
@@ -93,14 +94,14 @@ def reference_refine(x0, model, ratio, best):
 def _refinement_scores(models, X, ratios, bests):
     """The refinement score of a (runs, m, d) block: EI of run j's rows under
     models[j] below bests[j], the posterior stds scaled by ratios[j]."""
-    means, stds = _stacked_moments(_stack_models(models), X)
+    means, stds = stacked_moments(models, X)
     return _ei_values(means, stds * np.asarray(ratios)[:, None], np.asarray(bests)[:, None])
 
 
 def _refine_alone(x0, model, ratio, best):
     """_refine_level from x0 alone on model."""
     return _refine_level(_stack_models((model,)), [np.asarray(x0, dtype=float)],
-                         [ratio], [best])[0]
+                         [ratio], [best], _workspace(1, model.n_points, N_CANDIDATES))[0]
 
 
 def reference_propose(obj_model, h_model, spec, best, rng):
@@ -171,6 +172,49 @@ class TestExpectedImprovement:
         # inf - inf and inf * ndtr(-inf) would make the result NaN
         with pytest.raises(ValueError, match="finite"):
             expected_improvement(*args)
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (expected_improvement, (True, 1.0, 0.0), "mean"),
+    (expected_improvement, (0.0, np.bool_(True), 0.0), "std"),
+    (expected_improvement, (0.0, 1.0, False), "best"),
+    (expected_improvement, ("0.1", 1.0, 0.0), "mean"),
+    (expected_improvement, (0.0, None, 0.0), "std"),
+    (feasibility_from_moments, (True, 1.0), "mean"),
+    (feasibility_from_moments, (0.0, "1"), "std"),
+], ids=["ei_bool_mean", "ei_numpy_bool_std", "ei_bool_best", "ei_str_mean", "ei_none_std",
+        "pf_bool_mean", "pf_str_std"])
+def test_scalar_moments_must_be_numbers(fn, args, name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be a number, got"):
+        fn(*args)
+
+
+class TestEvaluation:
+    """An Evaluation checks its fields as a black box's observation is checked."""
+
+    @pytest.mark.parametrize("fields, match", [
+        (([0.1], 1.0, None, "no"), "fell must be a bool, got 'no'"),
+        (([0.1], 1.0, None, 1), "fell must be a bool, got 1"),
+        (([0.1], True, None, False), "cost must be a number, got True"),
+        (([0.1], "1.0", None, False), "cost must be a number"),
+        (([0.1], 1.0, np.bool_(False), False), "constraint observation must be a number"),
+        (([0.1], 1.0, "0.5", False), "constraint observation must be a number"),
+        (([True], 1.0, None, False), "evaluation point must be integers or floats"),
+        ((["0.1"], 1.0, None, False), "evaluation point must be integers or floats"),
+        (([0.1], math.nan, None, False), "evaluation cost must be finite"),
+        (([0.1], 1.0, math.inf, False), "constraint observation must be finite"),
+        (([[0.1]], 1.0, None, False), "evaluation point must be 1-D"),
+    ], ids=["str_fell", "int_fell", "bool_cost", "str_cost", "bool_h", "str_h", "bool_x",
+            "str_x", "nan_cost", "inf_h", "2d_x"])
+    def test_rejects(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            Evaluation(*fields)
+
+    def test_numpy_and_integer_fields_are_recorded_as_python_types(self):
+        ev = Evaluation(np.array([0, 1]), np.float64(0.5), 2, np.bool_(True))
+        assert (type(ev.cost), type(ev.h_value), type(ev.fell)) == (float, float, bool)
+        assert (ev.cost, ev.h_value, ev.fell) == (0.5, 2.0, True)
+        assert ev.x.dtype == float and not ev.x.flags.writeable
 
 
 class TestFeasibility:
@@ -265,7 +309,8 @@ class TestPropose:
             propose(obj, *args, best, SeedSpec(0).generator())
         with pytest.raises(ValueError, match="best must be finite"):
             _propose_level([(obj, None, None, 0.0, SeedSpec(1).generator()),
-                            (obj, *args, best, SeedSpec(0).generator())])
+                            (obj, *args, best, SeedSpec(0).generator())],
+                           _workspace(2, 12, N_CANDIDATES))
 
     @pytest.mark.parametrize("h_dims", [1, 3])
     def test_rejects_an_h_model_of_another_dimension(self, h_dims):
@@ -380,6 +425,11 @@ def with_generators(problems) -> list:
     return [(*args, SeedSpec(seed).generator()) for *args, seed in problems]
 
 
+def level_workspace(problems):
+    """A fresh workspace for _propose_level on the problems."""
+    return _workspace(len(problems), problems[0][0].n_points, N_CANDIDATES)
+
+
 class TestLevelScoring:
     """Runs scored together give each run's own scores and proposals, bit for bit."""
 
@@ -408,13 +458,27 @@ class TestLevelScoring:
     def test_propose_level_matches_propose_per_run(self, kinds, n_points, n_dims,
                                                    data_seed):
         problems = mixed_level(np.random.default_rng(data_seed), kinds, n_points, n_dims)
-        got = _propose_level(with_generators(problems))
+        got = _propose_level(with_generators(problems), level_workspace(problems))
         alone = [propose(*args) for args in with_generators(problems)]
         want = [reference_propose(*args) for args in with_generators(problems)]
         assert len(got) == len(alone) == len(want)
         for g, a, w in zip(got, alone, want):
             np.testing.assert_array_equal(g, a)
             np.testing.assert_array_equal(g, w)
+
+    def test_a_reused_workspace_gives_a_fresh_ones_points(self):
+        # a level after a larger one, and after its workspace is filled with NaN
+        rng = np.random.default_rng(31)
+        large = mixed_level(rng, ["free", "constrained", "free", "fallback"], 50, 4)
+        small = mixed_level(rng, ["constrained", "free"], 20, 4)
+        want = _propose_level(with_generators(small), level_workspace(small))
+        work = level_workspace(large)
+        _propose_level(with_generators(large), work)
+        after_large = _propose_level(with_generators(small), work)
+        work.fill(np.nan)
+        after_nan = _propose_level(with_generators(small), work)
+        for got in (after_large, after_nan):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     @pytest.mark.parametrize("kinds", [
         ["free"], ["constrained"], ["fallback", "fallback"],
@@ -429,13 +493,13 @@ class TestLevelScoring:
         problems = mixed_level(np.random.default_rng(len(kinds)), kinds, 20, n_dims)
         calls = []
 
-        def counted(stack, X):
+        def counted(stack, X, work):
             calls.append(X.shape)
-            return _stacked_moments(stack, X)
+            return _stacked_moments(stack, X, work)
 
         with pytest.MonkeyPatch.context() as patch, caplog.at_level(logging.WARNING):
             patch.setattr("gaitbo.bo._stacked_moments", counted)
-            got = _propose_level(with_generators(problems))
+            got = _propose_level(with_generators(problems), level_workspace(problems))
         width, free = len(kinds), kinds.count("free")
         want = [(width, N_CANDIDATES, n_dims)]
         if free < width:
@@ -464,13 +528,14 @@ class TestRefineLevel:
         """The level's points and the block shape of each of its scoring calls."""
         calls = []
 
-        def counted(stack, X):
+        def counted(stack, X, work):
             calls.append(X.shape)
-            return _stacked_moments(stack, X)
+            return _stacked_moments(stack, X, work)
 
+        work = _workspace(len(models), models[0].n_points, N_CANDIDATES)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("gaitbo.bo._stacked_moments", counted)
-            got = _refine_level(_stack_models(models), starts, ratios, bests)
+            got = _refine_level(_stack_models(models), starts, ratios, bests, work)
         return got, calls
 
     @settings(max_examples=40, deadline=None)
@@ -522,7 +587,7 @@ class TestRefineLevel:
         model = fit(np.array([[0.25, 0.5]]), np.array([0.5]), Hyperparams(1.0, [0.5, 0.5], 0.0))
         exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"))
         X = np.array([[[0.25, 0.5], [0.3, 0.5]]])
-        means, stds = _stacked_moments(_stack_models((exact,)), X)
+        means, stds = stacked_moments((exact,), X)
         assert stds[0, 0] == 0.0 and stds[0, 1] > 0.0
         assert _refinement_scores([exact], X, [1.0], [0.9])[0, 0] == max(0.9 - means[0, 0], 0.0)
         got = _refine_alone(X[0, 0], exact, 1.0, 0.9)

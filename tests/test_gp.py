@@ -14,6 +14,7 @@ from gaitbo.gp import (
     _stack_models,
     _stacked_moments,
     _std_ratio,
+    _workspace,
     GPModel,
     Hyperparams,
     default_hyper_grid,
@@ -82,6 +83,13 @@ def reference_posterior_batch(model, Xq):
     var = model.hyper.signal_std**2 - np.sum(V**2, axis=0)
     np.maximum(var, 0.0, out=var)
     return mean_s * model.y_scale + model.y_mean, np.sqrt(var) * model.y_scale
+
+
+def stacked_moments(models, Xq):
+    """_stacked_moments of the models at the (models, m, d) block Xq, in a
+    fresh workspace."""
+    return _stacked_moments(_stack_models(models), Xq,
+                            _workspace(len(models), models[0].n_points, Xq.shape[1]))
 
 
 def reference_fit(X, y, hyper):
@@ -552,7 +560,7 @@ class TestPointwiseMoments:
         models = [fit(rng.random((n_points, n_dims)), rng.normal(0.0, 1.0, n_points),
                       default_hyper_grid(n_dims)[grid_index]) for _ in range(n_models)]
         Xq = rng.random((n_models, 1, n_dims))
-        means, stds = _stacked_moments(_stack_models(models), Xq)
+        means, stds = stacked_moments(models, Xq)
         assert means.shape == stds.shape == (n_models, 1)
         for model, x, mean, std in zip(models, Xq, means, stds):
             want_mean, want_std = reference_posterior_batch(model, x)
@@ -577,7 +585,7 @@ class TestPointwiseMoments:
         Xq = rng.random((n_models, n_rows, n_dims))
         k = min(n_rows, n_points, 3)
         Xq[:, :k] = [model.X[:k] for model in models]
-        means, stds = _stacked_moments(_stack_models(models), Xq)
+        means, stds = stacked_moments(models, Xq)
         assert means.shape == stds.shape == (n_models, n_rows)
         for model, x, mean, std in zip(models, Xq, means, stds):
             for want, got in zip(posterior_batch(model, x), (mean, std)):
@@ -591,7 +599,7 @@ class TestPointwiseMoments:
         model = fit(np.array([[0.25, 0.5]]), np.array([2.0]), Hyperparams(1.0, [0.5, 0.5], 0.0))
         exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"))
         Xq = np.array([[[0.25, 0.5], [0.5, 0.5]]])
-        means, stds = _stacked_moments(_stack_models((exact,)), Xq)
+        means, stds = stacked_moments((exact,), Xq)
         assert stds[0, 0] == 0.0 and stds[0, 1] > 0.0
         assert means[0, 0] == 2.0
         want_mean, want_std = reference_posterior_batch(exact, Xq[0])
@@ -604,9 +612,108 @@ class TestPointwiseMoments:
         L[1, 1] = 0.0
         singular = dataclasses.replace(model, L=L)
         with pytest.raises(NumericalError, match="triangular solve"):
-            _stacked_moments(_stack_models((model, singular)), np.array([[[0.4]], [[0.5]]]))
+            stacked_moments((model, singular), np.array([[[0.4]], [[0.5]]]))
         with pytest.raises(NumericalError, match="triangular solve"):
             posterior_batch(singular, np.array([[0.4], [0.5]]))
+
+
+class TestArrayChecks:
+    """fit, fit_hyper, posterior_batch and kernel_matrix take finite arrays of
+    integers or floats only, of the kernel's dimension, and say which is wrong."""
+
+    HYPER = Hyperparams(1.0, np.array([0.3, 0.5]), 1e-2)
+    X = [[0.1, 0.2], [0.6, 0.4], [0.9, 0.8]]
+    Y = [0.5, -1.0, 2.0]
+
+    @pytest.mark.parametrize("X, y, match", [
+        ([["0.1", "0.2"], ["0.6", "0.4"], ["0.9", "0.8"]], Y,
+         "training inputs must be integers or floats"),
+        (X, ["1", "2", "3"], "targets must be integers or floats"),
+        ([[True, False], [False, True], [True, True]], Y, "training inputs must be integers"),
+        (X, [True, False, True], "targets must be integers or floats"),
+        ([[0.1, None], [0.6, 0.4], [0.9, 0.8]], Y, "training inputs must be integers"),
+        (X, [0.5, None, 2.0], "targets must be integers or floats"),
+        (X, [0.5, 1j, 2.0], "targets must be integers or floats"),
+        ([[0.1, np.nan], [0.6, 0.4], [0.9, 0.8]], Y, "training inputs must be finite"),
+        (X, [0.5, np.inf, 2.0], "targets must be finite"),
+        (np.zeros((3, 2, 1)), Y, "training inputs must be a 2-D array"),
+        ([[0.1], [0.6], [0.9]], Y, "training inputs have 1 dims, lengthscales have 2"),
+        (np.zeros((0, 2)), [], "training inputs must not be empty"),
+    ], ids=["str_inputs", "str_targets", "bool_inputs", "bool_targets", "object_inputs",
+            "object_targets", "complex_targets", "nan_input", "inf_target", "3d_inputs",
+            "wrong_dims", "empty"])
+    def test_fit_and_fit_hyper_reject(self, X, y, match):
+        with pytest.raises(ValueError, match=match):
+            fit(X, y, self.HYPER)
+        with pytest.raises(ValueError, match=match):
+            fit_hyper(X, y, [self.HYPER])
+
+    @pytest.mark.parametrize("Xq, match", [
+        ([["1", "2"]], "query points must be integers or floats"),
+        ([[True, False]], "query points must be integers or floats"),
+        (np.array([[0.5, None]]), "query points must be integers or floats"),
+        ([[0.5, np.nan]], "query points must be finite"),
+        ([[0.5]], "query points have 1 dims, lengthscales have 2"),
+        (np.zeros((1, 1, 2)), "query points must be a 2-D array"),
+    ], ids=["str", "bool", "object", "nan", "wrong_dims", "3d"])
+    def test_posterior_batch_rejects(self, Xq, match):
+        model = fit(self.X, self.Y, self.HYPER)
+        with pytest.raises(ValueError, match=match):
+            posterior_batch(model, Xq)
+
+    @pytest.mark.parametrize("X1, X2, match", [
+        (X, [[0.5], [0.2]], "second points have 1 dims, lengthscales have 2"),
+        ([[0.5, 0.2, 0.1]], X, "first points have 3 dims, lengthscales have 2"),
+        ([["0.1", "0.2"]], X, "first points must be integers or floats"),
+        (X, [[False, True]], "second points must be integers or floats"),
+        (X, [[np.inf, 0.0]], "second points must be finite"),
+    ], ids=["second_dims", "first_dims", "str", "bool", "inf"])
+    def test_kernel_matrix_rejects(self, X1, X2, match):
+        with pytest.raises(ValueError, match=match):
+            kernel_matrix(X1, X2, self.HYPER)
+
+    def test_integer_arrays_are_real_numbers(self):
+        X = np.array([[0, 1], [1, 0], [1, 1]])
+        model = fit(X, np.array([1, 2, 4]), self.HYPER)
+        want = fit(X.astype(float), [1.0, 2.0, 4.0], self.HYPER)
+        assert model.alpha.tobytes() == want.alpha.tobytes()
+        assert kernel_matrix(X, X, self.HYPER).tobytes() == \
+            kernel_matrix(model.X, model.X, self.HYPER).tobytes()
+
+
+class TestWorkspace:
+    """_stacked_moments gives the same bits whatever its workspace held
+    before, and returns arrays that do not view it."""
+
+    @staticmethod
+    def level(rng, n_models, n_points, n_rows, n_dims=3):
+        grid = default_hyper_grid(n_dims)
+        models = [fit(rng.random((n_points, n_dims)), rng.normal(0.0, 1.0, n_points),
+                      grid[int(rng.integers(len(grid)))]) for _ in range(n_models)]
+        return _stack_models(models), rng.random((n_models, n_rows, n_dims))
+
+    def test_a_used_or_nan_filled_workspace_gives_a_fresh_ones_bits(self):
+        rng = np.random.default_rng(21)
+        large, small = self.level(rng, 4, 40, 1024), self.level(rng, 2, 25, 12)
+        work = _workspace(4, 40, 1024)
+        want = _stacked_moments(*small, _workspace(2, 25, 12))
+        _stacked_moments(*large, work)
+        after_large = _stacked_moments(*small, work)
+        work.fill(np.nan)
+        after_nan = _stacked_moments(*small, work)
+        for got in (after_large, after_nan):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_results_do_not_view_the_workspace(self):
+        rng = np.random.default_rng(22)
+        work = _workspace(3, 30, 1024)
+        first = _stacked_moments(*self.level(rng, 3, 30, 1024), work)
+        kept = [a.copy() for a in first]
+        assert not any(np.shares_memory(a, work) for a in first)
+        _stacked_moments(*self.level(rng, 3, 30, 1024), work)
+        for a, b in zip(first, kept):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestLogMarginalLikelihood:

@@ -95,7 +95,7 @@ class TestHandlesLookedUpOnce:
             gp.posterior_batch(models[-1], rng.random((4, 2)))
         stack = gp._stack_models(models[1:3])
         for rows in (1, 4):
-            gp._stacked_moments(stack, rng.random((2, rows, 2)))
+            gp._stacked_moments(stack, rng.random((2, rows, 2)), gp._workspace(2, 5, rows))
         gp._fit_best(rng.random((6, 2)), rng.random(6), gp.default_hyper_grid(2))
         assert len(calls) == 1
         assert gp._lapack.cache_info().hits > 10

@@ -914,11 +914,11 @@ def constrained_steps(hull, cfg, table, monkeypatch, caplog) -> tuple[int, int]:
     steps = []
     propose_level = bo._propose_level
 
-    def recording(problems):
+    def recording(problems, work):
         # the same draws the level makes, from copies of its generators
         candidates = [copy.deepcopy(rng).random((bo.N_CANDIDATES, obj_model.X.shape[1]))
                       for obj_model, *_, rng in problems]
-        points = propose_level(problems)
+        points = propose_level(problems, work)
         for (_, h_model, spec, _, _), cand, x in zip(problems, candidates, points):
             steps.append((h_model, spec, cand, x))
         return points

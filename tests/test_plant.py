@@ -15,6 +15,7 @@ from gaitbo.plant import (
     PlantState,
     Trajectory,
     _noise,
+    _rowwise,
     disturbance_free,
     learning_profile,
     real_config,
@@ -25,6 +26,7 @@ from gaitbo.plant import (
     step,
     stepping_start,
 )
+from gaitbo.safeset import _SWEEP_CHUNK
 from gaitbo.scheduler import GainTable, lookup
 from test_scheduler import reference_lookup
 
@@ -81,31 +83,40 @@ class TestCanonicalConfigs:
 
 
 def gains(kP, kD, deltaP=(0.0, 0.0, 0.0)):
-    return ControlParams(kP, kD, deltaP).as_vector()
+    return ControlParams(kP, kD, deltaP)
+
+
+def regulate(params, p_desired, p_hat, v_hat, dt):
+    """regulator_output under ControlParams, at the command p_desired."""
+    return regulator_output(params.kP, params.kD, p_desired + params.deltaP, p_hat, v_hat, dt)
+
+
+def drive(cfg, p_desired):
+    """step's command term for the commands p_desired."""
+    return _rowwise(cfg.D, np.asarray(p_desired, dtype=float))
 
 
 class TestRegulator:
     def test_proportional_term(self):
-        dg = regulator_output(gains([0.5] * 3, np.zeros(3)), np.array([0.4, 0.0, 1.0]),
-                              np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.4)
+        dg = regulate(gains([0.5] * 3, np.zeros(3)), np.array([0.4, 0.0, 1.0]),
+                      np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.4)
         np.testing.assert_allclose(dg, [0.2, 0.0, 0.0])
 
     def test_offset_shifts_the_target(self):
-        dg = regulator_output(gains([1.0] * 3, np.zeros(3), [0.1, 0.0, 0.0]),
-                              np.array([0.4, 0.0, 1.0]), np.array([0.4, 0.0, 1.0]),
-                              np.zeros(3), 0.4)
+        dg = regulate(gains([1.0] * 3, np.zeros(3), [0.1, 0.0, 0.0]),
+                      np.array([0.4, 0.0, 1.0]), np.array([0.4, 0.0, 1.0]), np.zeros(3), 0.4)
         np.testing.assert_allclose(dg, [0.1, 0.0, 0.0])
 
     def test_derivative_term_uses_per_second_rate(self):
-        dg = regulator_output(gains(np.zeros(3), [1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]),
-                              np.array([0.0, 0.0, 1.0]), np.array([0.2, 0.0, 0.0]), 0.4)
+        dg = regulate(gains(np.zeros(3), [1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+                      np.array([0.0, 0.0, 1.0]), np.array([0.2, 0.0, 0.0]), 0.4)
         # v_hat = 0.2 per step of 0.4 s -> 0.5 per second
         np.testing.assert_allclose(dg, [-0.5, 0.0, 0.0])
 
 
 def step_from_rest(cfg, p_hat, dg, p_desired, w=np.zeros(3)):
     return step(np.asarray(p_hat, dtype=float), np.zeros(3), np.zeros(3),
-                np.asarray(dg, dtype=float), cfg, np.asarray(p_desired, dtype=float), w)
+                np.asarray(dg, dtype=float), cfg, drive(cfg, p_desired), w)
 
 
 class TestStep:
@@ -125,9 +136,9 @@ class TestStep:
         dg = np.array([0.3, -0.2, 0.1])
         target = np.array([0.0, 0.0, 1.0])
         state = (target, np.zeros(3), np.zeros(3))
-        state = step(*state, dg, cfg_half, target, np.zeros(3))
+        state = step(*state, dg, cfg_half, drive(cfg_half, target), np.zeros(3))
         np.testing.assert_allclose(state[2], 0.5 * dg)
-        state = step(*state, dg, cfg_half, target, np.zeros(3))
+        state = step(*state, dg, cfg_half, drive(cfg_half, target), np.zeros(3))
         np.testing.assert_allclose(state[2], 0.75 * dg)
 
     def test_noise_comes_from_the_generator(self):
@@ -150,8 +161,10 @@ class TestStep:
             p_hat, v_hat, u, dg, target, w = (
                 rng.normal(size=(200, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(200, 1))
                 for _ in range(6))
-            rows = step(p_hat, v_hat, u, dg, cfg, target, w)
+            driven = drive(cfg, target)
+            rows = step(p_hat, v_hat, u, dg, cfg, driven, w)
             for k in range(200):
+                assert driven[k].tobytes() == (cfg.D @ target[k]).tobytes()
                 u_new = (1.0 - cfg.beta) * u[k] + cfg.beta * dg[k]
                 v_new = cfg.a * v_hat[k] + cfg.B @ u_new + cfg.D @ target[k] + cfg.d0 + w[k]
                 assert rows[2][k].tobytes() == u_new.tobytes()
@@ -486,6 +499,19 @@ class TestBatchedRollout:
             assert_same_trajectory(traj, run_episode(cfg, MIXED_TABLE, *episode))
 
     @pytest.mark.parametrize("plant", [sim_config, real_config])
+    def test_a_sweep_chunk_matches_the_reference_loop(self, plant):
+        # One rollout of a full sweep chunk: the pool's commands over and
+        # over, each episode with its own seed.
+        cfg = plant()
+        episodes = [(learning_profile(cmd), stepping_start(cmd), SEED.derive(100 + k))
+                    for k, cmd in enumerate(POOL[k % len(POOL)] for k in range(_SWEEP_CHUNK))]
+        batch = run_episodes(cfg, (MIXED_TABLE,) * _SWEEP_CHUNK, *zip(*episodes))
+        fell = [traj.fell for traj in batch]
+        assert len(batch) == 128 and any(fell) and not all(fell)
+        for traj, episode in zip(batch, episodes):
+            assert_same_trajectory(traj, reference_episode(cfg, MIXED_TABLE, *episode))
+
+    @pytest.mark.parametrize("plant", [sim_config, real_config])
     def test_zero_speed_single_segment_profile(self, plant):
         cfg = plant()
         cmd = GaitParameter(0.0, 0.0, 0.95)
@@ -634,12 +660,12 @@ def switching_profile(*entries):
 
 def stepped_to_end(cfg, table, cmd, initial, n_steps):
     """The state after n_steps steps of one noise-free episode, falls ignored."""
-    gains, target = lookup(table, cmd).as_vector()[None], cmd.as_array()[None]
+    params, target = lookup(table, cmd), cmd.as_array()[None]
     p, v, u = (x[None] for x in (initial.p_hat, initial.v_hat, initial.u))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            dg = regulator_output(gains, target, p, v, cfg.dt)
-            p, v, u = step(p, v, u, dg, cfg, target, np.zeros((1, 3)))
+            dg = regulate(params, target, p, v, cfg.dt)
+            p, v, u = step(p, v, u, dg, cfg, drive(cfg, target), np.zeros((1, 3)))
     return p[0], v[0], u[0]
 
 
