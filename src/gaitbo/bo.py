@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Box, SeedSpec, _number, _real, _whole_number, from_unit, to_unit
+from .domain import Box, SeedSpec, _array, _number, _real, _whole_number, from_unit, to_unit
 from .errors import BlackBoxError, ConfigurationError, SimulationError
-from .gp import (GPModel, _fit_best, _ModelStack, _real_array, _stack_models,
-                 _stacked_moments, _std_ratio, _workspace, default_hyper_grid, fit)
+from .gp import (GPModel, _fit_best, _ModelStack, _stack_models, _stacked_moments, _std_ratio,
+                 _workspace, default_hyper_grid, fit)
 
 __all__ = [
     "Evaluation",
@@ -72,16 +72,12 @@ class Evaluation:
     fell: bool
 
     def __post_init__(self):
-        x = np.array(_real_array(self.x, "evaluation point"))
-        if x.ndim != 1:
-            raise ValueError(f"evaluation point must be 1-D, got shape {x.shape}")
+        object.__setattr__(self, "x", _array(self.x, "evaluation point", (None,)))
         cost, h_value, fell = _observation_fields(self.cost, self.h_value, self.fell)
         if not np.isfinite(cost):
             raise ValueError(f"evaluation cost must be finite, got {cost}")
         if h_value is not None and not np.isfinite(h_value):
             raise ValueError(f"constraint observation must be finite, got {h_value}")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "h_value", h_value)
         object.__setattr__(self, "fell", fell)
@@ -118,11 +114,8 @@ class BOResult:
     best_cost_trace: np.ndarray
 
     def __post_init__(self):
-        best_x = np.array(self.best_x, dtype=float)
-        best_x.setflags(write=False)
-        trace = np.array(self.best_cost_trace, dtype=float)
-        trace.setflags(write=False)
-        object.__setattr__(self, "best_x", best_x)
+        trace = _array(self.best_cost_trace, "best_cost_trace", (None,))
+        object.__setattr__(self, "best_x", _array(self.best_x, "best_x"))
         object.__setattr__(self, "best_cost_trace", trace)
         object.__setattr__(self, "history", tuple(self.history))
         if len(self.history) != trace.shape[0]:
@@ -332,7 +325,7 @@ class _BORun:
                 f"iterations ({iterations}) must cover the initial design ({init_count})"
             )
         if initial_design is not None:
-            design = [np.asarray(x, dtype=float) for x in initial_design]
+            design = [_array(x, "initial design point") for x in initial_design]
             if not design:
                 raise ConfigurationError("initial design must not be empty when given")
             if len(design) > iterations:

@@ -2,9 +2,11 @@
 
 Everything downstream (plant, scheduler, optimization) works in terms of these
 types. They are frozen; arrays they carry are defensive copies marked read-only.
-Every module checks a configured number with _real (a document's arrays with
-_numbers), a fixed-shape array with _readonly_array, and reads an input
-document with _read_json.
+Two checkers turn a caller's numbers into floats, for every value type and
+function of the package: _real for a number and _array for an array, each
+rejecting a bool, a string or a non-finite value with a ConfigurationError.
+A document's reader walks its lists with _numbers, as _array does, and reads
+the document itself with _read_json.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ __all__ = [
 ]
 
 
-def _number(value, name: str) -> float:
+def _number(value, name: str, what: str = "a number") -> float:
     """value as a float; ConfigurationError for a bool, a non-number, or an int too big."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -53,11 +57,14 @@ def _items(values, name: str, what: str, count: int | None = None) -> tuple:
     return items
 
 
-def _numbers(values, name: str):
-    """values, a list of numbers or of such lists, with each number through _number."""
+def _numbers(values, name: str, what: str = "a number"):
+    """values, a list of numbers or of such lists, with each number through
+    _number; an ndarray of integers or floats among them is kept as it is."""
     if isinstance(values, (list, tuple)):
-        return [_numbers(v, name) for v in values]
-    return _number(values, name)
+        return [_numbers(v, name, what) for v in values]
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values
+    return _number(values, name, what)
 
 
 def _real(value, name: str, low: float = -math.inf, high: float = math.inf,
@@ -89,13 +96,33 @@ def _whole_number(value, name: str, low: float) -> int:
     return int(value)
 
 
-def _readonly_array(values, shape: tuple, name: str) -> np.ndarray:
-    """values as a finite float array of the given shape, marked read-only."""
-    arr = np.array(values, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr}")
+def _array(values, name: str, shape: tuple | None = None) -> np.ndarray:
+    """values as a new finite float64 array, marked read-only, that never views
+    the caller's array; ConfigurationError otherwise.
+
+    An ndarray must hold integers or floats; anything else is read through
+    _numbers, so a bool or a string anywhere in it is rejected. Given shape,
+    the array must have it, None matching an axis of any length.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ConfigurationError(f"{name} must be integers or floats, got dtype {values.dtype}")
+    else:
+        values = _numbers(values, name, "integers or floats")
+    try:
+        arr = np.array(values, dtype=float)
+    except ValueError:  # nested lists of unequal lengths
+        raise ConfigurationError(f"{name} must have a regular shape, "
+                                 "not rows of unequal length") from None
+    if shape is not None and arr.shape != shape:
+        if arr.ndim != len(shape):
+            raise ConfigurationError(f"{name} must be {len(shape)}-D, got shape {arr.shape}")
+        if any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+            raise ConfigurationError(f"{name} must have shape {str(shape).replace('None', 'any')}, "
+                                     f"got {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ConfigurationError(f"{name} must be finite, got {arr[~finite][0]}")
     arr.setflags(write=False)
     return arr
 
@@ -122,23 +149,16 @@ class GaitParameter:
     h: float
 
     def __post_init__(self):
-        for name in ("vx", "vy", "h"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"gait parameter {name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if self.h <= 0.0:
-            raise ValueError(f"walking height must be positive, got {self.h}")
+        object.__setattr__(self, "vx", _real(self.vx, "gait parameter vx"))
+        object.__setattr__(self, "vy", _real(self.vy, "gait parameter vy"))
+        object.__setattr__(self, "h", _real(self.h, "walking height h", 0.0))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.vx, self.vy, self.h])
 
     @classmethod
     def from_array(cls, arr) -> "GaitParameter":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (3,):
-            raise ValueError(f"gait parameter array must have shape (3,), got {arr.shape}")
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
+        return cls(*_array(arr, "gait parameter array", (3,)).tolist())
 
 
 @dataclass(frozen=True)
@@ -154,9 +174,9 @@ class ControlParams:
     deltaP: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "kP", _readonly_array(self.kP, (3,), "kP"))
-        object.__setattr__(self, "kD", _readonly_array(self.kD, (3,), "kD"))
-        object.__setattr__(self, "deltaP", _readonly_array(self.deltaP, (3,), "deltaP"))
+        object.__setattr__(self, "kP", _array(self.kP, "kP", (3,)))
+        object.__setattr__(self, "kD", _array(self.kD, "kD", (3,)))
+        object.__setattr__(self, "deltaP", _array(self.deltaP, "deltaP", (3,)))
         if np.any(self.kP < 0.0):
             raise ValueError(f"kP must be nonnegative, got {self.kP}")
         if np.any(self.kD < 0.0):
@@ -168,9 +188,7 @@ class ControlParams:
 
     @classmethod
     def from_vector(cls, vec) -> "ControlParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (9,):
-            raise ValueError(f"control vector must have shape (9,), got {vec.shape}")
+        vec = _array(vec, "control vector", (9,))
         return cls(vec[0:3], vec[3:6], vec[6:9])
 
     @classmethod
@@ -191,8 +209,8 @@ class Correction:
     deltaP: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "deltaK", _readonly_array(self.deltaK, (6,), "deltaK"))
-        object.__setattr__(self, "deltaP", _readonly_array(self.deltaP, (3,), "deltaP"))
+        object.__setattr__(self, "deltaK", _array(self.deltaK, "deltaK", (6,)))
+        object.__setattr__(self, "deltaP", _array(self.deltaP, "deltaP", (3,)))
         if self.deltaK[4] != 0.0 or self.deltaK[5] != 0.0:
             raise ValueError("height-channel gain corrections must be zero")
         if self.deltaP[2] != 0.0:
@@ -208,12 +226,8 @@ def correction_from_vector(free: np.ndarray) -> Correction:
 
     Layout: [dkP_vx, dkD_vx, dkP_vy, dkD_vy, dp_vx, dp_vy].
     """
-    free = np.asarray(free, dtype=float)
-    if free.shape != (6,):
-        raise ValueError(f"free correction vector must have shape (6,), got {free.shape}")
-    delta_k = np.array([free[0], free[1], free[2], free[3], 0.0, 0.0])
-    delta_p = np.array([free[4], free[5], 0.0])
-    return Correction(delta_k, delta_p)
+    free = _array(free, "free correction vector", (6,))
+    return Correction(np.append(free[:4], (0.0, 0.0)), np.append(free[4:], 0.0))
 
 
 def apply_correction(params: ControlParams, corr: Correction) -> ControlParams:
@@ -241,22 +255,14 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.array(self.lower, dtype=float)
-        upper = np.array(self.upper, dtype=float)
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError(
-                f"box bounds must be 1-D with equal shapes, got {lower.shape} and {upper.shape}"
-            )
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("box bounds must be finite")
+        lower = _array(self.lower, "box lower bound", (None,))
+        upper = _array(self.upper, "box upper bound", lower.shape)
         if not np.all(lower < upper):
             bad = int(np.argmin(upper - lower))
             raise ValueError(
                 f"box lower bound must be strictly below upper bound, "
                 f"component {bad}: [{lower[bad]}, {upper[bad]}]"
             )
-        lower.setflags(write=False)
-        upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -275,25 +281,19 @@ class Box:
 
 def to_unit(x: np.ndarray, box: Box) -> np.ndarray:
     """Map a point inside the box onto the unit cube."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != box.lower.shape:
-        raise ValueError(f"point has shape {x.shape}, box is {box.n_dims}-dimensional")
-    for i in range(box.n_dims):
-        if not (box.lower[i] <= x[i] <= box.upper[i]):
-            raise RangeError(
-                f"component {i} = {x[i]} outside box [{box.lower[i]}, {box.upper[i]}]"
-            )
+    x = _array(x, "point", box.lower.shape)
+    for i, (low, v, high) in enumerate(zip(box.lower.tolist(), x.tolist(), box.upper.tolist())):
+        if not low <= v <= high:
+            raise RangeError(f"component {i} = {v} outside box [{low}, {high}]")
     return (x - box.lower) / box.widths
 
 
 def from_unit(u: np.ndarray, box: Box) -> np.ndarray:
     """Map a unit-cube point back into the box."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != box.lower.shape:
-        raise ValueError(f"point has shape {u.shape}, box is {box.n_dims}-dimensional")
-    for i in range(box.n_dims):
-        if not (0.0 <= u[i] <= 1.0):
-            raise RangeError(f"component {i} = {u[i]} outside the unit interval")
+    u = _array(u, "unit point", box.lower.shape)
+    for i, v in enumerate(u.tolist()):
+        if not 0.0 <= v <= 1.0:
+            raise RangeError(f"component {i} = {v} outside the unit interval")
     return box.lower + u * box.widths
 
 

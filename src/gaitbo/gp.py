@@ -11,9 +11,10 @@ stacked and scored in one call, on a block of rows per model; each block gets
 the bits of its model's own posterior, since a single model's posterior is
 that call on a stack of one. The stacked call writes its kernel block, cross
 product and solves into a flat workspace its caller holds, so a caller
-scoring many blocks reuses one buffer. Every array a caller passes in is
-checked by one rule: integers or floats only, finite, of the kernel's
-dimension. scipy.linalg loads at the first factorization, not on import.
+scoring many blocks reuses one buffer. Every array a caller passes in is read
+by domain._array; a set of points must also have the kernel's dimension and
+stay finite over the lengthscales. scipy.linalg loads at the first
+factorization, not on import.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import _real
-from .errors import NumericalError
+from .domain import _array, _real
+from .errors import ConfigurationError, NumericalError
 
 __all__ = [
     "Hyperparams",
@@ -67,17 +68,16 @@ class Hyperparams:
     noise_std: float
 
     def __post_init__(self):
-        ls = np.array(self.lengthscales, dtype=float)
-        if ls.ndim != 1 or ls.size == 0:
+        ls = _array(self.lengthscales, "lengthscales", (None,))
+        if ls.size == 0:
             raise ValueError("lengthscales must be a nonempty 1-D array")
-        if not np.all(np.isfinite(ls)) or np.any(ls <= 0.0):
+        if np.any(ls <= 0.0):
             raise ValueError(f"lengthscales must be positive, got {ls}")
         signal_std = _real(self.signal_std, "signal_std", 0.0)
         if signal_std < 1.0 and not _JITTER_START * signal_std**2 > 0.0:
             # fit's jitter would start at 0 and never grow
             raise ValueError(f"signal_std {signal_std} is too small: its jitter "
                              "start underflows to 0")
-        ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "signal_std", signal_std)
         object.__setattr__(self, "noise_std", _real(self.noise_std, "noise_std", 0.0, ends="[)"))
@@ -108,34 +108,24 @@ def _check_dims(name: str, X: np.ndarray, n_dims: int) -> None:
         raise ValueError(f"{name} have {X.shape[1]} dims, lengthscales have {n_dims}")
 
 
-def _real_array(value, name: str, lengthscales: np.ndarray | None = None) -> np.ndarray:
-    """value as a float array, checked: ValueError unless its dtype is an
-    integer or float one (not bool, string or object) and every entry is finite.
-
-    Given lengthscales, value is a set of points of their dimension, one per
-    row (a 1-D array is a column), that must stay finite divided by them.
-    """
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be integers or floats, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
-    scaled = arr
-    if lengthscales is not None:
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
-        _check_dims(name, arr, lengthscales.shape[0])
-        scaled = arr / lengthscales  # a coordinate may overflow over its lengthscale
-    if not np.all(np.isfinite(scaled)):
+def _points(value, name: str, lengthscales: np.ndarray) -> np.ndarray:
+    """value through _array as a set of points of the lengthscales' dimension,
+    one per row (a 1-D array is a column), that stays finite divided by them."""
+    arr = _array(value, name)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
+    _check_dims(name, arr, lengthscales.shape[0])
+    if not np.all(np.isfinite(arr / lengthscales)):  # a coordinate may overflow
         raise ValueError(f"{name} must be finite")
     return arr
 
 
 def kernel_matrix(X1, X2, hyper: Hyperparams) -> np.ndarray:
     """Covariance matrix between two point sets, shape (len(X1), len(X2))."""
-    X1 = _real_array(X1, "first points", hyper.lengthscales)
-    X2 = _real_array(X2, "second points", hyper.lengthscales)
+    X1 = _points(X1, "first points", hyper.lengthscales)
+    X2 = _points(X2, "second points", hyper.lengthscales)
     return _cross_kernel(*_scaled_factors(X1, hyper), X2, hyper)
 
 
@@ -167,10 +157,10 @@ class GPModel:
 
 def _training_data(X, y, lengthscales: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Validated inputs and standardized targets: (X, ys, y_mean, y_scale)."""
-    X = _real_array(X, "training inputs", lengthscales)
+    X = _points(X, "training inputs", lengthscales)
     if X.shape[0] == 0:
         raise ValueError("training inputs must not be empty")
-    y = _real_array(y, "targets").reshape(-1)
+    y = _array(y, "targets").reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"got {X.shape[0]} inputs but {y.shape[0]} targets")
 
@@ -240,10 +230,9 @@ def fit(X, y, hyper: Hyperparams) -> GPModel:
 
 def _fitted(X, ys, y_mean, y_scale, hyper, kernel, factors) -> GPModel:
     """The GPModel of _training_data's, _training_kernel's and _factorize's
-    results, over a copy of X and with every array marked read-only."""
-    X = np.array(X)
+    results, with every array marked read-only (X, from _array, already is)."""
     (twice_scaled, sq_norms, _), (L, alpha, jitter) = kernel, factors
-    for arr in (X, ys, L, alpha, twice_scaled, sq_norms):
+    for arr in (ys, L, alpha, twice_scaled, sq_norms):
         arr.setflags(write=False)
     return GPModel(X=X, y=ys, hyper=hyper, L=L, alpha=alpha,
                    y_mean=y_mean, y_scale=y_scale, jitter=jitter,
@@ -281,8 +270,13 @@ def _stack_models(models) -> _ModelStack:
 
 def _workspace(models: int, points: int, rows: int) -> np.ndarray:
     """A flat workspace for _stacked_moments on up to models models of up to
-    points training points, each scored at up to rows rows."""
-    return np.empty(2 * models * points * rows)
+    points training points, each scored at up to rows rows; ConfigurationError
+    when numpy refuses one that size."""
+    try:
+        return np.empty(2 * models * points * rows)
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"a posterior workspace of 2 x {models} x {points:.3g} x {rows} "
+                                 "floats is too large to allocate") from None
 
 
 def _stacked_moments(stack: _ModelStack, Xq: np.ndarray,
@@ -333,7 +327,7 @@ def _stacked_moments(stack: _ModelStack, Xq: np.ndarray,
 
 def posterior_batch(model: GPModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and standard deviations at query points, original scale."""
-    Xq = _real_array(Xq, "query points", model.hyper.lengthscales)
+    Xq = _points(Xq, "query points", model.hyper.lengthscales)
     (mean,), (std,) = _stacked_moments(_stack_models((model,)), Xq[None],
                                        _workspace(1, model.n_points, Xq.shape[0]))
     if not np.all(np.isfinite(mean)):  # a coordinate near the float limit

@@ -15,7 +15,7 @@ from math import floor
 
 import numpy as np
 
-from .domain import GaitParameter, _readonly_array, _real
+from .domain import GaitParameter, _array, _real
 from .errors import ConfigurationError
 from .plant import PlantConfig, Trajectory, _rollout, learning_profile, stepping_start
 
@@ -24,11 +24,12 @@ __all__ = ["ObjectiveConfig", "ConvergedStats", "converged_stats", "evaluate_cos
 
 def _diagonal_weight(values, name: str) -> np.ndarray:
     """A diagonal 3-vector or a diagonal 3x3 matrix of nonnegative numbers, as the matrix."""
-    cells = np.array(values, dtype=object)
-    arr = np.array([_real(v, name, 0.0, ends="[)") for v in cells.ravel()]).reshape(cells.shape)
-    arr = _readonly_array(np.diag(arr) if arr.shape == (3,) else arr, (3, 3), name)
+    arr = _array(values, name)
+    arr = _array(np.diag(arr) if arr.shape == (3,) else arr, name, (3, 3))
+    if np.any(arr < 0.0):
+        raise ConfigurationError(f"{name} must be nonnegative, got {arr[arr < 0.0][0]}")
     if np.any(arr != np.diag(np.diag(arr))):
-        raise ValueError(f"{name} must be diagonal")
+        raise ConfigurationError(f"{name} must be diagonal")
     return arr
 
 

@@ -30,9 +30,9 @@ from .bo import BOResult, ConstraintSpec, _BORun, _drive_level, optimize, write_
 from .domain import (
     Box,
     ControlParams,
-    Correction,
     GaitParameter,
     SeedSpec,
+    _array,
     _items,
     _real,
     _whole_number,
@@ -591,10 +591,10 @@ class TableBenchmark:
         for name in ("mean_abs_error", "mean_oscillation"):
             v = getattr(self, name)
             if v is not None:
-                v = tuple(float(c) for c in v)
-                if len(v) != 3 or any(c < 0.0 for c in v):
+                v = _array(v, name, (3,))
+                if np.any(v < 0.0):
                     raise ValueError(f"{name} must be three nonnegative values")
-                object.__setattr__(self, name, v)
+                object.__setattr__(self, name, tuple(v.tolist()))
         if (self.mean_abs_error is None) != (self.feasible_count == 0):
             raise ValueError("error means must be present exactly when runs succeeded")
 

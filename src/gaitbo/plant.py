@@ -22,12 +22,11 @@ regulator_output and step on those inputs.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GaitParameter, SeedSpec, _readonly_array, _real
+from .domain import GaitParameter, SeedSpec, _array, _real
 from .errors import ConfigurationError, SimulationError
 from .scheduler import _resolve_gains
 
@@ -71,11 +70,11 @@ class PlantConfig:
     min_height: float = 0.3
 
     def __post_init__(self):
-        object.__setattr__(self, "B", _readonly_array(self.B, (3, 3), "B"))
-        object.__setattr__(self, "a", _readonly_array(self.a, (3,), "a"))
-        object.__setattr__(self, "D", _readonly_array(self.D, (3, 3), "D"))
-        object.__setattr__(self, "d0", _readonly_array(self.d0, (3,), "d0"))
-        object.__setattr__(self, "noise_std", _readonly_array(self.noise_std, (3,), "noise_std"))
+        object.__setattr__(self, "B", _array(self.B, "B", (3, 3)))
+        object.__setattr__(self, "a", _array(self.a, "a", (3,)))
+        object.__setattr__(self, "D", _array(self.D, "D", (3, 3)))
+        object.__setattr__(self, "d0", _array(self.d0, "d0", (3,)))
+        object.__setattr__(self, "noise_std", _array(self.noise_std, "noise_std", (3,)))
         if np.any(np.diag(self.B) <= 0.0):
             raise ValueError("B must have positive diagonal entries")
         if np.any(np.abs(self.a) >= 1.0):
@@ -146,9 +145,9 @@ class PlantState:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p_hat", _readonly_array(self.p_hat, (3,), "p_hat"))
-        object.__setattr__(self, "v_hat", _readonly_array(self.v_hat, (3,), "v_hat"))
-        object.__setattr__(self, "u", _readonly_array(self.u, (3,), "u"))
+        object.__setattr__(self, "p_hat", _array(self.p_hat, "p_hat", (3,)))
+        object.__setattr__(self, "v_hat", _array(self.v_hat, "v_hat", (3,)))
+        object.__setattr__(self, "u", _array(self.u, "u", (3,)))
 
 
 @dataclass(frozen=True)
@@ -163,13 +162,10 @@ class CommandProfile:
     total_duration: float
 
     def __post_init__(self):
-        entries = tuple((float(t), cmd) for t, cmd in self.entries)
+        entries = tuple((_real(t, "command start time"), cmd) for t, cmd in self.entries)
         if not entries:
             raise ConfigurationError("command profile needs at least one entry")
-        duration = float(self.total_duration)
-        for t in (*(t for t, _ in entries), duration):
-            if not math.isfinite(t):
-                raise ConfigurationError(f"command profile times must be finite, got {t}")
+        duration = _real(self.total_duration, "command profile total_duration")
         if entries[0][0] != 0.0:
             raise ConfigurationError(
                 f"first command must start at t=0, got t={entries[0][0]}"
@@ -207,20 +203,14 @@ class Trajectory:
     fall_time: float | None
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        if times.ndim != 1 or times.shape[0] == 0:
+        times = _array(self.times, "sample times", (None,))
+        if times.shape[0] == 0:
             raise ValueError("trajectory must hold at least one sample")
-        n = times.shape[0]
         for name in ("p_desired", "p_hat", "delta_g"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (n, 3):
-                raise ValueError(f"{name} must have shape ({n}, 3), got {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        # A NaN gap or dt fails the comparison too.
+            object.__setattr__(self, name, _array(getattr(self, name), name, (len(times), 3)))
+        # A NaN dt fails the comparison too.
         if not (abs(times[1:] - times[:-1] - self.dt) <= 1e-9).all():
             raise ValueError("sample times must be uniformly spaced by dt")
-        times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
     def __len__(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GaitParameter, SeedSpec, _numbers, _read_json, _readonly_array, _real
+from .domain import GaitParameter, SeedSpec, _array, _read_json, _real
 from .errors import ConfigurationError, DegenerateGeometryError
 from .objective import _learning_episodes, _learning_segments, _segment_moments
 from .plant import PlantConfig
@@ -68,8 +68,7 @@ class SweepResult:
         object.__setattr__(self, "feasible_commands", feasible)
         object.__setattr__(self, "grid", tuple(self.grid))
         for name in ("p_c", "p_c_min", "p_c_max"):
-            object.__setattr__(self, name,
-                               _readonly_array(getattr(self, name), (len(feasible), 3), name))
+            object.__setattr__(self, name, _array(getattr(self, name), name, (len(feasible), 3)))
 
     @property
     def safe_points(self) -> tuple:
@@ -89,13 +88,14 @@ def _plane_depths(anchor_points, normals, points) -> np.ndarray:
 
 
 def _vertex_indices(values, name: str) -> np.ndarray:
-    """values as an int array; ValueError for a boolean or fractional entry,
-    which the cast to int alone would turn into an index."""
+    """values as a read-only int array; ValueError for a boolean or fractional
+    entry, which the cast to int alone would turn into an index."""
     indices = np.array(values, dtype=int)
     given = np.array(values, dtype=object).ravel().tolist()
     if any(isinstance(v, (bool, np.bool_)) or v != i
            for v, i in zip(given, indices.ravel().tolist())):
         raise ValueError(f"{name} must be whole-number vertex indices, not booleans or fractions")
+    indices.setflags(write=False)
     return indices
 
 
@@ -115,23 +115,17 @@ class SafePolyhedron:
     gamma: float = 1.0
 
     def __post_init__(self):
-        vertices = np.array(self.vertices, dtype=float)
-        if vertices.ndim != 2 or vertices.shape[1] != 3 or vertices.shape[0] < 4:
-            raise ValueError(
-                f"polyhedron needs at least 4 vertices of dimension 3, got {vertices.shape}"
-            )
-        if not np.all(np.isfinite(vertices)):
-            raise ValueError("vertices must be finite")
+        vertices = _array(self.vertices, "vertices", (None, 3))
+        if vertices.shape[0] < 4:
+            raise ValueError(f"polyhedron needs at least 4 vertices, got {vertices.shape[0]}")
         faces = _vertex_indices(self.faces, "faces")
-        normals = np.array(self.normals, dtype=float)
         anchors = _vertex_indices(self.anchors, "anchors")
         count = len(faces)
         if count < 4:
             raise ValueError(f"polyhedron needs at least 4 faces, got {count}")
         if faces.shape != (count, 3):
             raise ValueError(f"faces are triangles of vertex indices, got shape {faces.shape}")
-        if normals.shape != (count, 3):
-            raise ValueError(f"need one 3-vector normal per face, got shape {normals.shape}")
+        normals = _array(self.normals, "normals", (count, 3))
         if anchors.shape != (count,):
             raise ValueError(f"need one anchor per face, got shape {anchors.shape}")
         norms = np.linalg.norm(normals, axis=1)
@@ -143,8 +137,6 @@ class SafePolyhedron:
         outside = faces[(faces < 0) | (faces >= len(vertices))]
         if outside.size:
             raise ValueError(f"face references vertex {outside[0]} outside the vertex list")
-        for array in (vertices, faces, normals, anchors):
-            array.setflags(write=False)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "normals", normals)
@@ -202,14 +194,11 @@ def convex_hull(points, gamma: float = 1.0) -> SafePolyhedron:
     or the points are too few, not finite, or too flat or thin for a solid.
     """
     gamma = _real(gamma, "gamma", 0.0, 1.0, "(]")
-    pts = np.array([p.as_array() if isinstance(p, GaitParameter) else np.asarray(p, dtype=float)
-                    for p in points])
-    if len(pts) < 4:
-        raise DegenerateGeometryError(f"need at least 4 points for a solid hull, got {len(pts)}")
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"hull points must be 3-vectors, got array shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("hull points must be finite")
+    if not isinstance(points, np.ndarray):
+        points = [p.as_array() if isinstance(p, GaitParameter) else p for p in points]
+    if len(points) < 4:
+        raise DegenerateGeometryError(f"need at least 4 points for a solid hull, got {len(points)}")
+    pts = _array(points, "hull points", (None, 3))
     ConvexHull, QhullError = _qhull()
     try:
         hull = ConvexHull(pts)
@@ -246,9 +235,7 @@ def constraint_value(poly: SafePolyhedron, p) -> float:
     h is the largest signed distance behind any face plane, measured along
     that face's inward normal, so it is 1-Lipschitz in the query point.
     """
-    x = p.as_array() if isinstance(p, GaitParameter) else np.asarray(p, dtype=float)
-    if x.shape != (3,):
-        raise ValueError(f"query point must be a 3-vector, got shape {x.shape}")
+    x = p.as_array() if isinstance(p, GaitParameter) else _array(p, "query point", (3,))
     return float(_constraint_values(poly, x[None])[0])
 
 
@@ -268,11 +255,10 @@ def polyhedron_to_json_dict(poly: SafePolyhedron) -> dict:
 
 def polyhedron_from_json_dict(data: dict) -> SafePolyhedron:
     try:
-        vertices = _numbers(data["vertices"], "safe-set vertex coordinate")
         faces = data["faces"]
-        return SafePolyhedron(vertices, [f["v"] for f in faces],
-                              [_numbers(f["n"], "safe-set face normal") for f in faces],
-                              [f["anchor"] for f in faces], data["gamma"])
+        return SafePolyhedron(data["vertices"], [f["v"] for f in faces],
+                              [f["n"] for f in faces], [f["anchor"] for f in faces],
+                              data["gamma"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed safe-set document: {exc}") from exc
 

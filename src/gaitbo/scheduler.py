@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (ControlParams, Correction, GaitParameter, _items, _number, _numbers,
+from .domain import (ControlParams, GaitParameter, _array, _items, _number, _numbers,
                      _read_json, _real, apply_correction)
 from .errors import ConfigurationError, GridNodeError
 
@@ -61,15 +61,9 @@ class GainTable:
         vx = _axis_nodes(self.vx_nodes, "vx")
         vy = _axis_nodes(self.vy_nodes, "vy")
         h = _axis_nodes(self.h_nodes, "h")
-        values = np.array(self.values, dtype=float)
-        expected = (len(vx), len(vy), len(h), 9)
-        if values.shape != expected:
-            raise ValueError(f"values must have shape {expected}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("table values must be finite")
+        values = _array(self.values, "table values", (len(vx), len(vy), len(h), 9))
         if np.any(values[..., 0:6] < 0.0):
             raise ValueError("table gains must be nonnegative")
-        values.setflags(write=False)
         object.__setattr__(self, "vx_nodes", vx)
         object.__setattr__(self, "vy_nodes", vy)
         object.__setattr__(self, "h_nodes", h)
@@ -185,7 +179,7 @@ def _node_indices(axes: tuple, point) -> tuple[int, int, int]:
     Raises GridNodeError when any coordinate is farther than the node
     tolerance from every node of its axis.
     """
-    return tuple(_node_index(nodes, float(q), name)
+    return tuple(_node_index(nodes, q, name)
                  for nodes, q, name in zip(axes, point, _AXIS_NAMES))
 
 
@@ -248,7 +242,7 @@ def table_from_json_dict(data: dict) -> GainTable:
         try:
             p = [_number(c, "gain table entry p") for c in entry["p"]]
             vec = np.array([_numbers(entry[key], f"gain table entry {key}")
-                            for key in ("kP", "kD", "deltaP")], dtype=float)
+                            for key in ("kP", "kD", "deltaP")])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed gain table entry ({exc}): {entry!r}") from exc
         if len(p) != 3 or vec.shape != (3, 3):

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy.optimize import linprog
 
 from gaitbo.bo import ConstraintSpec, expected_improvement, feasibility_from_moments, optimize
@@ -21,7 +20,6 @@ from gaitbo.gp import Hyperparams, fit, posterior_batch
 from gaitbo.objective import ObjectiveConfig, evaluate_cost
 from gaitbo.pipeline import (
     baseline_table,
-    desk_scale_config,
     gait_run_name,
     full_scale_config,
     real_budget,

@@ -17,7 +17,6 @@ from gaitbo.bo import (
     N_CANDIDATES,
     REFINE_STEP_SIZE,
     REFINE_STEPS,
-    BOResult,
     ConstraintSpec,
     Evaluation,
     expected_improvement,

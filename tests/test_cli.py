@@ -439,6 +439,14 @@ class TestExitCodes:
         assert str(tmp_path) in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_budget_too_large_for_its_workspace_exits_2(self, tmp_path, capsys):
+        # numpy refuses sim-1's posterior workspace at once, before any episode runs
+        cfg = write_config(tmp_path, {"i1": 1e300})
+        assert main(["learn-sim", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "workspace" in err and "\n" not in err.strip()
+
     def test_nan_axis_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sweep_h": [0.8, float("nan")]})
         assert main(["learn-sim", "--config", cfg,
@@ -542,8 +550,8 @@ class TestExitCodes:
         assert "\n" not in err.strip()
 
     @pytest.mark.parametrize("field, value, message", [
-        ("n", [float("nan"), 0.0, 0.0], "unit length"),
-        ("n", [float("inf"), 0.0, 0.0], "unit length"),
+        ("n", [float("nan"), 0.0, 0.0], "normals must be finite"),
+        ("n", [float("inf"), 0.0, 0.0], "normals must be finite"),
         ("n", [1.0, 0.0], "shape"),
         ("v", [0, 1, float("inf")], "infinity"),
         ("v", [0, 1, 2.5], "whole-number vertex indices"),
@@ -580,8 +588,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value", [True, "1"], ids=["true", "string"])
     @pytest.mark.parametrize("array, what", [
-        (lambda data: data["vertices"][0], "safe-set vertex coordinate"),
-        (lambda data: data["faces"][0]["n"], "safe-set face normal"),
+        (lambda data: data["vertices"][0], "vertices"),
+        (lambda data: data["faces"][0]["n"], "normals"),
     ], ids=["vertices", "normal"])
     def test_non_number_in_safe_set_array_exits_2(self, tmp_path, capsys, array, what, value):
         data = json.loads(Path(safe_set_file(tmp_path)).read_text())
@@ -592,7 +600,8 @@ class TestExitCodes:
         assert main(["learn-real", "--config", write_config(tmp_path), "--output-dir", str(out),
                      "--table", zero_table_file(tmp_path), "--safeset", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: malformed safe-set document: {what} must be a number")
+        assert err.startswith(
+            f"error: malformed safe-set document: {what} must be integers or floats")
         assert "\n" not in err.strip()
         assert not out.exists()
 

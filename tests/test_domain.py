@@ -21,12 +21,14 @@ from gaitbo.domain import (
     _real,
     to_unit,
 )
-from gaitbo.bo import ConstraintSpec
+from gaitbo.bo import BOResult, ConstraintSpec, Evaluation, optimize
 from gaitbo.errors import ConfigurationError, RangeError
-from gaitbo.gp import Hyperparams
+from gaitbo.gp import Hyperparams, fit, fit_hyper, posterior_batch
 from gaitbo.objective import ObjectiveConfig
-from gaitbo.plant import sim_config
-from gaitbo.safeset import convex_hull
+from gaitbo.pipeline import TableBenchmark
+from gaitbo.plant import CommandProfile, PlantState, Trajectory, sim_config
+from gaitbo.safeset import SweepResult, constraint_value, convex_hull
+from gaitbo.scheduler import GainTable
 
 
 class TestGaitParameter:
@@ -309,3 +311,114 @@ class TestConfiguredScalars:
     def test_rejects_a_non_number(self, make, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} "):
             make(**{field: value})
+
+
+def _numeric_fields():
+    """{case: (build, valid)}: build makes a value type, or calls a function,
+    from one field's value, and valid is a value it accepts, a number or a
+    nested list of numbers."""
+    gait = GaitParameter(0.0, 0.0, 1.0)
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    poly = convex_hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    hyper = Hyperparams(1.0, [0.3], 0.01)
+    model = fit([[0.0], [0.5]], [0.0, 1.0], hyper)
+    history = (Evaluation([0.5, 0.5], 1.0, None, False),)
+    zeros = np.zeros((2, 3)).tolist()
+    return {
+        "GaitParameter": (lambda v: GaitParameter(v, 0.0, 1.0), 0.4),
+        "GaitParameter.from_array": (GaitParameter.from_array, [0.4, 0.0, 1.0]),
+        "ControlParams": (lambda v: ControlParams(v, np.zeros(3), np.zeros(3)), [1.0, 1.0, 1.0]),
+        "ControlParams.from_vector": (ControlParams.from_vector, [1.0] * 9),
+        "Correction": (lambda v: Correction(v, np.zeros(3)), [0.1, 0.1, 0.1, 0.1, 0.0, 0.0]),
+        "correction_from_vector": (correction_from_vector, [0.1] * 6),
+        "Box": (lambda v: Box(v, [2.0, 2.0]), [0.5, 0.5]),
+        "to_unit": (lambda v: to_unit(v, box), [0.5, 0.5]),
+        "from_unit": (lambda v: from_unit(v, box), [0.5, 0.5]),
+        "CommandProfile start": (lambda v: CommandProfile(((0.0, gait), (v, gait)), 20.0), 8.0),
+        "CommandProfile duration": (lambda v: CommandProfile(((0.0, gait),), v), 20.0),
+        "PlantConfig": (lambda v: dataclasses.replace(sim_config(), d0=v), [0.0, 0.0, 0.5]),
+        "PlantState": (lambda v: PlantState(v, np.zeros(3), np.zeros(3)), [0.0, 0.0, 1.0]),
+        "Trajectory times": (lambda v: Trajectory(1.0, v, zeros, zeros, zeros, False, None),
+                             [0.0, 1.0]),
+        "Trajectory p_hat": (lambda v: Trajectory(1.0, [0.0, 1.0], zeros, v, zeros, False, None),
+                             zeros),
+        "GainTable": (lambda v: GainTable((0.0,), (0.0,), (1.0,), v), [[[[1.0] * 9]]]),
+        "SweepResult": (lambda v: SweepResult((gait,), (gait,), v, v, v), [[0.0, 0.0, 1.0]]),
+        "SafePolyhedron vertices": (lambda v: dataclasses.replace(poly, vertices=v),
+                                    poly.vertices.tolist()),
+        "SafePolyhedron normals": (lambda v: dataclasses.replace(poly, normals=v),
+                                   poly.normals.tolist()),
+        "convex_hull": (convex_hull, poly.vertices.tolist()),
+        "constraint_value": (lambda v: constraint_value(poly, v), [0.2, 0.2, 0.2]),
+        "Hyperparams": (lambda v: Hyperparams(1.0, v, 0.01), [0.3, 0.5]),
+        "Evaluation": (lambda v: Evaluation(v, 1.0, None, False), [0.5, 0.5]),
+        "BOResult best_x": (lambda v: BOResult(v, 1.0, history, [1.0]), [0.5, 0.5]),
+        "BOResult trace": (lambda v: BOResult([0.5, 0.5], 1.0, history, v), [1.0]),
+        "TableBenchmark error": (lambda v: TableBenchmark("a", 1, v, (0.1, 0.1, 0.1)),
+                                 [0.1, 0.1, 0.1]),
+        "TableBenchmark oscillation": (lambda v: TableBenchmark("a", 1, (0.1, 0.1, 0.1), v),
+                                       [0.1, 0.1, 0.1]),
+        "ObjectiveConfig": (lambda v: ObjectiveConfig(w1=v), np.eye(3).tolist()),
+        "fit": (lambda v: fit(v, [0.0, 1.0], hyper), [[0.0], [0.5]]),
+        "fit_hyper": (lambda v: fit_hyper(v, [0.0, 1.0], [hyper]), [[0.0], [0.5]]),
+        "posterior_batch": (lambda v: posterior_batch(model, v), [[0.0], [0.5]]),
+        "optimize initial design": (lambda v: optimize(lambda x: 0.0, box, 2, 1,
+                                                       initial_design=[v]), [0.5, 0.5]),
+    }
+
+
+NUMERIC_FIELDS = _numeric_fields()
+
+
+def _with_first(value, bad):
+    """value, a number or a nested list of numbers, with its first number replaced by bad."""
+    if isinstance(value, list):
+        return [_with_first(value[0], bad), *value[1:]]
+    return bad
+
+
+def _non_numbers():
+    """(case, kind, bad value) for every numeric field: a bool, a numeric string
+    and, for an array, a list mixing a bool with numbers."""
+    rows = []
+    for case, (_, valid) in NUMERIC_FIELDS.items():
+        if isinstance(valid, list):
+            rows += [(case, "bool", np.array(valid).astype(bool)),
+                     (case, "str", np.array(valid).astype(str)),
+                     (case, "mixed", _with_first(valid, True))]
+        else:
+            rows += [(case, "bool", True), (case, "str", str(valid))]
+    return rows
+
+
+NON_NUMBERS = _non_numbers()
+
+
+class TestOneNumberChecker:
+    """Every value type and function reads its numbers through domain._real or
+    domain._array, which refuse a bool or a string wherever it sits."""
+
+    @pytest.mark.parametrize("case, kind, bad", NON_NUMBERS,
+                             ids=[f"{case}-{kind}" for case, kind, _ in NON_NUMBERS])
+    def test_rejects_a_bool_or_a_string(self, case, kind, bad):
+        build, valid = NUMERIC_FIELDS[case]
+        build(valid)
+        with pytest.raises(ConfigurationError):
+            build(bad)
+
+    @pytest.mark.parametrize("case", [
+        "ControlParams", "ControlParams.from_vector", "Correction", "correction_from_vector",
+        "Box", "PlantConfig", "PlantState", "Trajectory times", "Trajectory p_hat", "GainTable",
+        "SweepResult", "SafePolyhedron vertices", "SafePolyhedron normals", "Hyperparams",
+        "Evaluation", "BOResult best_x", "BOResult trace", "ObjectiveConfig", "fit"])
+    def test_keeps_its_own_read_only_copy(self, case):
+        build, valid = NUMERIC_FIELDS[case]
+        source = np.array(valid, dtype=float)
+        exposed = [value for value in vars(build(source)).values()
+                   if isinstance(value, np.ndarray)]
+        before = [arr.copy() for arr in exposed]
+        assert exposed
+        source += 0.125
+        for arr, was in zip(exposed, before):
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, was)

@@ -4,6 +4,7 @@ in its module's __all__."""
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -41,3 +42,28 @@ def test_every_package_import_is_in_its_module_all():
                if alias.name not in getattr(importlib.import_module(f"gaitbo.{node.module}"),
                                             "__all__", ())]
     assert missing == []
+
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """The names a module's top-level imports bind that it never reads and
+    its __all__ does not list."""
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    listed = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+              for elt in getattr(node.value, "elts", ()) if isinstance(elt, ast.Constant)}
+    return [name for name in bound if name not in read and name not in listed]
+
+
+def test_every_import_is_used():
+    # the package __init__ imports in order to export, so it is left out
+    init = pathlib.Path(gaitbo.__file__)
+    paths = sorted([*init.parent.glob("*.py"), *pathlib.Path(__file__).parent.glob("*.py")])
+    unused = {f"{path.parent.name}/{path.name}": names for path in paths if path != init
+              and (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert unused == {}

@@ -42,7 +42,6 @@ from gaitbo.pipeline import (
     _write_log,
     baseline_table,
     benchmark,
-    benchmark_to_json_dict,
     desk_scale_config,
     extract_safe_set,
     gait_run_name,

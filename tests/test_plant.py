@@ -255,14 +255,17 @@ class TestTrajectory:
     def test_gap_check_matches_allclose(self, n, dt, shifts):
         times = np.arange(n) * (0.4 if np.isnan(dt) else dt) + np.array(shifts[:n])
         samples = np.zeros((n, 3))
+        # a non-finite sample time fails as such, before the spacing is checked
+        finite = np.isfinite(times).all()
         try:
             with np.errstate(invalid="ignore"):  # inf - inf
                 uniform = n == 1 or np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9)
                 traj = Trajectory(dt, times, samples, samples, samples, False, None)
         except ValueError as exc:
-            assert not uniform and "uniformly spaced" in str(exc)
+            assert ("must be finite" in str(exc) if not finite
+                    else not uniform and "uniformly spaced" in str(exc))
         else:
-            assert uniform and len(traj) == n
+            assert finite and uniform and len(traj) == n
 
     def test_rejects_empty_and_misshapen_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):

@@ -1,6 +1,5 @@
 """Gain table interpolation, node updates, corrections, and persistence."""
 
-import json
 import os
 import tempfile
 
