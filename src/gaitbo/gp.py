@@ -5,13 +5,16 @@ original scale. Factorization calls LAPACK potrf and potrs directly, in a
 jittered Cholesky that retries with doubled jitter before giving up; fit and
 the hyperparameter search share it, and the search builds one kernel per
 distinct lengthscale setting. A fitted model keeps its scaled training
-inputs, so a posterior at new points costs one cross-kernel, one product and
-one LAPACK triangular solve. Models sharing a point count and dimension can be
-stacked and scored in one call, on a block of rows per model; each block gets
-the bits of its model's own posterior, since a single model's posterior is
-that call on a stack of one. The stacked call writes its kernel block, cross
-product and solves into a flat workspace its caller holds, so a caller
-scoring many blocks reuses one buffer. Every array a caller passes in is read
+inputs and the inverse of its Cholesky factor L (LAPACK trtri, once per
+fit), so a posterior at new points costs one cross-kernel and two matrix
+products: the mean's, and L^-1 k for the variance k** - |L^-1 k|^2
+(Rasmussen & Williams, GPML, Alg. 2.1). Models sharing a point count and
+dimension can be stacked and scored in one call, on a block of rows per
+model; each block gets the bits of its model's own posterior, since a single
+model's posterior is that call on a stack of one and a stacked matmul rounds
+as each model's 2-D product does. The stacked call writes its kernel block
+and products into a flat workspace its caller holds, so a caller scoring
+many blocks reuses one buffer. Every array a caller passes in is read
 by domain._array; a set of points must also have the kernel's dimension and
 stay finite over the lengthscales. scipy.linalg loads at the first
 factorization, not on import.
@@ -48,10 +51,11 @@ DEFAULT_NOISE_STDS = (1e-3, 1e-2, 1e-1)
 
 @functools.cache
 def _lapack() -> tuple:
-    """LAPACK potrf, potrs and trtrs for float64, looked up once: what scipy.linalg's
-    cholesky, cho_solve and solve_triangular end in, without their per-call checks."""
+    """LAPACK potrf, potrs and trtri for float64, looked up once: the first two
+    are what scipy.linalg's cholesky and cho_solve end in, without their
+    per-call checks, and trtri inverts a triangular factor."""
     from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+    return get_lapack_funcs(("potrf", "potrs", "trtri"), dtype=np.float64)
 
 
 # The error text of scipy's checked wrappers for a non-finite array; a raw
@@ -137,6 +141,7 @@ class GPModel:
     y: np.ndarray  # standardized targets
     hyper: Hyperparams
     L: np.ndarray  # lower Cholesky factor of K + (noise^2 + jitter) I
+    L_inv: np.ndarray  # its inverse, C-ordered, for posterior variances
     alpha: np.ndarray
     y_mean: float
     y_scale: float
@@ -188,8 +193,9 @@ def _factorize(K: np.ndarray, noise_var: float, signal_var: float,
     """Jittered Cholesky of K + (noise_var + jitter) I and its solve against ys.
 
     Returns (L, alpha, jitter): L lower and Fortran-ordered with a zeroed
-    upper triangle, as trtrs needs. The jitter starts small and doubles
-    after each failed factorization until it passes a cap.
+    upper triangle, so its trtri inverse is lower-triangular too. The jitter
+    starts small and doubles after each failed factorization until it
+    passes a cap.
     """
     potrf, potrs, _ = _lapack()
     jitter = _JITTER_START * signal_var
@@ -230,13 +236,24 @@ def fit(X, y, hyper: Hyperparams) -> GPModel:
 
 def _fitted(X, ys, y_mean, y_scale, hyper, kernel, factors) -> GPModel:
     """The GPModel of _training_data's, _training_kernel's and _factorize's
-    results, with every array marked read-only (X, from _array, already is)."""
+    results, with the factor's inverse added and every array marked
+    read-only (X, from _array, already is)."""
     (twice_scaled, sq_norms, _), (L, alpha, jitter) = kernel, factors
-    for arr in (ys, L, alpha, twice_scaled, sq_norms):
+    L_inv = _inverse_factor(L)
+    for arr in (ys, L, L_inv, alpha, twice_scaled, sq_norms):
         arr.setflags(write=False)
-    return GPModel(X=X, y=ys, hyper=hyper, L=L, alpha=alpha,
+    return GPModel(X=X, y=ys, hyper=hyper, L=L, L_inv=L_inv, alpha=alpha,
                    y_mean=y_mean, y_scale=y_scale, jitter=jitter,
                    twice_scaled_X=twice_scaled, scaled_sq_norms=sq_norms)
+
+
+def _inverse_factor(L: np.ndarray) -> np.ndarray:
+    """The inverse of the lower-triangular factor L, C-ordered, by LAPACK
+    trtri; NumericalError if L has a zero on its diagonal."""
+    L_inv, info = _lapack()[2](L, lower=1)
+    if info != 0:
+        raise NumericalError(f"inverting the covariance factor failed (LAPACK info {info})")
+    return np.ascontiguousarray(L_inv)
 
 
 @dataclass(frozen=True)
@@ -251,7 +268,7 @@ class _ModelStack:
     signal_var: np.ndarray  # (models,)
     y_scale: np.ndarray  # (models,)
     y_mean: np.ndarray  # (models,)
-    L: tuple
+    L_inv: np.ndarray  # (models, n, n)
 
 
 def _stack_models(models) -> _ModelStack:
@@ -264,7 +281,7 @@ def _stack_models(models) -> _ModelStack:
         signal_var=np.array([m.hyper.signal_std**2 for m in models]),
         y_scale=np.array([m.y_scale for m in models]),
         y_mean=np.array([m.y_mean for m in models]),
-        L=tuple(m.L for m in models),
+        L_inv=np.stack([m.L_inv for m in models]),
     )
 
 
@@ -284,15 +301,14 @@ def _stacked_moments(stack: _ModelStack, Xq: np.ndarray,
     """Posterior means and stds, each (models, m), at a finite (models, m, d)
     float block, unvalidated: model j of the stack at the rows Xq[j].
 
-    The (models, n, m) kernel block and the cross product are written into
-    the flat float64 workspace work, of at least 2 models n m elements (see
-    _workspace), whose contents on entry do not matter; a caller scoring
-    many blocks hands each call the same one, so no call allocates its
-    full-size temporaries anew. The returned arrays never view it. The
-    cross-kernel and mean products are stacked matmuls, which round as each
-    model's own 2-D products do, and the triangular solve is one
-    multi-column LAPACK call per model, in place on a Fortran-ordered copy
-    of its block, so block j does not depend on the other models.
+    The (models, n, m) kernel block and the products over it are written
+    into the flat float64 workspace work, of at least 2 models n m elements
+    (see _workspace), whose contents on entry do not matter; a caller
+    scoring many blocks hands each call the same one, so no call allocates
+    its full-size temporaries anew. The returned arrays never view it. The
+    cross-kernel, mean and L^-1 k products are stacked matmuls, which round
+    as each model's own 2-D products do, so block j does not depend on the
+    other models.
     """
     models, n, _ = stack.twice_scaled_X.shape
     m = Xq.shape[1]
@@ -308,16 +324,8 @@ def _stacked_moments(stack: _ModelStack, Xq: np.ndarray,
     np.exp(sq, out=sq)
     Ks = np.multiply(sq, stack.signal_var[:, None, None], out=sq)  # (models, n, m)
     mean_s = np.matmul(Ks.transpose(0, 2, 1), stack.alpha)[:, :, 0]
-    trtrs = _lapack()[2]
-    explained = np.empty(mean_s.shape)
-    # Fortran-ordered (n, m), over the cross product, which is spent by now
-    V = work[size:size + n * m].reshape(m, n).T
-    for j, L in enumerate(stack.L):
-        V[...] = Ks[j]
-        solved, info = trtrs(L, V, 1, overwrite_b=1)  # lower; solved is V
-        if info != 0:
-            raise NumericalError(f"triangular solve failed (LAPACK info {info})")
-        explained[j] = np.add.reduce(np.square(solved, out=solved), axis=0)
+    V = np.matmul(stack.L_inv, Ks, out=cross)  # the cross product is spent by now
+    explained = np.add.reduce(np.square(V, out=V), axis=1)
     var = stack.signal_var[:, None] - explained
     np.maximum(var, 0.0, out=var)
     mean = mean_s * stack.y_scale[:, None] + stack.y_mean[:, None]

@@ -586,8 +586,8 @@ class TableBenchmark:
     mean_oscillation: tuple | None
 
     def __post_init__(self):
-        if self.feasible_count < 0:
-            raise ValueError("feasible_count must be nonnegative")
+        object.__setattr__(self, "feasible_count",
+                           _whole_number(self.feasible_count, "feasible_count", 0.0))
         for name in ("mean_abs_error", "mean_oscillation"):
             v = getattr(self, name)
             if v is not None:
@@ -610,6 +610,7 @@ class BenchmarkReport:
     tracking_winner: str
 
     def __post_init__(self):
+        object.__setattr__(self, "grid_size", _whole_number(self.grid_size, "grid_size", 0.0))
         if self.table_a.feasible_count > self.grid_size:
             raise ValueError("table_a feasible count exceeds the grid")
         if self.table_b.feasible_count > self.grid_size:

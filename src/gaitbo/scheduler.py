@@ -206,17 +206,14 @@ def apply_corrections(table: GainTable, corrections) -> GainTable:
 
 
 def table_to_json_dict(table: GainTable) -> dict:
+    # the values as nested lists of floats, sliced as ControlParams.from_vector does
+    values = table.values.tolist()
     entries = []
-    for i, vx in enumerate(table.vx_nodes):
-        for j, vy in enumerate(table.vy_nodes):
-            for k, h in enumerate(table.h_nodes):
-                params = table.node_params(i, j, k)
-                entries.append({
-                    "p": [vx, vy, h],
-                    "kP": [float(v) for v in params.kP],
-                    "kD": [float(v) for v in params.kD],
-                    "deltaP": [float(v) for v in params.deltaP],
-                })
+    for vx, plane in zip(table.vx_nodes, values):
+        for vy, row in zip(table.vy_nodes, plane):
+            for h, vec in zip(table.h_nodes, row):
+                entries.append({"p": [vx, vy, h], "kP": vec[0:3], "kD": vec[3:6],
+                                "deltaP": vec[6:9]})
     return {
         "axes": {
             "vx": list(table.vx_nodes),

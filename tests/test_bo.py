@@ -584,7 +584,7 @@ class TestRefineLevel:
         # An unjittered one-point model has std exactly 0 at its training
         # input, so the start's EI there is max(best - mean, 0).
         model = fit(np.array([[0.25, 0.5]]), np.array([0.5]), Hyperparams(1.0, [0.5, 0.5], 0.0))
-        exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"))
+        exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"), L_inv=np.ones((1, 1)))
         X = np.array([[[0.25, 0.5], [0.3, 0.5]]])
         means, stds = stacked_moments((exact,), X)
         assert stds[0, 0] == 0.0 and stds[0, 1] > 0.0

@@ -25,7 +25,7 @@ from gaitbo.bo import BOResult, ConstraintSpec, Evaluation, optimize
 from gaitbo.errors import ConfigurationError, RangeError
 from gaitbo.gp import Hyperparams, fit, fit_hyper, posterior_batch
 from gaitbo.objective import ObjectiveConfig
-from gaitbo.pipeline import TableBenchmark
+from gaitbo.pipeline import BenchmarkReport, TableBenchmark
 from gaitbo.plant import CommandProfile, PlantState, Trajectory, sim_config
 from gaitbo.safeset import SweepResult, constraint_value, convex_hull
 from gaitbo.scheduler import GainTable
@@ -324,6 +324,8 @@ def _numeric_fields():
     model = fit([[0.0], [0.5]], [0.0, 1.0], hyper)
     history = (Evaluation([0.5, 0.5], 1.0, None, False),)
     zeros = np.zeros((2, 3)).tolist()
+    means = (0.1, 0.1, 0.1)
+    table = TableBenchmark("a", 1, means, means)
     return {
         "GaitParameter": (lambda v: GaitParameter(v, 0.0, 1.0), 0.4),
         "GaitParameter.from_array": (GaitParameter.from_array, [0.4, 0.0, 1.0]),
@@ -358,6 +360,10 @@ def _numeric_fields():
                                  [0.1, 0.1, 0.1]),
         "TableBenchmark oscillation": (lambda v: TableBenchmark("a", 1, (0.1, 0.1, 0.1), v),
                                        [0.1, 0.1, 0.1]),
+        "TableBenchmark feasible_count": (lambda v: TableBenchmark("a", v, means, means),
+                                          1),
+        "BenchmarkReport grid_size": (lambda v: BenchmarkReport(v, table, table, "tie", "tie"),
+                                      2),
         "ObjectiveConfig": (lambda v: ObjectiveConfig(w1=v), np.eye(3).tolist()),
         "fit": (lambda v: fit(v, [0.0, 1.0], hyper), [[0.0], [0.5]]),
         "fit_hyper": (lambda v: fit_hyper(v, [0.0, 1.0], [hyper]), [[0.0], [0.5]]),
@@ -404,6 +410,16 @@ class TestOneNumberChecker:
         build, valid = NUMERIC_FIELDS[case]
         build(valid)
         with pytest.raises(ConfigurationError):
+            build(bad)
+
+    @pytest.mark.parametrize("case", ["TableBenchmark feasible_count",
+                                      "BenchmarkReport grid_size"])
+    @pytest.mark.parametrize("bad", [2.5, -1], ids=["fraction", "negative"])
+    def test_a_count_is_a_whole_number(self, case, bad):
+        build, valid = NUMERIC_FIELDS[case]
+        got = getattr(build(float(valid)), case.split()[1])
+        assert type(got) is int and got == valid
+        with pytest.raises(ConfigurationError, match=case.split()[1]):
             build(bad)
 
     @pytest.mark.parametrize("case", [

@@ -1,16 +1,24 @@
 """GP regression against direct dense-solve oracles and textbook limits."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
+import gaitbo
 from gaitbo.errors import NumericalError
 from gaitbo.gp import (
     _fit_best,
+    _fitted,
+    _inverse_factor,
     _stack_models,
     _stacked_moments,
     _std_ratio,
@@ -70,16 +78,25 @@ def dense_posterior(X, y, hyper, xq, jitter):
     return mean_s * scale + y_mean, np.sqrt(max(var, 0.0)) * scale
 
 
+def reference_inverse(L):
+    """LAPACK trtri's inverse of the lower factor L, row-major: a product's
+    rounding depends on its operands' layout, and the model keeps this one."""
+    L_inv, info = dtrtri(L, lower=1)
+    assert info == 0
+    return np.ascontiguousarray(L_inv)
+
+
 def reference_posterior_batch(model, Xq):
-    """The posterior as first written: the cross-kernel rebuilt from the raw
-    training inputs, then scipy's checked solve_triangular."""
+    """The posterior by GPML Alg. 2.1 in plain 2-D code: the cross-kernel
+    rebuilt from the raw training inputs, then var = k** - |L^-1 k|^2 with
+    L^-1 inverted afresh from the model's L."""
     A = model.X / model.hyper.lengthscales
     B = Xq / model.hyper.lengthscales
     sq = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * A @ B.T
     np.maximum(sq, 0.0, out=sq)
     Ks = model.hyper.signal_std**2 * np.exp(-0.5 * sq)
     mean_s = Ks.T @ model.alpha
-    V = solve_triangular(model.L, Ks, lower=True)
+    V = reference_inverse(model.L) @ Ks
     var = model.hyper.signal_std**2 - np.sum(V**2, axis=0)
     np.maximum(var, 0.0, out=var)
     return mean_s * model.y_scale + model.y_mean, np.sqrt(var) * model.y_scale
@@ -136,7 +153,7 @@ def reference_fit(X, y, hyper):
                     f"covariance factorization failed even with jitter {jitter:.3e}"
                 ) from None
     alpha = cho_solve((L, True), ys)
-    return GPModel(X=np.array(X), y=ys, hyper=hyper, L=L, alpha=alpha,
+    return GPModel(X=np.array(X), y=ys, hyper=hyper, L=L, L_inv=reference_inverse(L), alpha=alpha,
                    y_mean=y_mean, y_scale=y_scale, jitter=jitter,
                    twice_scaled_X=twice_scaled, scaled_sq_norms=sq_norms)
 
@@ -259,7 +276,7 @@ class TestFit:
 class TestFitBitIdentity:
     """fit and fit_hyper give the reference's arrays, choices and errors, bit for bit."""
 
-    FIELDS = ("L", "alpha", "jitter", "y", "y_mean", "y_scale", "twice_scaled_X",
+    FIELDS = ("L", "L_inv", "alpha", "jitter", "y", "y_mean", "y_scale", "twice_scaled_X",
               "scaled_sq_norms")
 
     def assert_same_fit(self, got, want):
@@ -535,14 +552,14 @@ class TestPosteriorBitIdentity:
                                 Hyperparams(1.0, np.array([0.3, 0.3]), 1e-2)),
                             np.array([[-np.inf, 0.5]]))
 
-    def test_failed_triangular_solve_raises(self):
+    def test_singular_factor_fails_to_invert(self):
         model = fit(np.array([[0.2], [0.7]]), np.array([0.0, 1.0]),
                     Hyperparams(1.0, np.array([0.3]), 1e-2))
         L = np.array(model.L, order="F")
         L[1, 1] = 0.0
-        singular = dataclasses.replace(model, L=L)
-        with pytest.raises(NumericalError, match="triangular solve"):
-            posterior_batch(singular, np.array([[0.5]]))
+        with pytest.raises(NumericalError, match=r"inverting the covariance factor failed "
+                                                 r"\(LAPACK info 2\)"):
+            _inverse_factor(L)
 
 
 class TestPointwiseMoments:
@@ -597,7 +614,7 @@ class TestPointwiseMoments:
         # An unjittered one-point model has a std of exactly 0 at its input,
         # whose coordinates and lengthscales make the kernel there exactly 1.
         model = fit(np.array([[0.25, 0.5]]), np.array([2.0]), Hyperparams(1.0, [0.5, 0.5], 0.0))
-        exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"))
+        exact = dataclasses.replace(model, L=np.ones((1, 1), order="F"), L_inv=np.ones((1, 1)))
         Xq = np.array([[[0.25, 0.5], [0.5, 0.5]]])
         means, stds = stacked_moments((exact,), Xq)
         assert stds[0, 0] == 0.0 and stds[0, 1] > 0.0
@@ -605,16 +622,15 @@ class TestPointwiseMoments:
         want_mean, want_std = reference_posterior_batch(exact, Xq[0])
         assert (means[0].tolist(), stds[0].tolist()) == (want_mean.tolist(), want_std.tolist())
 
-    def test_failed_triangular_solve_raises(self):
+    def test_a_singular_factor_makes_no_model(self):
         model = fit(np.array([[0.2], [0.7]]), np.array([0.0, 1.0]),
                     Hyperparams(1.0, np.array([0.3]), 1e-2))
         L = np.array(model.L, order="F")
-        L[1, 1] = 0.0
-        singular = dataclasses.replace(model, L=L)
-        with pytest.raises(NumericalError, match="triangular solve"):
-            stacked_moments((model, singular), np.array([[[0.4]], [[0.5]]]))
-        with pytest.raises(NumericalError, match="triangular solve"):
-            posterior_batch(singular, np.array([[0.4], [0.5]]))
+        L[0, 0] = 0.0
+        kernel = (model.twice_scaled_X, model.scaled_sq_norms, None)
+        with pytest.raises(NumericalError, match="inverting the covariance factor failed"):
+            _fitted(model.X, model.y, model.y_mean, model.y_scale, model.hyper, kernel,
+                    (L, model.alpha, model.jitter))
 
 
 class TestArrayChecks:
@@ -714,6 +730,118 @@ class TestWorkspace:
         _stacked_moments(*self.level(rng, 3, 30, 1024), work)
         for a, b in zip(first, kept):
             assert a.tobytes() == b.tobytes()
+
+
+def near_duplicate_fits(rng, sizes, hyper_of, shift=0.0):
+    """A fit per point count n in sizes, on random inputs in up to 3 dims,
+    offset by shift, whose second half nearly repeats the first;
+    hyper_of(n_dims) picks the hyperparameters."""
+    models = []
+    for n in sizes:
+        n_dims = int(rng.integers(1, 4))
+        X = shift + rng.random((n, n_dims))
+        half = n // 2
+        X[half:2 * half] = X[:half] + 1e-13 * rng.random((half, n_dims))
+        models.append(fit(X, rng.normal(0.0, 1.0, n), hyper_of(n_dims)))
+    return models
+
+
+def oracle_variances(model, Xq):
+    """Posterior variances, standardized scale, by scipy's checked
+    solve_triangular on the model's own L."""
+    hyper = model.hyper
+    Ks = kernel_matrix(model.X, Xq, hyper)
+    V = solve_triangular(model.L, Ks, lower=True)
+    return np.maximum(hyper.signal_std**2 - np.sum(V**2, axis=0), 0.0)
+
+
+class TestInverseFactor:
+    """Each fitted model keeps L^-1, lower-triangular, read-only and
+    row-major, which inverts L and gives the variances a triangular solve
+    gives."""
+
+    def test_is_a_read_only_row_major_lower_triangle(self):
+        rng = np.random.default_rng(30)
+        models = near_duplicate_fits(rng, (1, 2, 17, 64, 100),
+                                     lambda d: default_hyper_grid(d)[3])
+        models.append(_fit_best(rng.random((40, 2)), rng.random(40), default_hyper_grid(2)))
+        for model in models:
+            assert model.L_inv.shape == model.L.shape
+            assert model.L_inv.flags.c_contiguous
+            assert not model.L_inv.flags.writeable
+            assert not np.any(np.triu(model.L_inv, 1))
+
+    def test_inverts_the_factor(self):
+        # Within 1e-12 of I, relative to |L^-1| |L| where that passes 1: the
+        # zero-noise fits on near-duplicate inputs far from the origin grow
+        # their jitter, and their factors are too ill-conditioned for an
+        # absolute bound.
+        rng = np.random.default_rng(31)
+        sizes = range(1, 101)
+        noisy = near_duplicate_fits(rng, sizes, lambda d: default_hyper_grid(d)[0])
+        exact = near_duplicate_fits(rng, sizes, lambda d: Hyperparams(1.0, np.full(d, 0.5), 0.0),
+                                    shift=100.0)
+        assert sum(model.jitter > 1e-10 for model in exact) > 10
+        for model in noisy + exact:
+            residual = np.abs(model.L_inv @ model.L - np.eye(model.n_points))
+            scale = np.maximum(np.abs(model.L_inv) @ np.abs(model.L), 1.0)
+            assert np.all(residual <= 1e-12 * scale), model.n_points
+        for model in noisy:
+            assert np.max(np.abs(model.L_inv @ model.L - np.eye(model.n_points))) <= 1e-12
+
+    def test_matches_a_triangular_solve(self):
+        # Stds within 1e-10 over the search grid; a zero-noise fit's std can
+        # sit near sqrt(jitter), where the square root magnifies rounding, so
+        # there the variances are compared.
+        rng = np.random.default_rng(32)
+
+        def any_entry(n_dims):
+            grid = default_hyper_grid(n_dims)
+            return grid[int(rng.integers(len(grid)))]
+
+        sizes = rng.integers(1, 101, 60)
+        noisy = near_duplicate_fits(rng, sizes, any_entry)
+        exact = near_duplicate_fits(rng, sizes, lambda d: Hyperparams(1.0, np.full(d, 0.5), 0.0))
+        for model in noisy + exact:
+            Xq = np.concatenate([rng.random((200, model.X.shape[1])), model.X[:5]])
+            _, std = posterior_batch(model, Xq)
+            want = oracle_variances(model, Xq)
+            if model.hyper.noise_std > 0.0:
+                np.testing.assert_allclose(std, np.sqrt(want) * model.y_scale, rtol=0, atol=1e-10)
+            else:
+                np.testing.assert_allclose((std / model.y_scale)**2, want, rtol=0, atol=1e-10)
+
+
+BLAS_THREAD_RUN = """
+import hashlib
+import numpy as np
+from gaitbo.gp import _stack_models, _stacked_moments, _workspace, default_hyper_grid, fit
+rng = np.random.default_rng(33)
+grid = default_hyper_grid(3)
+models = [fit(rng.random((100, 3)), rng.normal(0.0, 1.0, 100), grid[j]) for j in (0, 4, 8, 12)]
+moments = _stacked_moments(_stack_models(models), rng.random((4, 1024, 3)),
+                           _workspace(4, 100, 1024))
+digest = hashlib.sha256()
+for arr in [m.L_inv for m in models] + list(moments):
+    digest.update(arr.tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_a_stacked_posterior_does_not_depend_on_the_thread_count(self):
+        # 100 points: the largest history a full-scale run fits
+        src = str(Path(gaitbo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", BLAS_THREAD_RUN], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestLogMarginalLikelihood:

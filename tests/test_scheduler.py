@@ -1,5 +1,6 @@
 """Gain table interpolation, node updates, corrections, and persistence."""
 
+import json
 import os
 import tempfile
 
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from gaitbo.domain import ControlParams, GaitParameter, correction_from_vector
 from gaitbo.errors import ConfigurationError, GridNodeError
+from gaitbo.pipeline import full_scale_config
 from gaitbo.scheduler import (
     GainTable,
     _interpolate,
@@ -321,7 +323,39 @@ class TestApplyCorrections:
         np.testing.assert_array_equal(out.values[mask], table.values[mask])
 
 
+def reference_table_to_json_dict(table):
+    """table_to_json_dict as first written: one ControlParams per node."""
+    entries = []
+    for i, vx in enumerate(table.vx_nodes):
+        for j, vy in enumerate(table.vy_nodes):
+            for k, h in enumerate(table.h_nodes):
+                params = table.node_params(i, j, k)
+                entries.append({
+                    "p": [vx, vy, h],
+                    "kP": [float(v) for v in params.kP],
+                    "kD": [float(v) for v in params.kD],
+                    "deltaP": [float(v) for v in params.deltaP],
+                })
+    return {"axes": {"vx": list(table.vx_nodes), "vy": list(table.vy_nodes),
+                     "h": list(table.h_nodes)},
+            "entries": entries}
+
+
 class TestPersistence:
+    def test_full_scale_document_text_matches_the_per_node_reference(self, tmp_path):
+        cfg = full_scale_config(0)
+        shape = (len(cfg.vx_nodes), len(cfg.vy_nodes), len(cfg.h_nodes))
+        rng = np.random.default_rng(20)
+        values = np.concatenate([rng.uniform(0.0, 50.0, shape + (6,)),
+                                 rng.normal(0.0, 0.1, shape + (3,))], axis=-1)
+        values[0, 0, 0] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, -0.0, 0.0, 1e-300]
+        table = GainTable(cfg.vx_nodes, cfg.vy_nodes, cfg.h_nodes, values)
+        path = tmp_path / "table.json"
+        save_table(table, path)
+        want = reference_table_to_json_dict(table)
+        assert len(want["entries"]) == 308
+        assert path.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         table = random_table(rng)
